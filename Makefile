@@ -59,7 +59,8 @@ bench-kernels:
 bench-trace:
 	$(PYTHON) benchmarks/bench_trace_overhead.py --smoke
 
-## bench-recovery: WAL replay cost vs length/checkpoint cadence + ack tax.
+## bench-recovery: checkpoint cost vs dirty set (flat in resident), WAL
+## replay vs tail length, restart at the shipped interval, ack tax.
 bench-recovery:
 	$(PYTHON) benchmarks/bench_recovery.py --smoke
 

@@ -1,13 +1,17 @@
-"""Crash-recovery cost: replay time vs WAL length, and the WAL ack tax.
+"""Durability costs: checkpoint vs dirty set, replay vs tail, the ack tax.
 
-The durability layer (internals §12) buys zero acked-write loss with two
-running costs, and this bench measures both against the real node:
+The durability layer (internals §12) buys zero acked-write loss with
+three running costs, and this bench measures each against the real node:
 
-* **recovery time** — a crashed node replays its WAL tail on restart;
-  replay work scales with the number of records past the last
-  checkpoint, so recovery time is really a function of WAL length and
-  checkpoint interval.  Two sweeps: WAL length with checkpoints off, and
-  checkpoint interval at a fixed write count.
+* **checkpoint time** — a checkpoint flushes the profiles dirty at its
+  barrier and nothing else, so it must be flat in the resident set and
+  linear in the dirty set.  One grid: resident clean profiles x profiles
+  dirtied since the last checkpoint; the profile count is asserted
+  exactly, the times are reported.
+* **recovery time** — a crashed node replays its WAL tail on restart onto
+  the stored values; replay work scales with the number of records past
+  the last barrier.  Two sweeps: tail length with checkpoints off, and a
+  restart at the shipped checkpoint interval against never checkpointing.
 * **ack overhead** — every ``add_profile`` ack now waits for a WAL
   append (and, in ``always`` mode, its fsync barrier); the fire-and-
   forget arm (no durability attached) is the baseline the overhead is
@@ -37,6 +41,8 @@ NOW_MS = 400 * MILLIS_PER_DAY
 WINDOW = TimeRange.current(2 * MILLIS_PER_DAY)
 POPULATION = 48
 PROBE_PROFILE = 7
+#: ``build_durable_node``'s default ``checkpoint_interval``.
+SHIPPED_INTERVAL = 256
 
 
 def build_node(
@@ -95,6 +101,29 @@ def crash_and_recover(node: IPSNode) -> dict:
     }
 
 
+def sweep_checkpoint_cost(residents, dirties) -> list[dict]:
+    """Checkpoint time over (resident clean profiles) x (dirty profiles)."""
+    out = []
+    for resident in residents:
+        node = build_node()
+        for profile_id in range(resident):
+            node.add_profile(profile_id, NOW_MS, 1, 0, 1, {"click": 1})
+        node.checkpoint()  # Everything resident, nothing dirty.
+        for dirty in dirties:
+            for profile_id in range(dirty):
+                node.add_profile(profile_id, NOW_MS, 1, 0, 2, {"click": 1})
+            start = perf_ms()
+            report = node.checkpoint()
+            out.append({
+                "resident": node.cache.resident_count(),
+                "dirty": dirty,
+                "profiles_flushed": report.profiles,
+                "checkpoint_bytes": report.bytes_written,
+                "checkpoint_ms": perf_ms() - start,
+            })
+    return out
+
+
 def sweep_wal_length(lengths: list[int]) -> list[dict]:
     """Recovery cost with checkpoints off: the whole WAL replays."""
     out = []
@@ -149,19 +178,32 @@ def measure_ack_overhead(writes: int) -> dict:
 
 
 def run_bench(
-    lengths: list[int], interval_writes: int, overhead_writes: int
+    lengths: list[int],
+    interval_writes: int,
+    overhead_writes: int,
+    residents: tuple[int, ...] = (200, 800),
+    dirties: tuple[int, ...] = (4, 16, 64),
 ) -> dict:
     return {
+        "checkpoint_cost": sweep_checkpoint_cost(residents, dirties),
         "wal_length": sweep_wal_length(lengths),
         "checkpoint_interval": sweep_checkpoint_interval(
-            interval_writes, [0, 64, 256]
+            interval_writes, [0, SHIPPED_INTERVAL]
         ),
         "ack_overhead": measure_ack_overhead(overhead_writes),
     }
 
 
 def report(result: dict) -> None:
-    print("\n=== Crash recovery cost ===")
+    print("\n=== Durability cost ===")
+    print("-- checkpoint time vs dirty set, at fixed resident sets --")
+    for row in result["checkpoint_cost"]:
+        print(
+            f"  resident={row['resident']:>5} dirty={row['dirty']:>4}: "
+            f"flushed={row['profiles_flushed']:>4} "
+            f"checkpoint={row['checkpoint_ms']:.2f} ms "
+            f"({row['checkpoint_bytes']} B barrier file)"
+        )
     print("-- recovery time vs WAL length (checkpoints off) --")
     for row in result["wal_length"]:
         print(
@@ -170,7 +212,7 @@ def report(result: dict) -> None:
             f"(replay {row['replay_ms']:.2f} ms) "
             f"state_ok={row['state_matches']}"
         )
-    print("-- recovery time vs checkpoint interval "
+    print("-- restart at the shipped checkpoint interval "
           f"({result['checkpoint_interval'][0]['records_replayed']} "
           "records when never checkpointing) --")
     for row in result["checkpoint_interval"]:
@@ -197,6 +239,11 @@ def report(result: dict) -> None:
 
 
 def check(result: dict) -> None:
+    # A checkpoint flushes exactly what was dirtied, whatever is resident,
+    # and writes a barrier, not an image.
+    for row in result["checkpoint_cost"]:
+        assert row["profiles_flushed"] == row["dirty"], row
+        assert row["checkpoint_bytes"] < 100, row
     # With checkpoints off, recovery replays exactly the acked writes, and
     # replay work grows with WAL length.
     for row in result["wal_length"]:
@@ -204,23 +251,11 @@ def check(result: dict) -> None:
         assert row["state_matches"], row
     replayed = [row["records_replayed"] for row in result["wal_length"]]
     assert replayed == sorted(replayed) and replayed[0] < replayed[-1]
-    # Checkpointing bounds the replay tail; tighter cadence, more
-    # checkpoints, fewer records to replay — with identical served state.
-    by_interval = {
-        row["interval"]: row for row in result["checkpoint_interval"]
-    }
-    for row in result["checkpoint_interval"]:
-        assert row["state_matches"], row
-    assert by_interval[0]["checkpoints"] == 0
-    assert by_interval[64]["checkpoints"] > by_interval[256]["checkpoints"]
-    assert (
-        by_interval[64]["records_replayed"]
-        < by_interval[0]["records_replayed"]
-    )
-    assert (
-        by_interval[64]["records_replayed"]
-        <= by_interval[256]["records_replayed"]
-    )
+    # Checkpointing bounds the replay tail — with identical served state.
+    never, shipped = result["checkpoint_interval"]
+    assert never["state_matches"] and shipped["state_matches"]
+    assert never["checkpoints"] == 0 < shipped["checkpoints"]
+    assert shipped["records_replayed"] < never["records_replayed"]
     # Every durable arm really logged (and therefore acked) every write.
     arms = result["ack_overhead"]
     assert arms["wal_group"]["writes_logged"] == arms["writes"]

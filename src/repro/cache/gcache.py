@@ -212,18 +212,13 @@ class GCache:
     def install_recovered(self, profile: ProfileData) -> None:
         """Install a crash-recovered profile as resident *and dirty*.
 
-        Recovery rebuilds profiles from the checkpoint base plus the WAL
-        tail, so the freshly rebuilt state supersedes whatever the KV
-        store holds and must be queued for re-flush — this is how the
-        dirty list is rebuilt after a crash.
+        Recovery rebuilds profiles from their stored value plus the WAL
+        tail past its stamp, so the freshly rebuilt state supersedes what
+        the KV store holds and must be queued for re-flush — this is how
+        the dirty list is rebuilt after a crash.
         """
         self._install(profile, dirty=True)
         self.metrics.recovered_installs += 1
-
-    def resident_ids(self) -> list[int]:
-        """Ids of every resident profile (checkpoint enumeration)."""
-        with self._entries_lock:
-            return list(self._entries.keys())
 
     def entry_lock(self, profile_id: int) -> threading.Lock | None:
         """Expose the per-entry lock for serving-path critical sections."""

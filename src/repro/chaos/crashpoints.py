@@ -1,9 +1,10 @@
 """Deterministic crash-point recovery harness.
 
 Kills a node at seeded byte- and op-granular points — mid-WAL-append,
-post-append/pre-fsync, mid-checkpoint, mid-fine-grained-flush — then
-restarts it through the real recovery path and property-checks the
-durability contract:
+post-append/pre-fsync, between the per-profile barrier flushes of a
+checkpoint, after its store sync, around its barrier write,
+mid-fine-grained-flush — then restarts it through the real recovery path
+and property-checks the durability contract:
 
     recovered state == every *acked* write, plus at most a prefix of the
     writes that were in flight (appended, never acked) when the machine
@@ -12,7 +13,12 @@ durability contract:
 Each seed drives three phases:
 
 1. **Counting pass** — run a seeded workload with a passive injector,
-   recording every crash-point site visit (and every KV write op).
+   recording every crash-point site visit (and every KV write op).  The
+   workload mixes maintenance ticks with background flushes that persist
+   post-barrier writes without a checkpoint (recovery must not apply
+   those records twice), explicit checkpoints over an unmerged write
+   table, and — every third seed — a write table a few writes deep, so
+   the overflow path runs constantly.
 2. **Armed pass** — re-run the identical workload with one crash point
    armed: a ``(site, hit, byte_offset)`` triple chosen from the counting
    pass, or a KV write-op index (which lands inside the fine-grained
@@ -23,16 +29,20 @@ Each seed drives three phases:
 3. **Machine death + recovery** — volatile state is discarded (the WAL's
    :class:`~repro.storage.wal.MemoryLogFile` truncates to its durable
    watermark, optionally after an OS-page-cache-style flush of the torn
-   tail), the node restarts with a fresh :class:`WriteAheadLog` /
+   tail; the KV store, which buffers like ``FileKVStore(durability=
+   "batch")``, independently keeps or loses what no ``sync`` covered),
+   the node restarts with a fresh :class:`WriteAheadLog` /
    :class:`NodeDurability` over the surviving bytes, recovers, and the
    oracle compares canonical profile fingerprints against references
    rebuilt from the acked-write ledger.
 
 Every schedule is rerun under the same seed and must produce a
-byte-identical result digest.  ``--prove-teeth`` additionally runs the
-same workloads with durability detached and requires the oracle to
-*catch* lost acked writes — the harness demonstrably fails when the WAL
-is off, so a green run means something.
+byte-identical result digest.  The teeth proofs additionally run the same
+workloads with durability detached, with a recovery that ignores the
+applied-sequence stamps, and with a write-table overflow that overtakes
+buffered writes, and require the oracle to *catch* each — the harness
+demonstrably fails when an invariant is broken, so a green run means
+something.
 
 Usage::
 
@@ -47,15 +57,16 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..clock import MILLIS_PER_DAY, SimulatedClock
 from ..config import TableConfig
 from ..errors import SimulatedCrashError
+from ..server.isolation import PendingWrite
 from ..server.node import IPSNode
 from ..server.recovery import NodeDurability, RecoveryReport
 from ..storage.kvstore import InMemoryKVStore, KVStore, VersionedValue
-from ..storage.compression import decompress
-from ..storage.serialization import RAW_COLUMN_MIN_ROWS, ProfileCodec
+from ..storage.serialization import RAW_COLUMN_MIN_ROWS
 from ..storage.wal import NULL_SITE, MemoryLogFile, WriteAheadLog
 
 NOW = 400 * MILLIS_PER_DAY
@@ -114,15 +125,34 @@ class CrashPointInjector:
             raise SimulatedCrashError(site, f"hit {index}")
 
 
+class BufferedKVStore(InMemoryKVStore):
+    """In-memory store with ``FileKVStore(durability="batch")`` crash
+    semantics: writes are readable at once, but only what a :meth:`sync`
+    covered survives :meth:`crash` (a SIGKILL drops the userspace buffer).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._durable: dict[bytes, VersionedValue] = {}
+
+    def sync(self) -> None:
+        with self._lock:
+            self._durable = dict(self._data)
+
+    def crash(self) -> None:
+        with self._lock:
+            self._data = dict(self._durable)
+
+
 class CrashingKVStore:
     """KV wrapper that dies immediately before a chosen write operation.
 
     Op-granular crash points inside multi-op storage protocols: arming op
     *k* of a fine-grained flush kills the process between a slice write
     and the meta ``xset`` fence, leaving orphan slices for the recovery
-    sweep.  Reads never crash (a dying machine stops writing first), and
-    completed writes persist — the store models the *surviving* KV
-    cluster, not the dying client.
+    sweep.  Reads never crash (a dying machine stops writing first);
+    whether completed but unsynced writes persist is the inner store's
+    business.
     """
 
     def __init__(self, inner: KVStore) -> None:
@@ -161,6 +191,12 @@ class CrashingKVStore:
     def keys(self):
         return self._inner.keys()
 
+    def sync(self) -> None:
+        self._inner.sync()
+
+    def crash(self) -> None:
+        self._inner.crash()
+
 
 # ----------------------------------------------------------------------
 # Seeded workload
@@ -178,7 +214,10 @@ class WorkloadPlan:
     fine_grained: bool
     sync: str
     checkpoint_interval: int
-    #: ("write", Write) | ("batch", list[Write]) | ("maint", None)
+    #: Isolation write-table cap; a few writes deep on overflow schedules.
+    write_table_limit: int
+    #: ("write", Write) | ("batch", list[Write]) | ("maint", None) |
+    #: ("flush", None) | ("checkpoint", None)
     ops: tuple[tuple[str, object], ...]
 
 
@@ -192,7 +231,16 @@ def plan_workload(seed: int) -> WorkloadPlan:
         roll = rng.random()
         if roll < 0.10:
             ops.append(("maint", None))
-        elif roll < 0.22:
+        elif roll < 0.14:
+            # A background flush with no checkpoint behind it: the store
+            # then holds writes past the barrier, which the WAL tail also
+            # holds — the stamp is what keeps replay from doubling them.
+            ops.append(("flush", None))
+        elif roll < 0.17:
+            # A checkpoint over an unmerged write table: the barrier
+            # flush has profiles to write, one crash point apiece.
+            ops.append(("checkpoint", None))
+        elif roll < 0.29:
             pid = rng.choice(profile_ids)
             slot, type_id = rng.randrange(1, 3), rng.randrange(0, 2)
             if rng.random() < 0.45:
@@ -228,6 +276,12 @@ def plan_workload(seed: int) -> WorkloadPlan:
         fine_grained=seed % 2 == 0,
         sync="always" if rng.random() < 0.5 else "group",
         checkpoint_interval=rng.choice((8, 16, 32)),
+        write_table_limit=(
+            PendingWrite(0, 0, 0, 0, 0, (0,)).memory_bytes()
+            * rng.randrange(2, 6)
+            if seed % 3 == 0
+            else 8 * 1024 * 1024
+        ),
         ops=tuple(ops),
     )
 
@@ -247,15 +301,50 @@ class _Rig:
     checkpoint_file: MemoryLogFile
 
 
-def _build_rig(plan: WorkloadPlan, durable: bool) -> _Rig:
+class _OvertakingNode(IPSNode):
+    """Teeth: the overflow path as it was before it merged first — a
+    write that finds the table full is applied ahead of the buffered
+    writes, including older ones to the same profile."""
+
+    def _buffer_or_apply(self, *write) -> None:
+        table = self.write_table
+        if (
+            table.memory_bytes + PendingWrite(*write).memory_bytes()
+            > table.memory_limit_bytes
+        ):
+            self._apply_write(*write)
+        else:
+            super()._buffer_or_apply(*write)
+
+
+def _recover_ignoring_stamps(node: IPSNode) -> RecoveryReport:
+    """Teeth: replay the whole tail onto whatever the store holds."""
+    load = node.persistence.load
+
+    def unstamped(profile_id: int):
+        profile = load(profile_id)
+        if profile is not None:
+            profile.applied_seq = 0
+        return profile
+
+    node.persistence.load = unstamped
+    try:
+        return node.recover()
+    finally:
+        del node.persistence.load
+
+
+def _build_rig(
+    plan: WorkloadPlan, durable: bool, node_cls: type[IPSNode] = IPSNode
+) -> _Rig:
     injector = CrashPointInjector()
-    store = CrashingKVStore(InMemoryKVStore())
+    store = CrashingKVStore(BufferedKVStore())
     config = TableConfig(
         name="t",
         attributes=("click",),
         fine_grained_persistence=plan.fine_grained,
     )
-    node = IPSNode(
+    node = node_cls(
         "crash-node",
         config,
         store,
@@ -263,6 +352,7 @@ def _build_rig(plan: WorkloadPlan, durable: bool) -> _Rig:
         cache_capacity_bytes=4096,
         swap_threshold=0.6,
         swap_target=0.4,
+        write_table_limit_bytes=plan.write_table_limit,
     )
     wal_file = MemoryLogFile()
     checkpoint_file = MemoryLogFile()
@@ -294,6 +384,11 @@ def _execute(
             if kind == "maint":
                 node.merge_write_table()
                 node.run_cache_cycle()
+            elif kind == "flush":
+                node.merge_write_table()
+                node.cache.run_flush_once()
+            elif kind == "checkpoint":
+                node.checkpoint()
             elif kind == "write":
                 pid, ts, slot, type_id, fid, counts = payload
                 node.add_profile(pid, ts, slot, type_id, fid, counts)
@@ -308,9 +403,10 @@ def _execute(
                 )
                 acked.extend(writes)
         except SimulatedCrashError as crash:
-            inflight = [] if kind == "maint" else _batch_writes(
-                [payload] if kind == "write" else payload
-            )
+            if kind == "write":
+                inflight = [payload]
+            else:
+                inflight = _batch_writes(payload) if kind == "batch" else []
             return acked, inflight, crash
     return acked, [], None
 
@@ -331,6 +427,8 @@ class CrashPlan:
     kv_op: int = -1
     #: Model the OS having flushed the torn tail to disk before dying.
     flush_tail: bool = False
+    #: Model the KV store's unsynced writes having reached disk anyway.
+    kv_tail_survives: bool = False
 
     def describe(self) -> str:
         if self.kind == "kv":
@@ -352,9 +450,11 @@ def choose_crash_plan(
         raise RuntimeError(f"seed {seed}: counting pass visited no crash sites")
     site = rng.choice(candidates)
     flush_tail = rng.random() < 0.5
+    kv_tail_survives = rng.random() < 0.5
     if site == "kv":
         return CrashPlan(
-            kind="kv", kv_op=rng.randrange(kv_write_ops), flush_tail=flush_tail
+            kind="kv", kv_op=rng.randrange(kv_write_ops),
+            flush_tail=flush_tail, kv_tail_survives=kv_tail_survives,
         )
     hits = visits[site]
     hit = rng.randrange(len(hits))
@@ -370,7 +470,7 @@ def choose_crash_plan(
         offset = rng.randrange(length + 1)
     return CrashPlan(
         kind="site", site=site, hit=hit, byte_offset=offset,
-        flush_tail=flush_tail,
+        flush_tail=flush_tail, kv_tail_survives=kv_tail_survives,
     )
 
 
@@ -430,40 +530,20 @@ def _digest(state: dict[int, tuple]) -> str:
     return hashlib.sha256(repr(sorted(state.items())).encode()).hexdigest()[:16]
 
 
-def _count_raw_groups(blob: bytes) -> int:
-    """Raw (zero-copy) column sections inside one persisted blob.
+def count_surviving_raw_sections(persistence) -> int:
+    """Raw (zero-copy) column sections across every persisted profile.
 
-    KV values may be (compressed) whole-profile images, single-slice
-    blobs or unrelated metadata; anything undecodable counts zero.
+    Counted through the persistence manager, which alone knows how
+    stored values are framed.
     """
-    try:
-        blob = decompress(blob)
-    except Exception:
-        pass  # not a compressed value (e.g. meta records) — try as-is
-    for decode in (ProfileCodec.decode_profile, ProfileCodec.decode_slice):
-        try:
-            decoded = decode(blob)
-        except Exception:
-            continue
-        slices = decoded.slices if hasattr(decoded, "slices") else [decoded]
-        return sum(
-            1
-            for profile_slice in slices
-            for _, instance_set in profile_slice.slots_items()
-            for _, group in instance_set.groups_items()
-            if group.is_columnar and len(group) >= RAW_COLUMN_MIN_ROWS
-        )
-    return 0
-
-
-def count_surviving_raw_sections(store) -> int:
-    """Raw column sections across every value in the (surviving) KV."""
-    total = 0
-    for key in list(store.keys()):
-        value = store.get(key)
-        if isinstance(value, (bytes, bytearray)):
-            total += _count_raw_groups(bytes(value))
-    return total
+    return sum(
+        1
+        for profile_id in sorted(persistence.stored_profile_ids())
+        for profile_slice in persistence.load(profile_id).slices
+        for _, instance_set in profile_slice.slots_items()
+        for _, group in instance_set.groups_items()
+        if group.is_columnar and len(group) >= RAW_COLUMN_MIN_ROWS
+    )
 
 
 # ----------------------------------------------------------------------
@@ -503,14 +583,20 @@ class ScheduleResult:
         )
 
 
-def run_schedule(seed: int) -> ScheduleResult:
-    """Counting pass, armed pass, machine death, recovery, oracle."""
+def run_schedule(seed: int, sabotage: str = "") -> ScheduleResult:
+    """Counting pass, armed pass, machine death, recovery, oracle.
+
+    ``sabotage`` breaks one invariant for the teeth proofs: ``"overtake"``
+    (overflow writes overtake buffered ones) or ``"ignore_stamp"``
+    (recovery replays onto persisted values as if they carried no stamp).
+    """
     plan = plan_workload(seed)
+    node_cls = _OvertakingNode if sabotage == "overtake" else IPSNode
     result = ScheduleResult(
         seed=seed, sync=plan.sync, fine_grained=plan.fine_grained
     )
 
-    counting = _build_rig(plan, durable=True)
+    counting = _build_rig(plan, durable=True, node_cls=node_cls)
     _, _, crash = _execute(plan, counting)
     if crash is not None:  # An unarmed rig must never die.
         result.failure = f"counting pass crashed: {crash}"
@@ -520,7 +606,7 @@ def run_schedule(seed: int) -> ScheduleResult:
     )
     result.crash = crash_plan.describe()
 
-    armed = _build_rig(plan, durable=True)
+    armed = _build_rig(plan, durable=True, node_cls=node_cls)
     if crash_plan.kind == "kv":
         armed.store.arm(crash_plan.kv_op)
     else:
@@ -535,11 +621,14 @@ def run_schedule(seed: int) -> ScheduleResult:
 
     # Machine death: volatile bytes past the durable watermark are gone
     # (optionally the OS flushed the torn tail first), the process state
-    # with them.  The KV cluster survives.
+    # with them.  Of the KV store, what a sync covered survives.
     if crash_plan.flush_tail:
         armed.wal_file.fsync()
     armed.wal_file.crash()
     armed.checkpoint_file.crash()
+    if crash_plan.kv_tail_survives:
+        armed.store.sync()
+    armed.store.crash()
     armed.node.crash()
 
     # Restart: a fresh process re-opens the surviving log bytes.
@@ -549,12 +638,15 @@ def run_schedule(seed: int) -> ScheduleResult:
         checkpoint_interval_records=plan.checkpoint_interval,
         node_id=armed.node.node_id,
     )
-    result.report = armed.node.recover()
+    if sabotage == "ignore_stamp":
+        result.report = _recover_ignoring_stamps(armed.node)
+    else:
+        result.report = armed.node.recover()
 
     legal = expected_states(plan, acked, inflight)
     recovered = node_state(armed.node, {w[0] for w in acked + inflight})
     result.state_digest = _digest(recovered)
-    result.raw_sections = count_surviving_raw_sections(armed.store)
+    result.raw_sections = count_surviving_raw_sections(armed.node.persistence)
     for prefix, state in enumerate(legal):
         if recovered == state:
             result.matched_prefix = prefix
@@ -625,15 +717,22 @@ def run_harness(
             "schedule — the mid-memoryview torn-write coverage is vacuous"
         )
     if prove_teeth:
-        losses = sum(
-            not run_teeth_proof(seed).ok
-            for seed in range(base_seed, base_seed + seeds)
-        )
-        if losses == 0:
-            problems.append(
-                "teeth proof failed: durability off, yet no seed lost an "
-                "acked write — the oracle is not detecting anything"
-            )
+        seed_range = range(base_seed, base_seed + seeds)
+        proofs = {
+            "durability off": run_teeth_proof,
+            "recovery ignoring the stamps": partial(
+                run_schedule, sabotage="ignore_stamp"
+            ),
+            "overflow overtaking buffered writes": partial(
+                run_schedule, sabotage="overtake"
+            ),
+        }
+        for what, run in proofs.items():
+            if all(run(seed).ok for seed in seed_range):
+                problems.append(
+                    f"teeth proof failed: {what}, yet every seed recovered "
+                    "a legal state — the oracle is not detecting it"
+                )
     return results, problems
 
 
@@ -671,7 +770,11 @@ def main(argv: list[str] | None = None) -> int:
             "schedules recovered exactly the acked writes"
         )
         if not args.skip_teeth:
-            print("teeth proof: durability-off runs lose acked writes (caught)")
+            print(
+                "teeth proofs: durability off, stamps ignored at recovery, "
+                "overflow overtaking buffered writes"
+                + (" (all caught)" if not problems else "")
+            )
         for problem in problems:
             print(f"PROBLEM: {problem}", file=sys.stderr)
     return 1 if problems else 0

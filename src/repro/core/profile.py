@@ -25,6 +25,7 @@ class ProfileData:
         "slices",
         "write_granularity_ms",
         "kernel_cache",
+        "applied_seq",
     )
 
     def __init__(self, profile_id: int, write_granularity_ms: int = 1000) -> None:
@@ -44,6 +45,11 @@ class ProfileData:
         #: from and are revalidated by identity on every use, so a mutated or
         #: replaced slice simply fails validation and the entry is rebuilt.
         self.kernel_cache: dict = {}
+        #: Highest WAL sequence merged into this profile (0: never logged).
+        #: Set by the node's write path, persisted beside the value and
+        #: compared against at recovery; bookkeeping, not profile data, so
+        #: neither ``memory_bytes`` nor ``ProfileCodec`` knows it.
+        self.applied_seq = 0
 
     # ------------------------------------------------------------------
     # Write path
@@ -186,6 +192,7 @@ class ProfileData:
     def copy(self) -> "ProfileData":
         duplicate = ProfileData(self.profile_id, self.write_granularity_ms)
         duplicate.slices = [s.copy() for s in self.slices]
+        duplicate.applied_seq = self.applied_seq
         return duplicate
 
     def invariant_check(self) -> None:

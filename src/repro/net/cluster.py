@@ -406,15 +406,19 @@ class ProcessCluster:
     # ------------------------------------------------------------------
 
     def shutdown(self, graceful: bool = True) -> dict[str, int]:
-        """Stop every worker (SIGTERM first when graceful) and the registry.
+        """Stop every worker and the registry.
 
-        Returns exit codes by node id; stragglers are SIGKILLed.
+        Graceful: SIGTERM, then wait for the flush + final checkpoint
+        (stragglers are SIGKILLed).  Not graceful: SIGKILL at once.
+        Returns exit codes by node id.
         """
         codes: dict[str, int] = {}
-        if graceful:
-            for proc in self._procs.values():
-                if proc.poll() is None:
+        for proc in self._procs.values():
+            if proc.poll() is None:
+                if graceful:
                     proc.terminate()
+                else:
+                    proc.kill()
         for node_id, proc in self._procs.items():
             try:
                 codes[node_id] = proc.wait(timeout=15.0)

@@ -310,6 +310,8 @@ class RegistryServer:
         self._server: asyncio.AbstractServer | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
+        #: Connections accepted so far (a worker should hold exactly one).
+        self.connections_accepted = 0
 
     def start(self) -> "RegistryServer":
         self._thread = threading.Thread(
@@ -366,6 +368,7 @@ class RegistryServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.connections_accepted += 1
         try:
             while True:
                 try:

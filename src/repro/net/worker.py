@@ -2,7 +2,7 @@
 
 ``python -m repro.net.worker --node-id w0 --data-dir /tmp/w0 ...`` hosts a
 single :class:`~repro.server.node.IPSNode` with full file-backed
-durability — CRC-framed KV store, group-commit WAL, checkpoint image —
+durability — CRC-framed KV store, group-commit WAL, checkpoint barrier —
 recovers it on start, and serves the framed wire protocol on a TCP port.
 Handlers run on a small thread pool (the node stack is thread-safe and
 the real work releases the GIL in I/O and numpy), while the event loop
@@ -14,8 +14,9 @@ Four background duties run on the loop:
   cycle (which also drives periodic checkpoints) every
   ``maintenance_ms``;
 * **heartbeat** — register with the node registry and refresh liveness
-  every ``heartbeat_ms``, piggybacking the replication lag report and
-  adopting the fresh membership roster; a rejected heartbeat (stale
+  every ``heartbeat_ms`` over one persistent registry connection,
+  piggybacking the replication lag report and adopting the fresh
+  membership roster; a rejected heartbeat (stale
   generation after an eviction) falls back to re-registration;
 * **replication shipping** — drain the per-peer delta queues (see
   :mod:`repro.net.replication`) every ``replication_ms``;
@@ -26,8 +27,12 @@ Graceful shutdown — SIGTERM or the ``prepare_shutdown`` admin RPC — is
 strictly ordered so no acked write can be lost: stop accepting, drain
 in-flight requests, deregister, then ``node.shutdown()`` (merge + flush +
 final checkpoint) and close the WAL **before** the event loop exits.
-SIGKILL skips all of that by definition; the WAL replay on the next start
-is the safety net (the crash-recovery contract of `make crashcheck`).
+Repeated SIGTERMs are harmless from the first to the last instruction:
+the handler stays installed through the sequence and is swapped for
+"ignore" — which interpreter finalization leaves alone — before
+``main`` returns.  SIGKILL skips all of that by definition; the WAL
+replay on the next start is the safety net (the crash-recovery contract
+of `make crashcheck`).
 """
 
 from __future__ import annotations
@@ -69,10 +74,14 @@ def build_durable_node(
 ) -> IPSNode:
     """Build a fully file-backed node and recover it.
 
-    Everything lives under ``data_dir``: the KV store holds flushed
-    profile images (recovery only rebuilds WAL-touched profiles — the
-    untouched ones must survive in durable storage), the WAL holds the
-    acked-but-unflushed tail, the checkpoint file the replay base.
+    Everything lives under ``data_dir``: ``kv.log`` holds the flushed
+    profiles, each stamped with the WAL sequence it contains (opened with
+    ``durability="batch"`` — a checkpoint syncs it before it lets the WAL
+    forget anything); ``wal.log`` holds the acked tail past the last
+    barrier; ``checkpoint.log`` holds that barrier and nothing else.
+    Recovery replays onto each tail-touched profile's stored value the
+    records past its stamp; untouched profiles load from the store on
+    their first miss.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -141,6 +150,11 @@ class WorkerServer:
         self._inflight = 0
         self._closing = False
         self._writers: set[asyncio.StreamWriter] = set()
+        #: The one registry connection: (reader, writer), or None until
+        #: the first call and after any failed exchange.
+        self._registry_conn: (
+            tuple[asyncio.StreamReader, asyncio.StreamWriter] | None
+        ) = None
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
         self._startup_error: BaseException | None = None
@@ -239,6 +253,7 @@ class WorkerServer:
                 await self._registry_call("deregister", self.node.node_id)
             except Exception:  # noqa: BLE001 - registry may already be gone
                 pass
+            self._drop_registry_connection()
         for writer in list(self._writers):
             writer.close()
         # The node flush + final checkpoint runs *before* the loop exits;
@@ -435,10 +450,17 @@ class WorkerServer:
     # ------------------------------------------------------------------
 
     async def _registry_call(self, method: str, *args, **kwargs):
-        reader, writer = await asyncio.open_connection(
-            self.registry_host, self.registry_port
-        )
+        """One exchange on the worker's persistent registry connection.
+
+        Dialled on first use and again after any failed exchange — a
+        dial per beat left ~1100 sockets in TIME_WAIT at steady state.
+        """
         try:
+            if self._registry_conn is None:
+                self._registry_conn = await asyncio.open_connection(
+                    self.registry_host, self.registry_port
+                )
+            reader, writer = self._registry_conn
             writer.write(
                 wire.encode_request(wire.Request(1, method, args, kwargs))
             )
@@ -449,15 +471,23 @@ class WorkerServer:
             response = wire.decode_message(payload)
             if not isinstance(response, wire.Response):
                 raise wire.WireCodecError("expected a response frame")
-            if not response.ok:
-                raise wire.error_from_wire(
-                    response.error_type,
-                    response.error_message,
-                    response.error_args,
-                )
-            return response.value
-        finally:
-            writer.close()
+        except BaseException:
+            # Whatever broke the exchange — a cancellation included — may
+            # have left half of it on the wire: never reuse the socket.
+            self._drop_registry_connection()
+            raise
+        if not response.ok:
+            raise wire.error_from_wire(
+                response.error_type,
+                response.error_message,
+                response.error_args,
+            )
+        return response.value
+
+    def _drop_registry_connection(self) -> None:
+        if self._registry_conn is not None:
+            self._registry_conn[1].close()
+            self._registry_conn = None
 
     async def _heartbeat_loop(self) -> None:
         generation: int | None = None
@@ -594,6 +624,10 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, _on_sigterm)
     server.run()  # blocks until the graceful sequence completes
+    # A repeated SIGTERM must not turn this exit into -15: finalization
+    # resets Python-level handlers to the default action, but not these.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     return 0 if server.shut_down_cleanly else 1
 
 

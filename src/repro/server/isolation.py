@@ -25,6 +25,9 @@ class PendingWrite:
     type_id: int
     fid: int
     counts: Sequence[int]
+    #: WAL sequence of the write (0 on a node without durability); the
+    #: merge stamps it onto the profile it lands in.
+    sequence: int = 0
 
     def memory_bytes(self) -> int:
         return 64 + 8 * len(self.counts)
@@ -44,7 +47,8 @@ class WriteTable:
     :meth:`append` buffers a write and reports whether the caller must fall
     back to a synchronous main-table write (buffer at capacity — the
     "overflow" path keeps ingestion lossless while honouring the memory
-    cap).  :meth:`drain` atomically takes the buffered batch for merging.
+    cap; the caller merges the table first so the direct write cannot
+    overtake older buffered writes to the same profile).  :meth:`drain` atomically takes the buffered batch for merging.
     """
 
     def __init__(self, memory_limit_bytes: int = 8 * 1024 * 1024) -> None:

@@ -18,6 +18,7 @@ truncate / shrink) runs off the serving path via :meth:`run_maintenance`.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,7 +98,7 @@ class IPSNode:
         )
         self.cache = GCache(
             load_fn=self.persistence.load,
-            flush_fn=self.persistence.flush,
+            flush_fn=self._flush_profile,
             capacity_bytes=cache_capacity_bytes,
             swap_threshold=swap_threshold,
             swap_target=swap_target,
@@ -179,6 +180,18 @@ class IPSNode:
                 self.engine.table.put(profile)
         return profiles, errors
 
+    def _flush_profile(self, profile: ProfileData) -> None:
+        """GCache's flush function: persist, honouring the write-ahead rule.
+
+        A value stamped ``s`` may only reach the store once the WAL is
+        durable through ``s`` — otherwise a crash could restart the log
+        below a persisted stamp and recovery would skip the new records
+        numbered under it.  After the ack barrier this commits nothing.
+        """
+        if self.durability is not None:
+            self.durability.commit_through(profile.applied_seq)
+        self.persistence.flush(profile)
+
     def _writable_profile(self, profile_id: int) -> ProfileData:
         """Profile for a write: cache hit, storage load, or fresh create."""
         profile = self._resident_profile(profile_id)
@@ -214,9 +227,7 @@ class IPSNode:
             if self.durability is not None:
                 self.durability.log_write(
                     profile_id, timestamp_ms, slot, type_id, fid, vector,
-                    apply=lambda: self._buffer_or_apply(
-                        profile_id, timestamp_ms, slot, type_id, fid, vector
-                    ),
+                    apply=self._buffer_or_apply,
                 )
                 self.durability.ack_barrier()
             else:
@@ -268,19 +279,28 @@ class IPSNode:
         type_id: int,
         fid: int,
         vector: Sequence[int],
+        sequence: int = 0,
     ) -> None:
-        """Isolation buffer when enabled (and not full), else direct apply."""
+        """Isolation buffer when enabled (and not full), else direct apply.
+
+        ``sequence`` is the write's WAL sequence; with durability attached
+        the caller holds the ack lock, so writes arrive here in WAL order.
+        """
         if self._isolation_enabled:
             pending = PendingWrite(
-                profile_id, timestamp_ms, slot, type_id, fid, vector
+                profile_id, timestamp_ms, slot, type_id, fid, vector, sequence
             )
             if self.write_table.append(pending):
                 self.stats.writes_isolated += 1
                 return
-            # Write table full: fall through to a synchronous write.
+            # Write table full: a synchronous write — after the buffered
+            # ones.  Applied first it would overtake older writes to the
+            # same profile, and the profile's high-water stamp would then
+            # claim a write the profile does not hold yet.
+            self.merge_write_table()
         self.stats.writes_direct += 1
         self._apply_write(
-            profile_id, timestamp_ms, slot, type_id, fid, vector
+            profile_id, timestamp_ms, slot, type_id, fid, vector, sequence
         )
 
     def _apply_write(
@@ -291,18 +311,17 @@ class IPSNode:
         type_id: int,
         fid: int,
         counts: Sequence[int],
+        sequence: int = 0,
     ) -> None:
         profile = self._writable_profile(profile_id)
-        lock = self.cache.entry_lock(profile_id)
-        if lock is not None:
-            with lock:
-                profile.add(
-                    timestamp_ms, slot, type_id, fid, counts, self.engine.table.aggregate
-                )
-        else:
+        # Under the entry lock a flush sees the data and its stamp move
+        # together: a persisted stamp never claims more than the value.
+        with self.cache.entry_lock(profile_id) or nullcontext():
             profile.add(
                 timestamp_ms, slot, type_id, fid, counts, self.engine.table.aggregate
             )
+            if sequence:
+                profile.applied_seq = sequence
         self.cache.mark_dirty(profile_id)
         self.engine._mark_for_maintenance(profile)
 
@@ -322,16 +341,23 @@ class IPSNode:
                     write.type_id,
                     write.fid,
                     write.counts,
+                    write.sequence,
                 )
             if batch:
                 self.stats.merge_passes += 1
             return len(batch)
 
     def set_isolation(self, enabled: bool) -> None:
-        """The hot switch: toggle isolation live, draining on disable."""
-        self._isolation_enabled = enabled
-        if not enabled:
-            self.merge_write_table()
+        """The hot switch: toggle isolation live, draining on disable.
+
+        Flag flip and drain happen under the ack lock, so no write can be
+        applied directly while older writes still sit in the table.
+        """
+        durability = self.durability
+        with durability.ack_lock if durability is not None else nullcontext():
+            self._isolation_enabled = enabled
+            if not enabled:
+                self.merge_write_table()
 
     @property
     def isolation_enabled(self) -> bool:
@@ -776,7 +802,7 @@ class IPSNode:
 
         With durability attached, this is also the periodic checkpoint
         driver: once the WAL outgrows the configured interval, the cycle
-        snapshots state and truncates the log.
+        flushes what is dirty at a barrier and truncates the log.
         """
         evicted = self.cache.run_swap_once()
         flushed = self.cache.run_flush_once()
@@ -813,7 +839,7 @@ class IPSNode:
         dirty profiles included — without durability, that is what a crash
         costs); persisted data survives in the KV store and reloads on the
         next miss.  With durability attached, :meth:`recover` rebuilds the
-        lost acked writes from checkpoint + WAL on restart.  Returns the
+        lost acked writes from the persisted values + WAL tail on restart.  Returns the
         number of resident profiles dropped.
         """
         with self._merge_lock:
@@ -825,13 +851,13 @@ class IPSNode:
     # ------------------------------------------------------------------
 
     def checkpoint(self):
-        """Snapshot state and truncate the WAL; None without durability."""
+        """Flush through a barrier and truncate the WAL; None without durability."""
         if self.durability is None:
             return None
         return self.durability.checkpoint(self)
 
     def recover(self):
-        """Replay checkpoint + WAL tail after a crash (restart path).
+        """Replay the WAL tail onto the persisted values (restart path).
 
         Returns the :class:`~repro.server.recovery.RecoveryReport`, or
         ``None`` when the node has no durability layer (nothing to replay

@@ -1,31 +1,36 @@
-"""Crash recovery: checkpoints + WAL replay behind the node's ack.
+"""Crash recovery: stamped values + WAL replay behind the node's ack.
 
-The durability contract (Monolith-style snapshot + log replay, grafted
-onto IPS §III-E's asynchronous flush path):
+The durability contract (the page-LSN rule grafted onto IPS §III-E's
+asynchronous flush path; Monolith's "sync only the touched keys"):
 
 * every acked write is first appended to the node's
   :class:`~repro.storage.wal.WriteAheadLog` — the ack happens only after
   the append commits under the log's sync mode;
-* a **checkpoint** captures a complete replay base — the state every
-  profile had at a WAL sequence barrier — then truncates the log through
-  that barrier;
-* **recovery** loads the checkpoint, replays the WAL tail (idempotent:
-  records are deduplicated by sequence and applied onto the checkpoint
-  base, never onto whatever happens to sit in the KV store), reinstalls
-  the rebuilt profiles as resident *and dirty* — rebuilding the dirty
-  list — and sweeps fine-grained slice orphans left by torn flushes.
+* every profile carries ``applied_seq``, the highest WAL sequence merged
+  into it, and the persistence manager stores that stamp atomically with
+  the value — so each persisted value says which log records it holds;
+* a **checkpoint** flushes only the profiles dirty at a WAL sequence
+  barrier, syncs the store, records the barrier (a few bytes) and
+  truncates the log through it: it costs what was dirtied, not what is
+  resident;
+* **recovery** loads the persisted value of each profile the WAL tail
+  touches and applies a record iff ``sequence > applied_seq`` — a value
+  a background flusher persisted *after* the barrier already contains
+  part of the tail, and its stamp says exactly which part — then
+  reinstalls the rebuilt profiles as resident *and dirty* and sweeps
+  fine-grained slice orphans left by torn flushes.
 
-Why replay onto the checkpoint base instead of the KV value: a background
-flusher may have persisted a profile *after* the checkpoint barrier, so
-the KV value can already contain tail writes; replaying onto it would
-double-apply them.  The checkpoint base contains exactly the writes with
-``sequence <= checkpoint barrier``, so base + tail is exact.
+The stamp rests on four invariants (docs/internals.md §12): per-profile
+apply order equals WAL order; a value stamped ``s`` reaches the store
+only after the WAL is durable through ``s``; the store is synced before
+the barrier is committed; and restarted logs number new records past
+every persisted stamp (:meth:`WriteAheadLog.ensure_sequence_at_least`).
 
-Checkpoints serialize writes against the ack path (no write can ack while
-the barrier sequence is being captured) and must not run concurrently
-with engine maintenance — call :meth:`NodeDurability.checkpoint` from the
-same driver loop that runs maintenance, like every other background duty
-in this codebase.
+The barrier is captured under the ack lock (no write can ack meanwhile);
+everything slow — encoding, compression, KV writes, the sync — happens
+outside it.  Checkpoints must not run concurrently with engine
+maintenance: drive :meth:`NodeDurability.checkpoint` from the loop that
+runs maintenance, like every other background duty here.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ from ..core.profile import ProfileData
 from ..errors import StorageError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..storage.compression import compress, decompress
+# Unused here; benchmarks/e2e/layers.py wraps ``recovery.compress`` by name.
+from ..storage.compression import compress  # noqa: F401
 from ..storage.serialization import (
-    ProfileCodec,
     read_varint,
     write_varint,
     zigzag_decode,
@@ -57,7 +62,7 @@ from ..storage.wal import (
 )
 
 CHECKPOINT_MAGIC = 0x49505343  # "IPSC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CRC = struct.Struct("<I")
 
 
@@ -109,24 +114,18 @@ def decode_write(payload: bytes) -> tuple[int, int, int, int, int, list[int]]:
 # ----------------------------------------------------------------------
 
 
-def _encode_checkpoint(sequence: int, image: dict[int, bytes]) -> bytes:
+def _encode_checkpoint(sequence: int) -> bytes:
     body = bytearray()
     write_varint(body, CHECKPOINT_MAGIC)
     write_varint(body, CHECKPOINT_VERSION)
     write_varint(body, sequence)
-    write_varint(body, len(image))
-    for profile_id in sorted(image):
-        blob = image[profile_id]
-        write_varint(body, profile_id)
-        write_varint(body, len(blob))
-        body.extend(blob)
     return _CRC.pack(zlib.crc32(body)) + bytes(body)
 
 
-def _decode_checkpoint(data: bytes) -> tuple[int, dict[int, bytes]]:
-    """Parse a checkpoint file; empty input means "never checkpointed"."""
+def _decode_checkpoint(data: bytes) -> int:
+    """The barrier a checkpoint file records; empty means "never"."""
     if not data:
-        return 0, {}
+        return 0
     if len(data) < _CRC.size:
         raise StorageError("checkpoint file shorter than its checksum")
     (crc,) = _CRC.unpack_from(data, 0)
@@ -134,7 +133,7 @@ def _decode_checkpoint(data: bytes) -> tuple[int, dict[int, bytes]]:
     if zlib.crc32(body) != crc:
         # Unlike the WAL, a checkpoint is written atomically, so damage is
         # disk rot rather than an expected crash artefact: refuse to
-        # recover from a base we cannot trust.
+        # recover from a barrier we cannot trust.
         raise StorageError("checkpoint failed its CRC32 check")
     pos = 0
     magic, pos = read_varint(body, pos)
@@ -144,16 +143,9 @@ def _decode_checkpoint(data: bytes) -> tuple[int, dict[int, bytes]]:
     if version != CHECKPOINT_VERSION:
         raise StorageError(f"unsupported checkpoint version {version}")
     sequence, pos = read_varint(body, pos)
-    count, pos = read_varint(body, pos)
-    image: dict[int, bytes] = {}
-    for _ in range(count):
-        profile_id, pos = read_varint(body, pos)
-        length, pos = read_varint(body, pos)
-        if pos + length > len(body):
-            raise StorageError("truncated checkpoint record")
-        image[profile_id] = body[pos : pos + length]
-        pos += length
-    return sequence, image
+    if pos != len(body):
+        raise StorageError("trailing bytes after checkpoint barrier")
+    return sequence
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +155,7 @@ def _decode_checkpoint(data: bytes) -> tuple[int, dict[int, bytes]]:
 
 @dataclass
 class CheckpointReport:
-    """What one checkpoint captured.
+    """What one checkpoint did (``profiles``: flushed at the barrier).
 
     ``skipped`` is set when a profile that was dirty at the barrier could
     not be flushed (failing KV store): committing then would leave acked
@@ -253,16 +245,21 @@ class NodeDurability:
         self.tracer = tracer
         self._site = site
         self.stats = DurabilityStats()
-        #: Serializes acks against the checkpoint barrier capture.
-        self._ack_lock = threading.Lock()
+        #: Serializes acks against the checkpoint barrier capture; the node
+        #: also takes it to flip isolation (ack lock, then merge lock).
+        self.ack_lock = threading.Lock()
+        #: One checkpoint at a time: the maintenance tick, the worker's
+        #: ``checkpoint_now`` call and shutdown may all ask for one, and
+        #: the barrier file's rewrite is not safe from two threads.
+        self._checkpoint_lock = threading.Lock()
         #: Highest sequence covered by the durable checkpoint.
-        self.checkpoint_sequence, _ = _decode_checkpoint(
+        self.checkpoint_sequence = _decode_checkpoint(
             checkpoint_file.read_all()
         )
         # A restart after a checkpoint opens a truncated (possibly empty)
         # WAL whose scan restarts sequences at 0; new appends must still
-        # be numbered past the barrier or recovery's dedup would discard
-        # them as already-checkpointed.
+        # be numbered past the barrier — and so past every persisted
+        # stamp — or recovery's dedup would discard them as already held.
         self.wal.ensure_sequence_at_least(self.checkpoint_sequence)
         self._registry = registry
         if registry is not None:
@@ -300,18 +297,19 @@ class NodeDurability:
     ) -> int:
         """Append one logical write; durable on return in ``always`` mode.
 
-        ``apply`` (the node's buffer-or-apply continuation) runs under the
-        same ack lock as the append, so a checkpoint barrier can never
-        fall between a record entering the WAL and its effect entering
-        the node — the window that would lose the write at truncation.
+        ``apply`` (the node's buffer-or-apply step, called with the write's
+        fields and its sequence) runs under the same ack lock as the
+        append, so a checkpoint barrier can never fall between a record
+        entering the WAL and its effect entering the node — the window
+        that would lose the write at truncation — and writes reach the
+        node in WAL order.
         """
-        payload = encode_write(
-            profile_id, timestamp_ms, slot, type_id, fid, counts
-        )
-        with self._ack_lock:
+        write = (profile_id, timestamp_ms, slot, type_id, fid, counts)
+        payload = encode_write(*write)
+        with self.ack_lock:
             sequence = self.wal.append(payload)
             if apply is not None:
-                apply()
+                apply(*write, sequence)
         self.stats.writes_logged += 1
         if self._appends is not None:
             self._appends.inc()
@@ -329,14 +327,14 @@ class NodeDurability:
         :meth:`~repro.storage.wal.WriteAheadLog.append_many` issues the
         single group commit the batch ack needs.  ``writes`` are
         ``(profile_id, timestamp_ms, slot, type_id, fid, counts)``
-        tuples; ``apply`` is called with each tuple's fields.
+        tuples; ``apply`` is called with each tuple's fields and sequence.
         """
         payloads = [encode_write(*write) for write in writes]
-        with self._ack_lock:
+        with self.ack_lock:
             sequences = self.wal.append_many(payloads)
             if apply is not None:
-                for write in writes:
-                    apply(*write)
+                for write, sequence in zip(writes, sequences):
+                    apply(*write, sequence)
         self.ack_barrier()
         self.stats.writes_logged += len(sequences)
         if self._appends is not None:
@@ -348,6 +346,16 @@ class NodeDurability:
     def ack_barrier(self) -> None:
         """Commit buffered records so the pending ack is crash-safe."""
         if self.wal.sync_mode != "always":
+            self.wal.commit()
+
+    def commit_through(self, sequence: int) -> None:
+        """Write-ahead rule: make the WAL durable through ``sequence``.
+
+        The flush path calls this before a value stamped ``sequence``
+        reaches the store; once the write's ack barrier has run it finds
+        nothing to commit.
+        """
+        if sequence > self.wal.durable_sequence:
             self.wal.commit()
 
     def replay_lag_records(self) -> int:
@@ -371,33 +379,40 @@ class NodeDurability:
         return self.checkpoint(node)
 
     def checkpoint(self, node) -> CheckpointReport:
-        """Capture a replay base at the current sequence, truncate the WAL.
+        """Flush what is dirty at the current sequence, truncate the WAL.
 
         The barrier is captured under the ack lock, so every write with
-        ``sequence <= barrier`` is fully applied (or buffered in the write
-        table, which is merged below) before the image is built, and no
-        new write can sneak under the barrier afterwards.
+        ``sequence <= barrier`` is applied (the write table is merged
+        below) and its profile is in the dirty snapshot, and no new write
+        can sneak under the barrier afterwards.  Nothing is encoded under
+        the lock.
         """
-        with self.tracer.span("node.checkpoint", node=self.node_id):
-            with self._ack_lock:
+        with self._checkpoint_lock, self.tracer.span(
+            "node.checkpoint", node=self.node_id
+        ):
+            with self.ack_lock:
                 self._site.reach("checkpoint.begin")
                 barrier = self.wal.last_sequence
                 node.merge_write_table()
-                image = self._build_image(node)
                 dirty_at_barrier = node.cache.dirty.dirty_ids()
-            # Only the profiles dirty AT the barrier gate truncation: a
-            # barrier-dirty entry that cannot flush (failing KV store)
-            # exists only in memory and the records about to be cut, and
-            # the image alone is not consulted for profiles the replay
-            # tail never touches.  Writes landing during this flush keep
-            # their WAL records (sequence > barrier survives truncation),
-            # so they cannot starve the checkpoint — flushing just the
-            # barrier snapshot is both sufficient and bounded.
-            if node.cache.flush_ids(dirty_at_barrier):
-                return CheckpointReport(
-                    sequence=self.checkpoint_sequence, skipped=True
-                )
-            data = _encode_checkpoint(barrier, image)
+            # Only the profiles dirty AT the barrier gate truncation: one
+            # that cannot flush (failing KV store) exists only in memory
+            # and the records about to be cut.  Writes landing during this
+            # flush keep their WAL records (sequence > barrier survives
+            # truncation), so they cannot starve the checkpoint; a value
+            # they slip into carries a stamp past the barrier.
+            for profile_id in dirty_at_barrier:
+                self._site.reach("checkpoint.flush")
+                if node.cache.flush_ids((profile_id,)):
+                    return CheckpointReport(
+                        sequence=self.checkpoint_sequence, skipped=True
+                    )
+            # The store must be durable before the barrier is: once the
+            # WAL forgets these records the flushed values are the only
+            # copy, and a buffering store still holds them in memory.
+            node.persistence.sync()
+            self._site.reach("checkpoint.synced")
+            data = _encode_checkpoint(barrier)
             staged = bytearray()
             self._site.write("checkpoint.write", data, staged.extend)
             self._site.reach("checkpoint.commit")
@@ -412,52 +427,28 @@ class NodeDurability:
                 self._lag_gauge.set(float(self.replay_lag_records()))
             return CheckpointReport(
                 sequence=barrier,
-                profiles=len(image),
+                profiles=len(dirty_at_barrier),
                 bytes_written=len(data),
                 wal_records_truncated=truncated,
             )
-
-    def _build_image(self, node) -> dict[int, bytes]:
-        """Encode every profile the node knows: resident and persisted.
-
-        Resident profiles are encoded from memory (they are the freshest
-        copy); profiles that were flushed and evicted are loaded from the
-        persistence manager — their KV value is complete, since a profile
-        with unflushed writes is by construction still resident.
-        """
-        image: dict[int, bytes] = {}
-        for profile_id in sorted(self._known_profile_ids(node)):
-            profile = node.cache.get_resident(profile_id)
-            if profile is None:
-                profile = node.persistence.load(profile_id)
-            if profile is None:
-                continue  # Deleted between enumeration and encode.
-            image[profile_id] = compress(
-                ProfileCodec.encode_profile(profile)
-            )
-        return image
-
-    def _known_profile_ids(self, node) -> set[int]:
-        known = node.persistence.stored_profile_ids()
-        known.update(node.cache.resident_ids())
-        return known
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
     def recover(self, node) -> RecoveryReport:
-        """Rebuild acked state: checkpoint base + deduped WAL tail replay.
+        """Rebuild acked state: persisted values + the WAL tail past them.
 
-        Idempotent — every pass rebuilds the touched profiles from the
-        checkpoint base, so recovering twice (or recovering a node that
-        did not actually lose state) converges on the same result.
+        Idempotent — every pass rebuilds the touched profiles from their
+        persisted value and its stamp, so recovering twice (or recovering
+        a node that did not actually lose state) converges on the same
+        result.
         """
         with self.tracer.span("node.recover", node=self.node_id):
             started = perf_ms()
             report = RecoveryReport()
             records, scan = self.wal.replay()
-            checkpoint_seq, image = _decode_checkpoint(
+            checkpoint_seq = _decode_checkpoint(
                 self._checkpoint_file.read_all()
             )
             self.checkpoint_sequence = checkpoint_seq
@@ -472,29 +463,34 @@ class NodeDurability:
 
             granularity = node.engine.config.time_dimension.bands[0].granularity_ms
             aggregate = node.engine.table.aggregate
-            seen: set[int] = set()
+            bases: dict[int, ProfileData] = {}
             rebuilt: dict[int, ProfileData] = {}
-            for record in records:
-                if record.sequence <= checkpoint_seq or record.sequence in seen:
+            for record in records:  # Strictly increasing (the scan's rule).
+                if record.sequence <= checkpoint_seq:
                     report.records_deduped += 1
                     continue
-                seen.add(record.sequence)
                 profile_id, ts, slot, type_id, fid, counts = decode_write(
                     record.payload
                 )
-                profile = rebuilt.get(profile_id)
+                profile = bases.get(profile_id)
                 if profile is None:
-                    blob = image.get(profile_id)
-                    if blob is not None:
-                        profile = ProfileCodec.decode_profile(decompress(blob))
+                    profile = node.persistence.load(profile_id)
+                    if profile is not None:
                         report.profiles_rebuilt += 1
                     else:
                         profile = ProfileData(profile_id, granularity)
                         report.profiles_created += 1
-                    rebuilt[profile_id] = profile
+                    bases[profile_id] = profile
+                if record.sequence <= profile.applied_seq:
+                    # A flush after the barrier already persisted it.
+                    report.records_deduped += 1
+                    continue
                 profile.add(ts, slot, type_id, fid, counts, aggregate)
+                profile.applied_seq = record.sequence
+                rebuilt[profile_id] = profile
                 report.records_replayed += 1
 
+            # A base no record was applied to is complete in the store.
             for profile in rebuilt.values():
                 node.engine.table.put(profile)
                 node.cache.install_recovered(profile)

@@ -10,6 +10,14 @@ Two interchangeable persistence managers:
   Fig. 14 keeps meta and slices consistent — slice values are written
   first, the meta record last, and any reader holding a stale meta version
   reloads before proceeding.
+
+Both stamp what they persist with the profile's ``applied_seq`` — the
+highest WAL sequence the value already contains — atomically with the
+value itself (beside the blob / inside the meta record) and restore it on
+load; crash recovery replays onto a loaded base only the records past its
+stamp.  The stamp lives here, not in :class:`ProfileCodec`, so wire,
+replication and repair images do not carry it.  Unstamped values are
+rejected with a :class:`StorageError`.
 """
 
 from __future__ import annotations
@@ -55,6 +63,33 @@ class PersistenceManager(Protocol):
     def delete(self, profile_id: int) -> None:
         ...
 
+    def sync(self) -> None:
+        ...
+
+
+#: Lead byte of every stamped record (bulk value and fine-grained meta).
+_STAMPED = 0xA5
+
+
+def _stamp_header(applied_seq: int) -> bytearray:
+    out = bytearray((_STAMPED,))
+    write_varint(out, applied_seq)
+    return out
+
+
+def _read_stamp(record: bytes, what: str) -> tuple[int, int]:
+    """``(applied_seq, offset of the payload)`` of a stamped record."""
+    if not record or record[0] != _STAMPED:
+        raise StorageError(f"{what} carries no applied-sequence stamp")
+    return read_varint(record, 1)
+
+
+def _sync_store(store: KVStore) -> None:
+    """Force the store's buffered writes to disk, if it buffers any."""
+    sync = getattr(store, "sync", None)
+    if sync is not None:
+        sync()
+
 
 def _profile_key(table: str, profile_id: int) -> bytes:
     return f"{table}/p/{profile_id}".encode()
@@ -93,28 +128,38 @@ class BulkPersistence:
         with self.tracer.span(
             "storage.flush", profile=profile.profile_id
         ) as span:
-            blob = compress(ProfileCodec.encode_profile(profile))
-            self._store.set(_profile_key(self._table, profile.profile_id), blob)
+            value = bytes(_stamp_header(profile.applied_seq)) + compress(
+                ProfileCodec.encode_profile(profile)
+            )
+            self._store.set(_profile_key(self._table, profile.profile_id), value)
             self.stats.profiles_flushed += 1
-            self.stats.bytes_written += len(blob)
-            span.tag(bytes=len(blob))
+            self.stats.bytes_written += len(value)
+            span.tag(bytes=len(value))
 
     def load(self, profile_id: int) -> ProfileData | None:
         with self.tracer.span("storage.load", profile=profile_id) as span:
-            blob = self._store.get(_profile_key(self._table, profile_id))
-            if blob is None:
+            value = self._store.get(_profile_key(self._table, profile_id))
+            if value is None:
                 span.tag(found=False)
                 return None
             self.stats.profiles_loaded += 1
-            self.stats.bytes_read += len(blob)
-            span.tag(found=True, bytes=len(blob))
-            return ProfileCodec.decode_profile(decompress(blob))
+            self.stats.bytes_read += len(value)
+            span.tag(found=True, bytes=len(value))
+            applied_seq, pos = _read_stamp(value, f"profile {profile_id}")
+            profile = ProfileCodec.decode_profile(decompress(value[pos:]))
+            profile.applied_seq = applied_seq
+            return profile
 
     def delete(self, profile_id: int) -> None:
         self._store.delete(_profile_key(self._table, profile_id))
 
+    def sync(self) -> None:
+        """Make every flushed value durable (checkpoints call this before
+        they let the WAL forget the records those values replace)."""
+        _sync_store(self._store)
+
     def stored_profile_ids(self) -> set[int]:
-        """Every profile id persisted for this table (recovery/checkpoint)."""
+        """Every profile id persisted for this table (anti-entropy enumeration)."""
         return _ids_under_prefix(self._store, f"{self._table}/p/".encode())
 
     def serialized_size(self, profile: ProfileData) -> int:
@@ -139,7 +184,7 @@ class SliceMetaEntry:
 def _encode_meta(
     profile: ProfileData, entries: list[SliceMetaEntry]
 ) -> bytes:
-    out = bytearray()
+    out = _stamp_header(profile.applied_seq)
     write_varint(out, profile.profile_id)
     write_varint(out, profile.write_granularity_ms)
     write_varint(out, len(entries))
@@ -150,8 +195,8 @@ def _encode_meta(
     return bytes(out)
 
 
-def _decode_meta(blob: bytes) -> tuple[int, int, list[SliceMetaEntry]]:
-    pos = 0
+def _decode_meta(blob: bytes) -> tuple[int, int, int, list[SliceMetaEntry]]:
+    applied_seq, pos = _read_stamp(blob, "slice meta")
     profile_id, pos = read_varint(blob, pos)
     granularity, pos = read_varint(blob, pos)
     count, pos = read_varint(blob, pos)
@@ -163,7 +208,7 @@ def _decode_meta(blob: bytes) -> tuple[int, int, list[SliceMetaEntry]]:
         entries.append(SliceMetaEntry(slice_id, start_ms, end_ms))
     if pos != len(blob):
         raise SerializationError("trailing bytes after slice meta")
-    return profile_id, granularity, entries
+    return profile_id, granularity, applied_seq, entries
 
 
 class FineGrainedPersistence:
@@ -222,7 +267,7 @@ class FineGrainedPersistence:
         held_version = current.version if current is not None else None
         previous_ids = set()
         if current is not None:
-            _, _, previous_entries = _decode_meta(current.value)
+            *_, previous_entries = _decode_meta(current.value)
             previous_ids = {entry.slice_id for entry in previous_entries}
 
         # 1. Write every slice value under a fresh id.
@@ -285,7 +330,7 @@ class FineGrainedPersistence:
         meta = self._store.xget(_meta_key(self._table, profile_id))
         if meta is None:
             return None
-        stored_id, granularity, entries = _decode_meta(meta.value)
+        stored_id, granularity, applied_seq, entries = _decode_meta(meta.value)
         if stored_id != profile_id:
             raise StorageError(
                 f"meta record for {profile_id} claims profile {stored_id}"
@@ -312,6 +357,7 @@ class FineGrainedPersistence:
             slices.append(ProfileCodec.decode_slice(decompress(blob)))
         profile = ProfileData(profile_id, granularity)
         profile.replace_slices(slices)
+        profile.applied_seq = applied_seq
         self.stats.profiles_loaded += 1
         return profile
 
@@ -320,13 +366,17 @@ class FineGrainedPersistence:
         meta = self._store.xget(meta_key)
         if meta is None:
             return
-        _, _, entries = _decode_meta(meta.value)
+        *_, entries = _decode_meta(meta.value)
         self._store.delete(meta_key)
         for entry in entries:
             self._store.delete(_slice_key(self._table, profile_id, entry.slice_id))
 
+    def sync(self) -> None:
+        """Make every flushed slice and meta record durable."""
+        _sync_store(self._store)
+
     def stored_profile_ids(self) -> set[int]:
-        """Every profile id with a meta record (recovery/checkpoint)."""
+        """Every profile id with a meta record (anti-entropy enumeration)."""
         return _ids_under_prefix(self._store, f"{self._table}/m/".encode())
 
     def sweep_orphans(self) -> int:
@@ -355,7 +405,7 @@ class FineGrainedPersistence:
             meta = self._store.xget(_meta_key(self._table, profile_id))
             referenced: set[int] = set()
             if meta is not None:
-                _, _, entries = _decode_meta(meta.value)
+                *_, entries = _decode_meta(meta.value)
                 referenced = {entry.slice_id for entry in entries}
             for slice_id, key in sorted(slices):
                 if slice_id not in referenced:

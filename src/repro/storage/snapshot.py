@@ -8,8 +8,11 @@ A snapshot is a flat file of length-prefixed, compressed profile blobs:
 ``snapshot := MAGIC version table_name_len table_name (profile_len profile)*``
 
 Profiles are encoded with the same varint codec and LZ compression as the
-persistence layer, so a snapshot is byte-compatible with what the KV
-store holds and round-trips exactly.
+persistence layer and round-trip exactly.  A snapshot carries profile
+data only — not the applied-sequence stamp the persistence layer keeps
+beside each stored value, which names a position in the *exporting*
+node's WAL and would be meaningless (and harmful: recovery would skip
+records under it) anywhere else.  Imported profiles are stamped 0.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from ..core.profile import ProfileData
 from ..errors import SerializationError
 from .compression import compress, decompress
 from .kvstore import KVStore
+from .persistence import BulkPersistence
 from .serialization import ProfileCodec, read_varint, write_varint
 
 SNAPSHOT_MAGIC = 0x49505353  # "IPSS"
@@ -32,12 +36,11 @@ def export_table(
 ) -> int:
     """Export every bulk-persisted profile of ``table`` to a snapshot file.
 
-    Scans the store's key space for the table's bulk keys
-    (``{table}/p/{profile_id}``).  Returns the number of profiles written.
-    Fine-grained tables should be re-flushed through bulk persistence
-    first (the snapshot format is profile-per-record by design).
+    Returns the number of profiles written.  Fine-grained tables should
+    be re-flushed through bulk persistence first (the snapshot format is
+    profile-per-record by design).
     """
-    prefix = f"{table}/p/".encode()
+    persistence = BulkPersistence(store, table)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = bytearray()
@@ -49,12 +52,11 @@ def export_table(
     count = 0
     with open(path, "wb") as snapshot:
         snapshot.write(bytes(header))
-        for key in store.keys():
-            if not key.startswith(prefix):
-                continue
-            blob = store.get(key)
-            if blob is None:
+        for profile_id in sorted(persistence.stored_profile_ids()):
+            profile = persistence.load(profile_id)
+            if profile is None:
                 continue  # Deleted between scan and read.
+            blob = compress(ProfileCodec.encode_profile(profile))
             record = bytearray()
             write_varint(record, len(blob))
             record.extend(blob)
@@ -103,10 +105,11 @@ def import_table(
     Returns the number of profiles imported.
     """
     recorded_table, profiles = read_snapshot(path)
-    target = table if table is not None else recorded_table
+    persistence = BulkPersistence(
+        store, table if table is not None else recorded_table
+    )
     count = 0
     for profile in profiles:
-        blob = compress(ProfileCodec.encode_profile(profile))
-        store.set(f"{target}/p/{profile.profile_id}".encode(), blob)
+        persistence.flush(profile)
         count += 1
     return count

@@ -272,6 +272,9 @@ class WriteAheadLog:
         # so it cannot prefix-corrupt records appended later.
         report = self._scan(self._file.read_all(), repair=True)
         self.last_sequence = report.last_sequence
+        #: Highest sequence known to be on disk: a value stamped past it
+        #: must not reach the KV store before a :meth:`commit`.
+        self.durable_sequence = report.last_sequence
 
     @property
     def sync_mode(self) -> str:
@@ -291,6 +294,8 @@ class WriteAheadLog:
         with self._lock:
             if sequence > self.last_sequence:
                 self.last_sequence = sequence
+                if self._unsynced == 0:
+                    self.durable_sequence = sequence
 
     # ------------------------------------------------------------------
     # Append / commit
@@ -336,6 +341,7 @@ class WriteAheadLog:
             return
         self._file.fsync()
         self._unsynced = 0
+        self.durable_sequence = self.last_sequence
         self.stats.commits += 1
 
     # ------------------------------------------------------------------

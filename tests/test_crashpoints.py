@@ -1,8 +1,11 @@
 """Tests for the seeded crash-point harness itself."""
 
 from repro.chaos.crashpoints import (
+    BufferedKVStore,
     CrashingKVStore,
     CrashPointInjector,
+    _build_rig,
+    _execute,
     choose_crash_plan,
     plan_workload,
     run_schedule,
@@ -12,6 +15,8 @@ from repro.errors import SimulatedCrashError
 from repro.storage import InMemoryKVStore
 
 SEEDS = range(4)
+#: Enough seeds that each sabotage meets a schedule that exposes it.
+TEETH_SEEDS = range(10)
 
 
 class TestInjector:
@@ -61,6 +66,18 @@ class TestInjector:
         assert store.get(b"b") is None
 
 
+    def test_buffered_store_keeps_only_what_a_sync_covered(self):
+        store = BufferedKVStore()
+        store.set(b"a", b"1")
+        store.sync()
+        store.set(b"a", b"2")
+        store.set(b"b", b"3")
+        assert store.get(b"a") == b"2"  # Readable before any sync.
+        store.crash()
+        assert store.get(b"a") == b"1"
+        assert store.get(b"b") is None
+
+
 class TestPlanning:
     def test_workload_plan_is_seed_deterministic(self):
         assert plan_workload(7) == plan_workload(7)
@@ -71,6 +88,26 @@ class TestPlanning:
         assert choose_crash_plan(3, visits, 50) == choose_crash_plan(
             3, visits, 50
         )
+
+
+    def test_workloads_reach_the_checkpoint_crash_points(self):
+        """Between barrier flushes, after the store sync, around the
+        barrier write — and the overflow path, on overflow schedules."""
+        visited: set[str] = set()
+        overflows = 0
+        for seed in SEEDS:
+            plan = plan_workload(seed)
+            rig = _build_rig(plan, durable=True)
+            assert _execute(plan, rig)[2] is None
+            visited.update(rig.injector.visits)
+            if plan.write_table_limit < 1024:
+                overflows += rig.node.write_table.stats.overflow_syncs
+        assert {
+            "checkpoint.begin", "checkpoint.flush", "checkpoint.synced",
+            "checkpoint.write", "checkpoint.commit", "checkpoint.post_commit",
+            "wal.append", "wal.pre_fsync", "wal.truncate",
+        } <= visited
+        assert overflows > 0
 
 
 class TestSchedules:
@@ -86,3 +123,18 @@ class TestSchedules:
         """Durability off: at least one seed must show detected loss."""
         losses = sum(not run_teeth_proof(seed).ok for seed in range(6))
         assert losses > 0
+
+    def test_teeth_recovery_ignoring_the_stamp_is_caught(self):
+        """Replaying the whole tail onto a value a post-barrier flush
+        already wrote doubles counts; the oracle must see it."""
+        assert not all(
+            run_schedule(seed, sabotage="ignore_stamp").ok
+            for seed in TEETH_SEEDS
+        )
+
+    def test_teeth_overflow_that_overtakes_is_caught(self):
+        """Applying an overflow write ahead of older buffered writes lets
+        a stamp claim records the value lacks; the oracle must see it."""
+        assert not all(
+            run_schedule(seed, sabotage="overtake").ok for seed in TEETH_SEEDS
+        )

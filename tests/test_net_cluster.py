@@ -17,6 +17,7 @@ under the maintenance loop's truncation bands.
 
 from __future__ import annotations
 
+import signal
 import time
 
 import pytest
@@ -154,6 +155,40 @@ class TestShutdownDurability:
         served = _read_ok(cluster.client(), range(20), _window(now))
         assert sorted(served) == list(range(20))
         assert all(rows[0].counts[0] == 7 for rows in served.values())
+
+
+    def test_repeated_sigterm_still_exits_zero_with_no_loss(
+        self, make_cluster
+    ):
+        """A second SIGTERM 50 ms after the first — and then one every few
+        milliseconds until the process is gone, so some land in interpreter
+        finalization — must not turn the clean exit into -15."""
+        cluster = make_cluster(1)
+        client = cluster.client()
+        now = _now_ms()
+        for profile_id in range(30):
+            _write(client, profile_id, now, count=profile_id + 1)
+        proc = cluster.processes()["w00"]
+        proc.terminate()
+        time.sleep(0.05)
+        deadline = time.monotonic() + 15.0
+        while proc.poll() is None and time.monotonic() < deadline:
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.0005)
+        assert proc.wait(timeout=1.0) == 0
+        cluster.restart_worker("w00")
+        cluster.wait_for_members(1)
+        served = _read_ok(cluster.client(), range(30), _window(now))
+        assert {
+            profile_id: rows[0].counts[0] for profile_id, rows in served.items()
+        } == {profile_id: profile_id + 1 for profile_id in range(30)}
+
+    def test_non_graceful_shutdown_kills_at_once(self, make_cluster):
+        cluster = make_cluster(2)
+        started = time.monotonic()
+        codes = cluster.shutdown(graceful=False)
+        assert time.monotonic() - started < 2.0
+        assert codes == {"w00": -9, "w01": -9}
 
 
 class TestMembershipChurn:

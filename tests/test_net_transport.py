@@ -11,11 +11,14 @@ object returns — the wire hop adds failure modes, never semantics.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.query import SortType
 from repro.core.timerange import TimeRange
 from repro.errors import NodeUnavailableError, QuotaExceededError
+from repro.net.registry import RegistryServer
 from repro.net.transport import RemoteNode, SocketTransport
 from repro.net.wire import WireCodecError
 from repro.net.worker import WorkerServer, build_durable_node
@@ -168,6 +171,40 @@ class TestConnectionPooling:
             assert transport.dials <= 2
         finally:
             transport.close()
+
+
+class TestRegistryConnection:
+    def test_heartbeats_share_one_registry_connection(self, tmp_path):
+        """register / heartbeat / members ride one persistent connection —
+        not two dials per beat."""
+        registry_server = RegistryServer().start()
+        registry = registry_server.registry
+        beats = []
+        real_heartbeat = registry.heartbeat
+
+        def counting_heartbeat(*args, **kwargs):
+            beats.append(1)
+            return real_heartbeat(*args, **kwargs)
+
+        registry.heartbeat = counting_heartbeat
+        worker = WorkerServer(
+            build_durable_node("t3", tmp_path),
+            registry_host=registry_server.host,
+            registry_port=registry_server.port,
+            heartbeat_ms=10.0,
+            maintenance_ms=10_000.0,
+        ).start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while len(beats) < 10 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(beats) >= 10
+            assert registry_server.connections_accepted <= 2
+        finally:
+            worker.stop()
+            registry_server.stop()
+        assert worker.shut_down_cleanly
+        assert registry.members()["members"] == []  # deregistered on the way out
 
 
 class TestGracefulShutdown:

@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.aggregate import get_aggregate
 from repro.core.profile import ProfileData
-from repro.errors import VersionConflictError
+from repro.errors import StorageError, VersionConflictError
 from repro.storage import (
     BulkPersistence,
     FineGrainedPersistence,
     InMemoryKVStore,
+    ProfileCodec,
+    compress,
 )
 
 SUM = get_aggregate("sum")
@@ -83,6 +85,51 @@ class TestCommonBehaviour:
         assert manager.stats.profiles_loaded == 1
         assert manager.stats.bytes_written > 0
         assert manager.stats.bytes_read > 0
+
+
+class TestAppliedSequenceStamp:
+    def test_stamp_round_trips_with_the_value(self, persistence):
+        manager, _ = persistence
+        profile = make_profile()
+        profile.applied_seq = 123_456
+        manager.flush(profile)
+        assert manager.load(1).applied_seq == 123_456
+        profile.applied_seq = 123_457  # Re-flush replaces value and stamp.
+        manager.flush(profile)
+        assert manager.load(1).applied_seq == 123_457
+
+    def test_stamp_is_not_profile_data(self):
+        """The codec (wire, replication, repair images) and the memory
+        accounting do not know the stamp."""
+        plain, stamped = make_profile(), make_profile()
+        stamped.applied_seq = 99
+        assert ProfileCodec.encode_profile(plain) == ProfileCodec.encode_profile(
+            stamped
+        )
+        assert plain.memory_bytes() == stamped.memory_bytes()
+        assert stamped.copy().applied_seq == 99
+
+    def test_unstamped_bulk_value_is_rejected(self):
+        store = InMemoryKVStore()
+        store.set(b"t/p/1", compress(ProfileCodec.encode_profile(make_profile())))
+        with pytest.raises(StorageError, match="stamp"):
+            BulkPersistence(store, "t").load(1)
+
+    def test_unstamped_meta_record_is_rejected(self):
+        store = InMemoryKVStore()
+        store.set(b"t/m/1", bytes([1, 100, 0]))  # id, granularity, 0 slices
+        with pytest.raises(StorageError, match="stamp"):
+            FineGrainedPersistence(store, "t").load(1)
+
+    def test_sync_reaches_a_buffering_store_and_tolerates_others(
+        self, persistence
+    ):
+        manager, store = persistence
+        manager.sync()  # InMemoryKVStore has no sync(): a no-op.
+        calls = []
+        store.sync = lambda: calls.append(1)
+        manager.sync()
+        assert calls == [1]
 
 
 class TestBulkSpecifics:

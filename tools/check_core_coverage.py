@@ -40,7 +40,7 @@ TARGETS = (
     ("server", SRC / "repro" / "server", 0.85),
     ("obs", SRC / "repro" / "obs", 0.85),
     # The array-native representation (PR 10) made the codec a correctness
-    # seam: WAL/KV/checkpoint images are memoryview dumps of live columns.
+    # seam: WAL/KV images are memoryview dumps of live columns.
     ("storage", SRC / "repro" / "storage", 0.85),
 )
 
