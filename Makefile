@@ -1,16 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke net-smoke dash
+.PHONY: check test lint kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke net-smoke dash
 
 ## check: lint + tier-1 tests + kernel differential oracle (both backends)
 ## + result-cache invalidation oracle + coverage floors (core + server +
 ## obs) + benchmark smoke runs + chaos determinism smoke + seeded
 ## crash-point recovery schedules + SLO alert falsification + the
 ## process-cluster socket smoke (real workers, real SIGKILL failover) +
-## the replicated-shard failover smoke + the perf-history
-## snapshot/regression diff.
-check: lint test kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check net-smoke bench-cluster-smoke bench-failover-smoke bench-history
+## the replicated-shard failover smoke + the end-to-end benchmark smoke
+## + the perf-history snapshot/regression diff.
+check: lint test kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check net-smoke bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -114,6 +114,15 @@ bench-failover:
 
 bench-failover-smoke:
 	$(PYTHON) benchmarks/bench_failover.py --smoke
+
+## bench-e2e-smoke: the BENCHMARK.json contract end to end at smoke scale
+## — all four workloads on a real 2-worker socket cluster, every answer
+## oracle-checked (~15 s) — then the harness's own tests (~30 s, traced
+## run included).  The only target that notices a rename breaking the
+## names the traced run attaches to.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 
 ## bench-history: run the gated benches, record a schema-versioned
 ## BENCH_<n>.json snapshot, and diff against the committed baseline with

@@ -137,7 +137,7 @@ def calibrate_service_times(
     compressed = compress(blob)
     serialize_ms = _time_ms(lambda: ProfileCodec.encode_profile(profile), repeats)
     deserialize_ms = _time_ms(lambda: ProfileCodec.decode_profile(blob), repeats)
-    compress_ms = _time_ms(lambda: compress(blob), max(10, repeats // 10))
+    compress_ms = _time_ms(lambda: compress(blob), repeats)
     decompress_ms = _time_ms(lambda: decompress(compressed), repeats)
 
     return CalibrationResult(

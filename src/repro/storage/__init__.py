@@ -5,7 +5,8 @@ store (HBase in production) purely for durability.  This package provides:
 
 * :mod:`kvstore` — a key-value store with the versioned ``xget``/``xset``
   operations the fine-grained persistence protocol requires (Fig. 14);
-* :mod:`compression` — a from-scratch snappy-style LZ codec;
+* :mod:`compression` — the Snappy substitute: stdlib DEFLATE (``zlib``) at
+  one fixed fast level, strict single-stream decode;
 * :mod:`serialization` — a from-scratch varint/tag binary codec for the
   profile hierarchy (the Protocol Buffers substitute, Fig. 12);
 * :mod:`persistence` — the bulk (whole-profile) and fine-grained

@@ -1,190 +1,52 @@
-"""Snappy-style byte compression, implemented from scratch.
+"""Byte compression for stored profiles: stdlib DEFLATE at one fast level.
 
 IPS compresses serialized profiles with Snappy before writing them to the
-key-value store (§III-E).  Snappy itself is unavailable offline, so this
-module implements a small LZ77 codec with snappy-flavoured framing:
+key-value store (§III-E).  Snappy is a *native* library: its cost is
+small next to the KV fetch it follows.  The faithful offline substitute
+is therefore the native codec the standard library ships, not a Python
+loop — ``zlib`` at a fixed fast level.  ``zlib`` also releases the GIL
+while it runs, so a background flush no longer stalls the reads beside it.
 
-* the stream starts with the uncompressed length as a varint;
-* then a sequence of tagged elements follows — **literal** runs
-  (tag byte ``0x00 | (len-1) << 2`` for short runs, with longer runs
-  spilling length bytes) and **copies** (offset/length references into the
-  already-decoded output).
-
-Like Snappy, the encoder favours speed over ratio: a 4-byte hash table
-finds matches, no entropy coding is performed, and incompressible input
-degrades to literals with only the header as overhead.
+A blob is exactly one zlib stream.  :func:`decompress` accepts that and
+nothing else: truncation, a flipped byte (adler32), trailing bytes, an
+empty blob and arbitrary junk all raise
+:class:`~repro.errors.CompressionError`.
 """
 
 from __future__ import annotations
 
+import zlib
+
 from ..errors import CompressionError
 
-_MIN_MATCH = 4
-_MAX_OFFSET = 1 << 16
-_HASH_BITS = 14
-_HASH_SIZE = 1 << _HASH_BITS
-
-_TAG_LITERAL = 0
-_TAG_COPY = 1
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CompressionError("truncated varint in compressed stream")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CompressionError("varint overflow in compressed stream")
-
-
-def _emit_literal(out: bytearray, data: bytes, start: int, end: int) -> None:
-    """Emit literal runs; each tag covers up to 60 bytes, longer runs use
-    extension length bytes exactly like snappy's 1/2-byte length forms."""
-    length = end - start
-    while length > 0:
-        run = min(length, 0xFFFF + 61)
-        if run <= 60:
-            out.append(_TAG_LITERAL | ((run - 1) << 2))
-        elif run <= 0xFF + 61:
-            out.append(_TAG_LITERAL | (60 << 2))
-            out.append(run - 61)
-        else:
-            out.append(_TAG_LITERAL | (61 << 2))
-            encoded = run - 61
-            out.append(encoded & 0xFF)
-            out.append((encoded >> 8) & 0xFF)
-        out.extend(data[start : start + run])
-        start += run
-        length -= run
-
-
-def _emit_copy(out: bytearray, offset: int, length: int) -> None:
-    """Emit copy elements; lengths above 64 split into multiple copies."""
-    while length > 0:
-        run = min(length, 64)
-        if run < _MIN_MATCH and length != run:
-            # Avoid leaving a tail too short to encode; rebalance.
-            run = length
-        out.append(_TAG_COPY | ((run - 1) << 2))
-        out.append(offset & 0xFF)
-        out.append((offset >> 8) & 0xFF)
-        length -= run
-
-
-def _hash4(data: bytes, pos: int) -> int:
-    block = (
-        data[pos]
-        | (data[pos + 1] << 8)
-        | (data[pos + 2] << 16)
-        | (data[pos + 3] << 24)
-    )
-    return ((block * 0x1E35A7BD) & 0xFFFFFFFF) >> (32 - _HASH_BITS)
+#: The one DEFLATE level.  Picked from the sweep in
+#: ``benchmarks/bench_ablations.py::test_ablation_compression_level``
+#: (192-row e2e profile, 8064 B encoded): level 1 stores 1449 B for 63 us
+#: compress / 25 us decompress, level 3 1280 B for 91 us, level 6 1194 B
+#: for 242 us.  A flush runs behind reads on the worker's CPU, so the
+#: cheapest level wins: the last 18 % of bytes would cost 4x the time.
+_LEVEL = 1
 
 
 def compress(data: bytes) -> bytes:
     """Compress ``data``; round-trips with :func:`decompress`."""
-    out = bytearray()
-    _write_varint(out, len(data))
-    if not data:
-        return bytes(out)
-    table = [-1] * _HASH_SIZE
-    pos = 0
-    literal_start = 0
-    limit = len(data) - _MIN_MATCH
-    while pos <= limit:
-        slot = _hash4(data, pos)
-        candidate = table[slot]
-        table[slot] = pos
-        if (
-            candidate >= 0
-            and pos - candidate <= _MAX_OFFSET
-            and data[candidate : candidate + _MIN_MATCH]
-            == data[pos : pos + _MIN_MATCH]
-        ):
-            # Extend the match forward as far as it goes.
-            match_len = _MIN_MATCH
-            max_len = len(data) - pos
-            while (
-                match_len < max_len
-                and data[candidate + match_len] == data[pos + match_len]
-            ):
-                match_len += 1
-            if literal_start < pos:
-                _emit_literal(out, data, literal_start, pos)
-            _emit_copy(out, pos - candidate, match_len)
-            pos += match_len
-            literal_start = pos
-        else:
-            pos += 1
-    if literal_start < len(data):
-        _emit_literal(out, data, literal_start, len(data))
-    return bytes(out)
+    return zlib.compress(data, _LEVEL)
 
 
 def decompress(blob: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
-    expected_len, pos = _read_varint(blob, 0)
-    out = bytearray()
-    while pos < len(blob):
-        tag = blob[pos]
-        pos += 1
-        kind = tag & 0x03
-        if kind == _TAG_LITERAL:
-            length_code = tag >> 2
-            if length_code < 60:
-                run = length_code + 1
-            elif length_code == 60:
-                if pos >= len(blob):
-                    raise CompressionError("truncated literal length")
-                run = blob[pos] + 61
-                pos += 1
-            elif length_code == 61:
-                if pos + 1 >= len(blob):
-                    raise CompressionError("truncated literal length")
-                run = blob[pos] | (blob[pos + 1] << 8)
-                run += 61
-                pos += 2
-            else:
-                raise CompressionError(f"unsupported literal length code {length_code}")
-            if pos + run > len(blob):
-                raise CompressionError("literal run past end of stream")
-            out.extend(blob[pos : pos + run])
-            pos += run
-        elif kind == _TAG_COPY:
-            run = (tag >> 2) + 1
-            if pos + 1 >= len(blob):
-                raise CompressionError("truncated copy element")
-            offset = blob[pos] | (blob[pos + 1] << 8)
-            pos += 2
-            if offset == 0 or offset > len(out):
-                raise CompressionError(
-                    f"copy offset {offset} invalid at output length {len(out)}"
-                )
-            # Overlapping copies are the LZ idiom for runs: copy byte-wise.
-            start = len(out) - offset
-            for index in range(run):
-                out.append(out[start + index])
-        else:
-            raise CompressionError(f"unknown element tag {kind}")
-    if len(out) != expected_len:
+    """Inverse of :func:`compress`: one complete stream, nothing after it."""
+    decoder = zlib.decompressobj()
+    try:
+        data = decoder.decompress(blob)
+    except zlib.error as error:
+        raise CompressionError(f"corrupt compressed stream: {error}") from None
+    if not decoder.eof:
+        raise CompressionError("truncated compressed stream")
+    if decoder.unused_data:
         raise CompressionError(
-            f"decompressed length {len(out)} != header {expected_len}"
+            f"{len(decoder.unused_data)} trailing bytes after compressed stream"
         )
-    return bytes(out)
+    return data
 
 
 def compression_ratio(data: bytes) -> float:

@@ -68,7 +68,11 @@ class PersistenceManager(Protocol):
 
 
 #: Lead byte of every stamped record (bulk value and fine-grained meta).
-_STAMPED = 0xA5
+#: It names the codec under the record too: ``0xA5`` records were written
+#: when :mod:`compression` was the from-scratch LZ codec, which no build
+#: since can read, so they are refused by name.
+_STAMPED = 0xA6
+_STAMPED_LZ = 0xA5
 
 
 def _stamp_header(applied_seq: int) -> bytearray:
@@ -79,7 +83,13 @@ def _stamp_header(applied_seq: int) -> bytearray:
 
 def _read_stamp(record: bytes, what: str) -> tuple[int, int]:
     """``(applied_seq, offset of the payload)`` of a stamped record."""
-    if not record or record[0] != _STAMPED:
+    lead = record[0] if record else None
+    if lead == _STAMPED_LZ:
+        raise StorageError(
+            f"{what} predates the codec change: it was written by the LZ "
+            "codec, which this build no longer reads"
+        )
+    if lead != _STAMPED:
         raise StorageError(f"{what} carries no applied-sequence stamp")
     return read_varint(record, 1)
 
@@ -320,16 +330,24 @@ class FineGrainedPersistence:
         self, profile_id: int, window: tuple[int, int] | None
     ) -> ProfileData | None:
         with self.tracer.span("storage.load", profile=profile_id) as span:
-            profile = self._load_inner(profile_id, window)
-            span.tag(found=profile is not None)
-            return profile
+            for _ in range(self._max_retries):
+                profile, missing = self._load_once(profile_id, window)
+                if missing is None:
+                    span.tag(found=profile is not None)
+                    return profile
+            raise StorageError(
+                f"profile {profile_id}: slice {missing} is listed by the "
+                f"meta record but still absent from the store after "
+                f"{self._max_retries} reads"
+            )
 
-    def _load_inner(
+    def _load_once(
         self, profile_id: int, window: tuple[int, int] | None
-    ) -> ProfileData | None:
+    ) -> tuple[ProfileData | None, int | None]:
+        """``(profile, None)``, or ``(None, id of a slice that was not there)``."""
         meta = self._store.xget(_meta_key(self._table, profile_id))
         if meta is None:
-            return None
+            return None, None
         stored_id, granularity, applied_seq, entries = _decode_meta(meta.value)
         if stored_id != profile_id:
             raise StorageError(
@@ -350,8 +368,9 @@ class FineGrainedPersistence:
             )
             if blob is None:
                 # A slice vanished under us: the meta we hold is stale
-                # relative to a concurrent flush. Reload from the top.
-                return self._load(profile_id, window)
+                # relative to a concurrent flush (the caller reloads from
+                # the top), or the slice is gone for good.
+                return None, entry.slice_id
             self.stats.slices_loaded += 1
             self.stats.bytes_read += len(blob)
             slices.append(ProfileCodec.decode_slice(decompress(blob)))
@@ -359,7 +378,7 @@ class FineGrainedPersistence:
         profile.replace_slices(slices)
         profile.applied_seq = applied_seq
         self.stats.profiles_loaded += 1
-        return profile
+        return profile, None
 
     def delete(self, profile_id: int) -> None:
         meta_key = _meta_key(self._table, profile_id)

@@ -91,19 +91,35 @@ def write_varint(out: bytearray, value: int) -> None:
 
 
 def read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise SerializationError("truncated varint")
-        byte = data[pos]
+    try:
+        result = data[pos]
         pos += 1
-        result |= (byte & 0x7F) << shift
-        if byte < 0x80:
+        if result < 0x80:  # the common case: counts, ids, small lengths
             return result, pos
-        shift += 7
-        if shift > 70:
-            raise SerializationError("varint too long")
+        result &= 0x7F
+        shift = 7
+        while True:
+            byte = data[pos]
+            pos += 1
+            if byte < 0x80:
+                return result | (byte << shift), pos
+            result |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 70:
+                raise SerializationError("varint too long")
+    except IndexError:
+        raise SerializationError("truncated varint") from None
+
+
+def _varint_bytes(value: int) -> bytes:
+    out = bytearray()
+    write_varint(out, value)
+    return bytes(out)
+
+
+#: The nine bytes :data:`SLICE_V2_MAGIC` encodes to.  A v2 body is told
+#: from a v1 body by comparing this prefix, not by decoding the varint.
+_SLICE_V2_PREFIX = _varint_bytes(SLICE_V2_MAGIC)
 
 
 def zigzag_encode(value: int) -> int:
@@ -125,8 +141,14 @@ def _extend_le_int64(out: bytearray, column: array) -> None:
         out += memoryview(column).cast("B")
 
 
-def _read_le_int64(data: bytes, pos: int, count: int) -> tuple[array, int]:
-    """Read ``count`` little-endian int64s into a fresh column."""
+def _read_le_int64(
+    data: memoryview, pos: int, count: int
+) -> tuple[array, int]:
+    """Read ``count`` little-endian int64s into a fresh column.
+
+    ``data`` is a view so the only copy is the one ``frombytes`` makes
+    (slicing ``bytes`` first copies a large column twice).
+    """
     nbytes = count * 8
     if pos + nbytes > len(data):
         raise SerializationError("truncated raw int64 column")
@@ -172,9 +194,8 @@ class ProfileCodec:
     @staticmethod
     def _read_slice(data: bytes, pos: int) -> tuple[Slice, int]:
         """Decode one slice body, dispatching on the version tag."""
-        first, _ = read_varint(data, pos)
-        if first == SLICE_V2_MAGIC:
-            return ProfileCodec._read_slice_v2(data, pos)
+        if data.startswith(_SLICE_V2_PREFIX, pos):
+            return ProfileCodec._read_slice_v2(data, pos + len(_SLICE_V2_PREFIX))
         return ProfileCodec._read_slice_v1(data, pos)
 
     # -- v1 (dict era) --------------------------------------------------
@@ -243,7 +264,7 @@ class ProfileCodec:
 
     @staticmethod
     def _write_slice_v2(out: bytearray, profile_slice: Slice) -> None:
-        write_varint(out, SLICE_V2_MAGIC)
+        out += _SLICE_V2_PREFIX
         write_varint(out, profile_slice.start_ms)
         write_varint(out, profile_slice.end_ms)
         slots = list(profile_slice.slots_items())
@@ -285,9 +306,7 @@ class ProfileCodec:
 
     @staticmethod
     def _read_slice_v2(data: bytes, pos: int) -> tuple[Slice, int]:
-        magic, pos = read_varint(data, pos)
-        if magic != SLICE_V2_MAGIC:  # pragma: no cover - guarded by caller
-            raise SerializationError("not a v2 slice body")
+        """Decode a v2 body from just past its magic."""
         start_ms, pos = read_varint(data, pos)
         end_ms, pos = read_varint(data, pos)
         profile_slice = ProfileCodec._new_slice(start_ms, end_ms)
@@ -314,12 +333,13 @@ class ProfileCodec:
             flags, pos = read_varint(data, pos)
             if flags not in (0, 1):
                 raise SerializationError(f"unknown column flags {flags:#x}")
+            raw = memoryview(data)
             widths = None
             if flags & 1:
-                widths, pos = _read_le_int64(data, pos, n_rows)
-            fids, pos = _read_le_int64(data, pos, n_rows)
-            ts, pos = _read_le_int64(data, pos, n_rows)
-            counts, pos = _read_le_int64(data, pos, n_rows * stride)
+                widths, pos = _read_le_int64(raw, pos, n_rows)
+            fids, pos = _read_le_int64(raw, pos, n_rows)
+            ts, pos = _read_le_int64(raw, pos, n_rows)
+            counts, pos = _read_le_int64(raw, pos, n_rows * stride)
             try:
                 group = ColumnGroup.from_columns(
                     stride, fids, ts, counts, widths

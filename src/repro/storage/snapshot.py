@@ -7,12 +7,16 @@ A snapshot is a flat file of length-prefixed, compressed profile blobs:
 
 ``snapshot := MAGIC version table_name_len table_name (profile_len profile)*``
 
-Profiles are encoded with the same varint codec and LZ compression as the
-persistence layer and round-trip exactly.  A snapshot carries profile
-data only — not the applied-sequence stamp the persistence layer keeps
-beside each stored value, which names a position in the *exporting*
-node's WAL and would be meaningless (and harmful: recovery would skip
-records under it) anywhere else.  Imported profiles are stamped 0.
+Profiles are encoded with the same varint codec and DEFLATE compression as
+the persistence layer and round-trip exactly.  The file version names the
+codec too: version 1 files hold LZ-compressed records from before
+:mod:`compression` moved to stdlib ``zlib`` and are refused by name.
+
+A snapshot carries profile data only — not the applied-sequence stamp the
+persistence layer keeps beside each stored value, which names a position
+in the *exporting* node's WAL and would be meaningless (and harmful:
+recovery would skip records under it) anywhere else.  Imported profiles
+are stamped 0.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .persistence import BulkPersistence
 from .serialization import ProfileCodec, read_varint, write_varint
 
 SNAPSHOT_MAGIC = 0x49505353  # "IPSS"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION_LZ = 1
 
 
 def export_table(
@@ -73,6 +78,11 @@ def read_snapshot(path: str | Path) -> tuple[str, Iterator[ProfileData]]:
     if magic != SNAPSHOT_MAGIC:
         raise SerializationError(f"bad snapshot magic {magic:#x}")
     version, pos = read_varint(data, pos)
+    if version == _SNAPSHOT_VERSION_LZ:
+        raise SerializationError(
+            "snapshot version 1 predates the codec change: its records were "
+            "written by the LZ codec, which this build no longer reads"
+        )
     if version != SNAPSHOT_VERSION:
         raise SerializationError(f"unsupported snapshot version {version}")
     name_len, pos = read_varint(data, pos)

@@ -1,10 +1,11 @@
-"""Targeted coverage of codec wire-format edge forms.
+"""Targeted coverage of codec edge inputs.
 
-The compression framing has three literal-length encodings (inline,
-1-byte extension, 2-byte extension) and copy splitting at 64 bytes; the
-profile codec has the int64 zigzag corners.  These tests hit each form
-explicitly so a framing regression cannot hide behind the random
-round-trip property tests.
+The profile codec has the int64 zigzag corners and the catalog its hash
+space.  ``TestLiteralLengthForms`` and ``TestCopyForms`` keep the names
+of an LZ framing that stdlib DEFLATE replaced (the tier-1 floor list pins
+their ids); what they hold is codec-agnostic round-trip inputs —
+incompressible runs of awkward lengths, a repeat 64 KiB back, long
+constant runs — that any stored-value codec must survive.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.storage.compression import compress, decompress
 
 
 def incompressible(length: int, seed: int = 1234) -> bytes:
-    """Pseudo-random bytes with no 4-byte repeats (forces literal runs)."""
+    """Pseudo-random bytes with no 4-byte repeats (nothing to match)."""
     out = bytearray()
     state = seed
     while len(out) < length:
@@ -48,18 +49,18 @@ class TestLiteralLengthForms:
 class TestCopyForms:
     @pytest.mark.parametrize("run", [4, 63, 64, 65, 128, 1000])
     def test_copy_split_boundaries(self, run):
-        """Match lengths around the 64-byte copy cap."""
+        """Two identical runs of a given length, a marker apart."""
         data = b"ABCD" + b"\x00" * run + b"ABCD" + b"\x00" * run
         assert decompress(compress(data)) == data
 
     def test_maximum_offset_match(self):
-        """A repeat exactly at the 64 KiB offset window edge."""
+        """A repeat 64 KiB back: beyond DEFLATE's 32 KiB window."""
         filler = incompressible(65536 - 8)
         data = b"NEEDLE!!" + filler + b"NEEDLE!!"
         assert decompress(compress(data)) == data
 
     def test_overlapping_copy_run(self):
-        """Runs compress via self-overlapping copies (offset < length)."""
+        """A constant run compresses to next to nothing."""
         data = b"x" * 5000
         blob = compress(data)
         assert len(blob) < 300

@@ -121,6 +121,16 @@ class TestAppliedSequenceStamp:
         with pytest.raises(StorageError, match="stamp"):
             FineGrainedPersistence(store, "t").load(1)
 
+    def test_value_written_by_the_lz_codec_is_refused_by_name(self):
+        """Lead byte 0xA5 marked records whose payload is an LZ stream."""
+        store = InMemoryKVStore()
+        store.set(b"t/p/1", bytes([0xA5, 7]) + b"lz-era payload")
+        store.set(b"t/m/2", bytes([0xA5, 7, 2, 100, 0]))
+        with pytest.raises(StorageError, match="predates the codec change"):
+            BulkPersistence(store, "t").load(1)
+        with pytest.raises(StorageError, match="predates the codec change"):
+            FineGrainedPersistence(store, "t").load(2)
+
     def test_sync_reaches_a_buffering_store_and_tolerates_others(
         self, persistence
     ):
@@ -251,6 +261,49 @@ class TestFineGrainedSpecifics:
         with pytest.raises(VersionConflictError):
             manager.flush(make_profile(writes=2))
         assert manager.stats.version_conflicts == 2
+
+
+    def test_slice_gone_for_good_is_a_typed_error_not_a_recursion(self):
+        """The meta record keeps naming a slice that no longer exists:
+        the load retries ``max_retries`` times and then says which."""
+        store = InMemoryKVStore()
+        manager = FineGrainedPersistence(store, "t", max_retries=3)
+        manager.flush(make_profile(writes=2))
+        doomed = sorted(k for k in store.keys() if k.startswith(b"t/s/1/"))[0]
+        store.delete(doomed)
+        slice_id = int(doomed.rsplit(b"/", 1)[1])
+        with pytest.raises(
+            StorageError, match=rf"profile 1: slice {slice_id} .* 3 reads"
+        ):
+            manager.load(1)
+
+    def test_slice_replaced_between_meta_and_slice_read_still_loads(self):
+        """A flush lands after the reader took the meta record and before
+        it reached the slices: the old slice ids are gone, one reload
+        finds the new ones."""
+        store = InMemoryKVStore()
+        profile = make_profile(writes=2)
+        writer = FineGrainedPersistence(store, "t")
+        writer.flush(profile)
+
+        class FlushAfterFirstMetaRead:
+            def __init__(self):
+                self.meta_reads = 0
+
+            def __getattr__(self, name):
+                return getattr(store, name)
+
+            def xget(self, key):
+                meta = store.xget(key)
+                self.meta_reads += 1
+                if self.meta_reads == 1:
+                    writer.flush(profile)
+                return meta
+
+        racing = FlushAfterFirstMetaRead()
+        loaded = FineGrainedPersistence(racing, "t").load(1)
+        assert racing.meta_reads == 2
+        assert loaded.feature_count() == profile.feature_count()
 
 
 class TestStoredProfileIds:

@@ -8,6 +8,8 @@ from repro.core.profile import ProfileData
 from repro.core.slice import Slice
 from repro.errors import SerializationError
 from repro.storage.serialization import (
+    RAW_COLUMN_MIN_ROWS,
+    SLICE_V2_MAGIC,
     ProfileCodec,
     deserialize_profile,
     read_varint,
@@ -177,3 +179,74 @@ class TestProfileCodec:
             # Slice/profile construction errors surfaced through decode
             # indicate a missing validation — fail loudly.
             pytest.fail(f"unexpected exception type: {error!r}")
+
+
+class TestDecodeFastPathEdges:
+    """The decode trims (prefix-compared v2 magic, single-byte varint fast
+    path, raw columns read off a memoryview) keep every check."""
+
+    V2_MAGIC_BYTES = 9
+
+    def _wide_slice(self, rows=RAW_COLUMN_MIN_ROWS):
+        wide = Slice(1000, 5000)
+        for fid in range(rows):
+            wide.add(1, 2, 300 + fid, [fid, -fid, 1], 2000 + fid, SUM)
+        return wide
+
+    def test_truncation_inside_the_magic(self):
+        blob = ProfileCodec.encode_slice(self._wide_slice())
+        for cut in range(self.V2_MAGIC_BYTES):
+            with pytest.raises(SerializationError):
+                ProfileCodec.decode_slice(blob[:cut])
+
+    def test_truncation_inside_a_multi_byte_varint(self):
+        out = bytearray()
+        write_varint(out, 300)
+        assert len(out) == 2
+        with pytest.raises(SerializationError, match="truncated varint"):
+            read_varint(bytes(out[:1]), 0)
+        # start_ms = 1000 is the two-byte varint right after the magic.
+        blob = ProfileCodec.encode_slice(self._wide_slice())
+        with pytest.raises(SerializationError, match="truncated varint"):
+            ProfileCodec.decode_slice(blob[: self.V2_MAGIC_BYTES + 1])
+
+    def test_truncation_exactly_at_a_single_byte_varint(self):
+        assert read_varint(b"\x05", 0) == (5, 1)
+        with pytest.raises(SerializationError, match="truncated varint"):
+            read_varint(b"\x05", 1)
+        # n_slots is the single byte after magic + start_ms + end_ms.
+        blob = ProfileCodec.encode_slice(self._wide_slice())
+        with pytest.raises(SerializationError, match="truncated varint"):
+            ProfileCodec.decode_slice(blob[: self.V2_MAGIC_BYTES + 2 + 2])
+
+    def test_overlong_varint_still_rejected(self):
+        with pytest.raises(SerializationError, match="too long"):
+            read_varint(b"\x80" * 11 + b"\x01", 0)
+
+    def test_v1_body_still_decodes(self):
+        """Also one whose start_ms opens with the magic's own first byte:
+        the prefix compare looks at all nine."""
+        magic = bytearray()
+        write_varint(magic, SLICE_V2_MAGIC)
+        start_ms = (magic[0] & 0x7F) | (1 << 7)  # varint: magic[0], 0x01
+        original = Slice(start_ms, start_ms + 4000)
+        original.add(1, 2, 42, [3, -1, 7], start_ms + 10, SUM)
+        blob = ProfileCodec.encode_slice_v1(original)
+        assert blob[0] == magic[0]
+        decoded = ProfileCodec.decode_slice(blob)
+        assert (decoded.start_ms, decoded.end_ms) == (start_ms, start_ms + 4000)
+        assert list(decoded.features(1, 2)) == list(original.features(1, 2))
+        assert decoded.memory_bytes() == original.memory_bytes()
+
+    def test_mixed_raw_and_varint_groups_round_trip(self):
+        profile = ProfileData(9, 4000)
+        for row in range(RAW_COLUMN_MIN_ROWS + 4):  # raw column dump
+            profile.add(1000 + row, 1, 2, 300 + row, [row, -row, 1], SUM)
+        for row in range(RAW_COLUMN_MIN_ROWS - 1):  # zigzag varints
+            profile.add(1000 + row, 1, 3, 700 + row, [row], SUM)
+        profile.add(9000, 4, 0, 5, [2, 2], SUM)  # a second, small slice
+        blob = serialize_profile(profile)
+        decoded = deserialize_profile(blob)
+        assert profiles_equal(profile, decoded)
+        assert decoded.memory_bytes() == profile.memory_bytes()
+        assert serialize_profile(decoded) == blob

@@ -95,3 +95,17 @@ class TestCorruption:
         _, profiles = read_snapshot(path)
         with pytest.raises(SerializationError):
             list(profiles)
+
+    def test_snapshot_written_by_the_lz_codec_is_refused_by_name(
+        self, populated_store, tmp_path
+    ):
+        """Version 1 files hold LZ-compressed records."""
+        path = tmp_path / "t.snapshot"
+        export_table(populated_store, "t", path)
+        blob = bytearray(path.read_bytes())
+        version_at = 5  # after the 5-byte varint of SNAPSHOT_MAGIC
+        assert blob[version_at] == 2
+        blob[version_at] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SerializationError, match="predates the codec change"):
+            read_snapshot(path)
