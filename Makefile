@@ -1,16 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke net-smoke dash
+.PHONY: check test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
 
-## check: lint + tier-1 tests + kernel differential oracle (both backends)
-## + result-cache invalidation oracle + coverage floors (core + server +
-## obs) + benchmark smoke runs + chaos determinism smoke + seeded
-## crash-point recovery schedules + SLO alert falsification + the
-## process-cluster socket smoke (real workers, real SIGKILL failover) +
-## the replicated-shard failover smoke + the end-to-end benchmark smoke
-## + the perf-history snapshot/regression diff.
-check: lint test kernel-oracle serialization-oracle invalidation-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check net-smoke bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
+## check (16 targets): lint + tier-1 tests (all of tests/, which already
+## holds the kernel, serialization and result-cache invalidation oracles
+## and the socket wire/registry/transport suites in the default
+## configuration) + the kernel differential oracle in the two other
+## backend configurations + coverage floors (core + server + obs) +
+## benchmark smoke runs + chaos determinism smoke + seeded crash-point
+## recovery schedules + SLO alert falsification + the process-cluster
+## socket smoke (real workers, real SIGKILL failover) + the
+## replicated-shard failover smoke + the end-to-end benchmark smoke +
+## the perf-history snapshot/regression diff.
+check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,26 +24,14 @@ lint:
 	$(PYTHON) tools/check_clock_usage.py
 	$(PYTHON) tools/check_numpy_isolation.py
 
-## kernel-oracle: the differential oracle + property suites three ways —
-## numpy auto-detected, pinned to the python reference, and with numpy
+## kernel-oracle: the differential oracle + property suites in the two
+## configurations `make test` does not cover (it runs them with numpy
+## auto-detected) — pinned to the python reference, and with numpy
 ## forced absent (IPS_KERNEL_DISABLE_NUMPY) so CI proves the numpy-free
 ## configuration keeps working without uninstalling anything.
 kernel-oracle:
-	$(PYTHON) -m pytest tests/test_kernel_oracle.py tests/test_kernel_properties.py -q
 	IPS_KERNEL_BACKEND=python $(PYTHON) -m pytest tests/test_kernel_oracle.py tests/test_kernel_properties.py -q
 	IPS_KERNEL_DISABLE_NUMPY=1 $(PYTHON) -m pytest tests/test_kernel_oracle.py tests/test_kernel_properties.py -q
-
-## serialization-oracle: the zero-copy codec property suites — v2
-## array-native round-trips, v1 dict-era bytes decoding losslessly, and
-## the structured fuzzer over random corpora.
-serialization-oracle:
-	$(PYTHON) -m pytest tests/test_serialization_properties.py tests/test_serialization_fuzz.py tests/test_storage_serialization.py -q
-
-## invalidation-oracle: the result-cache differential oracle — seeded
-## interleavings of every mutation path against a cache-disabled node,
-## byte-identical reads, plus the coalescing concurrency suite.
-invalidation-oracle:
-	$(PYTHON) -m pytest tests/test_result_cache_oracle.py tests/test_result_cache.py tests/test_server_coalesce.py -q
 
 ## coverage-core: stdlib-tracer line coverage over src/repro/core and
 ## src/repro/server with hard floors (no coverage/pytest-cov in the image).
@@ -87,12 +78,6 @@ crashcheck:
 ## replay byte-identically.
 slo-check:
 	$(PYTHON) benchmarks/bench_slo_alerts.py --smoke
-
-## net-smoke: socket-transport smoke — the wire codec, registry and
-## in-thread worker-server suites (no subprocesses; the subprocess suite
-## runs under plain `make test`).
-net-smoke:
-	$(PYTHON) -m pytest tests/test_net_wire.py tests/test_net_registry.py tests/test_net_transport.py -q
 
 ## bench-cluster: process-per-node scale-out over real sockets — spawns
 ## 1/2/4 worker OS processes, gates 4-worker >= 2x 1-worker throughput on

@@ -59,7 +59,7 @@ def _fits_int64(value: int) -> bool:
     return INT64_MIN <= value <= INT64_MAX
 
 
-def _new_stat(fid, counts, last_timestamp_ms, fid_index) -> FeatureStat:
+def new_stat(fid, counts, last_timestamp_ms, fid_index) -> FeatureStat:
     """FeatureStat from already-clamped values, skipping re-clamping."""
     stat = FeatureStat.__new__(FeatureStat)
     stat.fid = fid
@@ -148,7 +148,7 @@ class ColumnGroup:
         if row is None:
             clamped = [clamp_int64(value) for value in values]
             self._append_row(fid, clamped, timestamp_ms, -1)
-            return _new_stat(fid, list(clamped), timestamp_ms, -1)
+            return new_stat(fid, list(clamped), timestamp_ms, -1)
         return self._merge_row(row, values, timestamp_ms, aggregate, coerce=False)
 
     def _legacy_add(self, fid, counts, timestamp_ms, aggregate) -> FeatureStat:
@@ -209,7 +209,7 @@ class ColumnGroup:
         if timestamp_ms > self.ts[row]:
             self.ts[row] = timestamp_ms
         fid_index = self.fid_index[row] if self.fid_index is not None else -1
-        return _new_stat(self.fids[row], merged, self.ts[row], fid_index)
+        return new_stat(self.fids[row], merged, self.ts[row], fid_index)
 
     def _append_row(
         self, fid: int, values: Sequence[int], timestamp_ms: int, fid_index: int
@@ -336,7 +336,7 @@ class ColumnGroup:
         assert self._legacy is not None
         existing = self._legacy.get(fid)
         if existing is None:
-            self._legacy[fid] = _new_stat(
+            self._legacy[fid] = new_stat(
                 fid, list(values), timestamp_ms, fid_index
             )
         else:
@@ -355,7 +355,7 @@ class ColumnGroup:
         for row, fid in enumerate(self.fids):
             base = row * stride
             width = stride if widths is None else widths[row]
-            yield _new_stat(
+            yield new_stat(
                 fid,
                 counts[base : base + width].tolist(),
                 ts[row],
@@ -390,7 +390,7 @@ class ColumnGroup:
             return None
         base = row * self.stride
         width = self.row_width(row)
-        return _new_stat(
+        return new_stat(
             fid,
             self.counts[base : base + width].tolist(),
             self.ts[row],

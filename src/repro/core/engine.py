@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import TableConfig
+from .aggregate import get_aggregate
 from .compaction import CompactionStats, Compactor
 from .decay import DecayFn, get_decay
 from .profile import ProfileData
@@ -155,8 +156,37 @@ class ProfileEngine:
         return counts
 
     # ------------------------------------------------------------------
-    # Read APIs (§II-B)
+    # Read APIs (§II-B) and their multi-get forms
     # ------------------------------------------------------------------
+    #
+    # One kernel invocation covers every resident profile of a multi-get
+    # (the Enhanced Batch Query Architecture pass), and a point read is
+    # the one-id multi-get: each ``get_profile_*`` / ``get_profiles_*``
+    # pair shares one private implementation.  The batch forms return
+    # ``{profile_id: results}``; ids with no resident profile map to
+    # ``[]`` exactly like the point reads.
+
+    def _read(self, profile_ids: Sequence[int], stats_map, query):
+        """Run ``query(profiles, now_ms, stats_list)`` — a ``QueryEngine``
+        batch entry bound to its arguments — over the resident ids."""
+        out: dict[int, list[FeatureResult]] = {}
+        ids: list[int] = []
+        profiles: list[ProfileData] = []
+        for profile_id in profile_ids:
+            if profile_id not in out:
+                out[profile_id] = []
+                profile = self.table.get(profile_id)
+                if profile is not None:
+                    ids.append(profile_id)
+                    profiles.append(profile)
+        if profiles:
+            stats_list = (
+                [stats_map.get(pid) for pid in ids] if stats_map else None
+            )
+            out.update(
+                zip(ids, query(profiles, self.clock.now_ms(), stats_list))
+            )
+        return out
 
     def get_profile_topk(
         self,
@@ -179,105 +209,10 @@ class ProfileEngine:
         function (built-in or a registered UDAF) overriding the table's
         pre-configured one.
         """
-        profile = self.table.get(profile_id)
-        if profile is None:
-            return []
-        from .aggregate import get_aggregate
-
-        return self.query_engine.top_k(
-            profile,
-            slot,
-            type_id,
-            time_range,
-            sort_type,
-            k,
-            self.clock.now_ms(),
-            sort_attribute=sort_attribute,
-            sort_weights=sort_weights,
-            descending=descending,
-            aggregate=get_aggregate(aggregate) if aggregate is not None else None,
-            stats=stats,
-        )
-
-    def get_profile_filter(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        stats: QueryStats | None = None,
-    ) -> list[FeatureResult]:
-        """``get_profile_filter``: features passing a predicate in a window."""
-        profile = self.table.get(profile_id)
-        if profile is None:
-            return []
-        return self.query_engine.filter(
-            profile,
-            slot,
-            type_id,
-            time_range,
-            predicate,
-            self.clock.now_ms(),
-            stats=stats,
-        )
-
-    def get_profile_decay(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        stats: QueryStats | None = None,
-    ) -> list[FeatureResult]:
-        """``get_profile_decay``: time-decayed feature counts in a window."""
-        profile = self.table.get(profile_id)
-        if profile is None:
-            return []
-        decay_fn = (
-            get_decay(decay_function)
-            if isinstance(decay_function, str)
-            else decay_function
-        )
-        return self.query_engine.decay(
-            profile,
-            slot,
-            type_id,
-            time_range,
-            decay_fn,
-            decay_factor,
-            self.clock.now_ms(),
-            k=k,
-            sort_attribute=sort_attribute,
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch read APIs (multi-get)
-    # ------------------------------------------------------------------
-    #
-    # One kernel invocation covers every resident profile of a multi-get
-    # (the Enhanced Batch Query Architecture pass).  Results come back as
-    # ``{profile_id: results}``; ids with no resident profile map to
-    # ``[]`` exactly like the single-profile calls.  Each entry is
-    # byte-identical to the corresponding single call.
-
-    def _resident(self, profile_ids: Sequence[int]):
-        present: dict[int, object] = {}
-        missing: list[int] = []
-        for profile_id in profile_ids:
-            if profile_id in present:
-                continue
-            profile = self.table.get(profile_id)
-            if profile is None:
-                missing.append(profile_id)
-            else:
-                present[profile_id] = profile
-        return present, missing
+        return self._topk(
+            [profile_id], {profile_id: stats}, slot, type_id, time_range,
+            sort_type, k, sort_attribute, sort_weights, descending, aggregate,
+        )[profile_id]
 
     def get_profiles_topk(
         self,
@@ -294,33 +229,39 @@ class ProfileEngine:
         stats_map: "dict[int, QueryStats] | None" = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_topK``: one batched kernel pass over many ids."""
-        present, missing = self._resident(profile_ids)
-        out: dict[int, list[FeatureResult]] = {pid: [] for pid in missing}
-        if present:
-            from .aggregate import get_aggregate
+        return self._topk(
+            profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
+            sort_attribute, sort_weights, descending, aggregate,
+        )
 
-            ids = list(present.keys())
-            stats_list = (
-                [stats_map.get(pid) for pid in ids] if stats_map else None
-            )
-            batched = self.query_engine.top_k_batch(
-                list(present.values()),
-                slot,
-                type_id,
-                time_range,
-                sort_type,
-                k,
-                self.clock.now_ms(),
-                sort_attribute=sort_attribute,
-                sort_weights=sort_weights,
-                descending=descending,
-                aggregate=(
-                    get_aggregate(aggregate) if aggregate is not None else None
-                ),
-                stats_list=stats_list,
-            )
-            out.update(zip(ids, batched))
-        return out
+    def _topk(
+        self, profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
+        sort_attribute, sort_weights, descending, aggregate,
+    ):
+        return self._read(
+            profile_ids, stats_map,
+            lambda profiles, now_ms, stats_list: self.query_engine.top_k_batch(
+                profiles, slot, type_id, time_range, sort_type, k, now_ms,
+                sort_attribute, sort_weights, descending,
+                get_aggregate(aggregate) if aggregate is not None else None,
+                stats_list,
+            ),
+        )
+
+    def get_profile_filter(
+        self,
+        profile_id: int,
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        predicate: FilterFn,
+        stats: QueryStats | None = None,
+    ) -> list[FeatureResult]:
+        """``get_profile_filter``: features passing a predicate in a window."""
+        return self._filter(
+            [profile_id], {profile_id: stats}, slot, type_id, time_range,
+            predicate,
+        )[profile_id]
 
     def get_profiles_filter(
         self,
@@ -332,24 +273,36 @@ class ProfileEngine:
         stats_map: "dict[int, QueryStats] | None" = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_filter``: batched predicate reads."""
-        present, missing = self._resident(profile_ids)
-        out: dict[int, list[FeatureResult]] = {pid: [] for pid in missing}
-        if present:
-            ids = list(present.keys())
-            stats_list = (
-                [stats_map.get(pid) for pid in ids] if stats_map else None
-            )
-            batched = self.query_engine.filter_batch(
-                list(present.values()),
-                slot,
-                type_id,
-                time_range,
-                predicate,
-                self.clock.now_ms(),
-                stats_list=stats_list,
-            )
-            out.update(zip(ids, batched))
-        return out
+        return self._filter(
+            profile_ids, stats_map, slot, type_id, time_range, predicate
+        )
+
+    def _filter(self, profile_ids, stats_map, slot, type_id, time_range, predicate):
+        return self._read(
+            profile_ids, stats_map,
+            lambda profiles, now_ms, stats_list: self.query_engine.filter_batch(
+                profiles, slot, type_id, time_range, predicate, now_ms,
+                stats_list,
+            ),
+        )
+
+    def get_profile_decay(
+        self,
+        profile_id: int,
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        decay_function: str | DecayFn = "exponential",
+        decay_factor: float = 1.0,
+        k: int | None = None,
+        sort_attribute: str | None = None,
+        stats: QueryStats | None = None,
+    ) -> list[FeatureResult]:
+        """``get_profile_decay``: time-decayed feature counts in a window."""
+        return self._decay(
+            [profile_id], {profile_id: stats}, slot, type_id, time_range,
+            decay_function, decay_factor, k, sort_attribute,
+        )[profile_id]
 
     def get_profiles_decay(
         self,
@@ -364,32 +317,25 @@ class ProfileEngine:
         stats_map: "dict[int, QueryStats] | None" = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_decay``: batched time-decayed reads."""
-        present, missing = self._resident(profile_ids)
-        out: dict[int, list[FeatureResult]] = {pid: [] for pid in missing}
-        if present:
-            decay_fn = (
+        return self._decay(
+            profile_ids, stats_map, slot, type_id, time_range, decay_function,
+            decay_factor, k, sort_attribute,
+        )
+
+    def _decay(
+        self, profile_ids, stats_map, slot, type_id, time_range,
+        decay_function, decay_factor, k, sort_attribute,
+    ):
+        return self._read(
+            profile_ids, stats_map,
+            lambda profiles, now_ms, stats_list: self.query_engine.decay_batch(
+                profiles, slot, type_id, time_range,
                 get_decay(decay_function)
                 if isinstance(decay_function, str)
-                else decay_function
-            )
-            ids = list(present.keys())
-            stats_list = (
-                [stats_map.get(pid) for pid in ids] if stats_map else None
-            )
-            batched = self.query_engine.decay_batch(
-                list(present.values()),
-                slot,
-                type_id,
-                time_range,
-                decay_fn,
-                decay_factor,
-                self.clock.now_ms(),
-                k=k,
-                sort_attribute=sort_attribute,
-                stats_list=stats_list,
-            )
-            out.update(zip(ids, batched))
-        return out
+                else decay_function,
+                decay_factor, now_ms, k, sort_attribute, stats_list,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Hot reconfiguration (§V-b)

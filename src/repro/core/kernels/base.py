@@ -141,6 +141,19 @@ class KernelBackend(abc.ABC):
     # result-for-result and stat-for-stat (the batch differential oracle
     # enforces this).
 
+    @staticmethod
+    def _run_each(run_one, profiles, windows, stats_list):
+        """``run_one(profile, window, stats)`` for every resolved window."""
+        results = []
+        for profile, window, stats in zip(profiles, windows, stats_list):
+            if window is None:
+                if stats is not None:
+                    stats.results_returned = 0
+                results.append([])
+            else:
+                results.append(run_one(profile, window, stats))
+        return results
+
     def run_topk_batch(
         self,
         profiles: "list[ProfileData]",
@@ -153,20 +166,13 @@ class KernelBackend(abc.ABC):
         descending: bool,
         stats_list: "list[QueryStats | None]",
     ) -> "list[list[FeatureResult]]":
-        results = []
-        for profile, window, stats in zip(profiles, windows, stats_list):
-            if window is None:
-                if stats is not None:
-                    stats.results_returned = 0
-                results.append([])
-                continue
-            results.append(
-                self.run_topk(
-                    profile, slot, type_id, window, reduce_fn, spec, k,
-                    descending, stats,
-                )
-            )
-        return results
+        return self._run_each(
+            lambda profile, window, stats: self.run_topk(
+                profile, slot, type_id, window, reduce_fn, spec, k,
+                descending, stats,
+            ),
+            profiles, windows, stats_list,
+        )
 
     def run_filter_batch(
         self,
@@ -178,20 +184,12 @@ class KernelBackend(abc.ABC):
         predicate: Callable,
         stats_list: "list[QueryStats | None]",
     ) -> "list[list[FeatureResult]]":
-        results = []
-        for profile, window, stats in zip(profiles, windows, stats_list):
-            if window is None:
-                if stats is not None:
-                    stats.results_returned = 0
-                results.append([])
-                continue
-            results.append(
-                self.run_filter(
-                    profile, slot, type_id, window, reduce_fn, predicate,
-                    stats,
-                )
-            )
-        return results
+        return self._run_each(
+            lambda profile, window, stats: self.run_filter(
+                profile, slot, type_id, window, reduce_fn, predicate, stats
+            ),
+            profiles, windows, stats_list,
+        )
 
     def run_decay_batch(
         self,
@@ -206,20 +204,13 @@ class KernelBackend(abc.ABC):
         k: int | None,
         stats_list: "list[QueryStats | None]",
     ) -> "list[list[FeatureResult]]":
-        results = []
-        for profile, window, stats in zip(profiles, windows, stats_list):
-            if window is None:
-                if stats is not None:
-                    stats.results_returned = 0
-                results.append([])
-                continue
-            results.append(
-                self.run_decay(
-                    profile, slot, type_id, window, reduce_fn, decay_fn,
-                    decay_factor, spec, k, stats,
-                )
-            )
-        return results
+        return self._run_each(
+            lambda profile, window, stats: self.run_decay(
+                profile, slot, type_id, window, reduce_fn, decay_fn,
+                decay_factor, spec, k, stats,
+            ),
+            profiles, windows, stats_list,
+        )
 
     # ------------------------------------------------------------------
     # Compaction kernel

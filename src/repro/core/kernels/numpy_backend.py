@@ -45,6 +45,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..aggregate import AggregateFn
+from ..columnar import new_stat
 from ..feature import INT64_MIN, FeatureStat
 from .base import KernelBackend, SortSpec, aggregate_name
 from .python_backend import PythonBackend
@@ -70,17 +71,6 @@ def _max_abs(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
     return max(int(matrix.max()), -int(matrix.min()))
-
-
-def _make_stat(fid, counts, last_timestamp_ms, fid_index) -> FeatureStat:
-    """Build a FeatureStat from already-clamped Python ints, skipping the
-    constructor's per-element re-clamping."""
-    stat = FeatureStat.__new__(FeatureStat)
-    stat.fid = fid
-    stat.counts = counts
-    stat.last_timestamp_ms = last_timestamp_ms
-    stat.fid_index = fid_index
-    return stat
 
 
 class _Columns:
@@ -126,35 +116,51 @@ class _Columns:
         return self.matrix.shape[1]
 
 
+def _snapshot(column) -> np.ndarray:
+    """A private int64 copy of one ``array('q')`` column.
+
+    ``array.tobytes()`` is one C call under the GIL and no buffer export
+    outlives it, so a concurrent writer can always resize the column.
+    (``np.array(column)`` holds an export while it copies and can release
+    the GIL on larger columns: a concurrent ``ColumnGroup._append_row``
+    died with ``BufferError`` half-way through growing its columns and
+    left them ragged for good.)  The second copy moves the rows into a
+    buffer numpy owns, as they were before: arrays left backed by the
+    ``bytes`` objects measured +1.0–1.4 KB of RSS per 192-row profile on
+    every e2e workload and, through the heap layout they leave, a
+    256-profile batch 1 ms slower in ``bench_kernels``.
+    """
+    return np.frombuffer(column.tobytes(), dtype=np.int64).copy()
+
+
 def _columns_from_group(group):
     """Wrap a columnar :class:`~repro.core.columnar.ColumnGroup` directly.
 
     The primary representation already is flat int64 — no per-stat gather
-    happens here, just one memcpy per column.  (``np.array`` copies out of
-    the buffer and releases the export immediately, so the group's arrays
-    stay resizable.)
+    happens here, just a :func:`_snapshot` of each column, which never
+    blocks a concurrent writer.
     """
     n_rows = len(group)
     if not n_rows:
         return None
     stride = group.stride
-    fid_arr = np.array(group.fids)
+    fid_arr = _snapshot(group.fids)
     if int(fid_arr.min()) == INT64_MIN:
         return _UNVECTORIZABLE  # -fid sort key not representable.
     matrix = (
-        np.array(group.counts).reshape(n_rows, stride)
+        _snapshot(group.counts).reshape(n_rows, stride)
         if stride
         else np.zeros((n_rows, 0), dtype=np.int64)
     )
-    ts_arr = np.array(group.ts)
+    ts_arr = _snapshot(group.ts)
     if group.widths is None:
         width_arr = None  # materialised lazily: every row is stride wide
         uniform = True
     else:
-        width_arr = np.array(group.widths)
+        width_arr = _snapshot(group.widths)
         uniform = bool((width_arr == stride).all())
     fid_index_arr = (
-        None if group.fid_index is None else np.array(group.fid_index)
+        None if group.fid_index is None else _snapshot(group.fid_index)
     )
     return _Columns(fid_arr, matrix, ts_arr, width_arr, fid_index_arr, uniform)
 
@@ -203,34 +209,19 @@ def _columns_from_lists(fids, rows, ts, fid_index):
 
 
 class _Gathered:
-    """Concatenated columnar blocks for one window."""
+    """One batch's rows: every profile's blocks concatenated."""
 
-    __slots__ = ("columns", "segments", "slices_scanned")
+    __slots__ = ("columns", "segments", "pids", "scanned", "rows")
 
-    def __init__(self, columns, segments, slices_scanned) -> None:
-        self.columns = columns    # _Columns | None (no rows in window)
+    def __init__(self, columns, segments, pids, scanned, rows) -> None:
+        self.columns = columns    # _Columns | None (no rows in any window)
         #: (start_row, end_row, weight) for slices with weight != 1.0.
         self.segments = segments
-        self.slices_scanned = slices_scanned
-
-    @property
-    def n_rows(self) -> int:
-        return 0 if self.columns is None else self.columns.n_rows
-
-
-class _BatchGather:
-    """Per-profile accounting for one member of a batch gather.
-
-    The batch path never builds per-profile column arrays (blocks flow
-    straight into the global combine), so all a profile keeps is what
-    ``_commit_stats`` needs.
-    """
-
-    __slots__ = ("slices_scanned", "n_rows")
-
-    def __init__(self, slices_scanned, n_rows) -> None:
-        self.slices_scanned = slices_scanned
-        self.n_rows = n_rows
+        #: (n,) int64 row -> profile index; ``None`` for a one-profile
+        #: batch, whose sorts then need no pid key.
+        self.pids = pids
+        self.scanned = scanned    # per profile, feeds QueryStats.slices_scanned
+        self.rows = rows          # per profile, feeds QueryStats.features_merged
 
 
 #: Distinguishes "slice cache holds None for this key" (an empty
@@ -251,30 +242,43 @@ class _ProfileGather:
     validation fails and the memo is rebuilt.
     """
 
-    __slots__ = ("slices", "entries", "columns", "scanned")
+    __slots__ = ("slices", "entries", "columns")
 
-    def __init__(self, slices, entries, columns, scanned) -> None:
+    def __init__(self, slices, entries, columns) -> None:
         self.slices = slices      # tuple[Slice], window order (newest first)
         self.entries = entries    # parallel per-slice cache values
         self.columns = columns    # combined _Columns | None (no rows)
-        self.scanned = scanned    # feeds QueryStats.slices_scanned
 
 
 class _Merged:
-    """Columnar accumulator: one row per distinct fid, fid-ascending."""
+    """Columnar accumulator: one row per distinct (profile, fid), ascending."""
 
-    __slots__ = ("fids", "counts", "ts", "widths", "first_row")
+    __slots__ = ("fids", "counts", "ts", "widths", "first_row", "pids")
 
-    def __init__(self, fids, counts, ts, widths, first_row) -> None:
-        self.fids = fids          # (n,) int64, ascending
+    def __init__(self, fids, counts, ts, widths, first_row, pids) -> None:
+        self.fids = fids          # (n,) int64, ascending within a profile
         self.counts = counts      # (n, W) int64
         self.ts = ts              # (n,) int64 max contributor timestamp
         self.widths = widths      # (n,) int64 max width; None = all W wide
         self.first_row = first_row  # original row of first contribution
+        self.pids = pids          # (n,) int64 profile index, ascending; or None
 
 
 class NumpyBackend(KernelBackend):
-    """numpy-accelerated kernels, reference-exact or delegating."""
+    """numpy-accelerated kernels, reference-exact or delegating.
+
+    Every read is a batch: rows of all profiles of a multi-get share one
+    gather → reduce → order → materialise pass, and a point read is the
+    one-profile batch.  With more than one profile the rows carry a
+    profile-index (pid) column — grouping keys on (pid, fid) and the
+    ordering lexsort puts pid outermost, so each profile's segment of the
+    ordered output is contiguous and equals its one-profile ordering
+    exactly (the keys are identical and the sorts stable); a one-profile
+    batch elides the column and both sorts run without the extra key.
+    Exactness guards are evaluated batch-wide — conservative, but a
+    tripped batch re-runs profile by profile, and a tripped one-profile
+    batch is the reference loop's.
+    """
 
     name = "numpy"
 
@@ -282,11 +286,17 @@ class NumpyBackend(KernelBackend):
     #: reference path — tiny dict merges beat array setup costs.
     fold_min_features = 128
 
+    #: Cap on distinct memo keys per profile (distinct resolved windows);
+    #: beyond this the memo resets, bounding growth on write-heavy
+    #: profiles whose anchored windows shift with every write.
+    _PROFILE_MEMO_LIMIT = 8
+
     def __init__(self) -> None:
         self._reference = PythonBackend()
 
     # ------------------------------------------------------------------
-    # Gather: per-slice columnar projections, memoised on the slice
+    # Gather: per-slice columnar projections, memoised on the slice, and
+    # their per-window combination, memoised on the profile
     # ------------------------------------------------------------------
 
     def _slice_columns(self, profile_slice, slot, type_id):
@@ -323,29 +333,124 @@ class NumpyBackend(KernelBackend):
         cache[key] = columns
         return columns
 
-    def _gather(self, profile, slot, type_id, window, decay):
-        """Collect the window's blocks; ``None`` means delegate."""
-        blocks: list[_Columns] = []
-        segments: list[tuple[int, int, float]] = []
-        scanned = 0
-        total = 0
-        for profile_slice, weight in self.iter_weighted_slices(
-            profile, window, decay
+    def _profile_gather(self, profile, slot, type_id, window, keep):
+        """The profile's combined (slot, type) projection for one window.
+
+        Memoised in ``ProfileData.kernel_cache`` and revalidated by
+        identity on every hit (see :class:`_ProfileGather`).  A miss is
+        stored only when ``keep``: the memo is a second resident copy of
+        the window's rows, which a multi-get earns back (its numpy-call
+        count stays constant in the batch size) and a profile read alone
+        does not — storing on point reads measured +10 KB of RSS per
+        192-row profile.  Returns ``None`` when some row cannot be
+        vectorised.
+        """
+        key = (slot, type_id, window.start_ms, window.end_ms)
+        cache = profile.kernel_cache
+        memo = cache.get(key)
+        entry_key = (slot, type_id)
+        if memo is not None:
+            cached_slices = memo.slices
+            entries = memo.entries
+            count = len(cached_slices)
+            i = 0
+            for profile_slice in profile.slices_in_window(
+                window.start_ms, window.end_ms
+            ):
+                if (
+                    i >= count
+                    or cached_slices[i] is not profile_slice
+                    or profile_slice.kernel_cache.get(entry_key, _MISSING)
+                    is not entries[i]
+                ):
+                    i = -1
+                    break
+                i += 1
+            if i == count:
+                return memo
+        slice_list: list = []
+        entry_list: list = []
+        profile_blocks: list[_Columns] = []
+        for profile_slice in profile.slices_in_window(
+            window.start_ms, window.end_ms
         ):
-            scanned += 1
-            if weight <= 0.0:
-                continue
             columns = self._slice_columns(profile_slice, slot, type_id)
             if columns is _UNVECTORIZABLE:
                 return None
-            if columns is None:
+            slice_list.append(profile_slice)
+            entry_list.append(columns)
+            if columns is not None:
+                profile_blocks.append(columns)
+        memo = _ProfileGather(
+            tuple(slice_list), entry_list, self._combine(profile_blocks)
+        )
+        if keep:
+            if len(cache) >= self._PROFILE_MEMO_LIMIT:
+                cache.clear()
+            cache[key] = memo
+        return memo
+
+    def _gather(self, profiles, slot, type_id, windows, decay):
+        """One flat gather: every profile's blocks feed a single combine.
+
+        Blocks from all profiles go straight into one global block list
+        (plus a pid per block, so the row→profile map is a single
+        ``np.repeat``): a 256-profile multi-get runs the same ~constant
+        number of numpy calls as a point read.  A weight-free read
+        contributes one pre-combined block per profile, taken from the
+        profile memo (which only a multi-get populates); a decay read
+        walks the slices so that each block keeps its weight.
+        ``windows[i] is None`` (the range resolved to nothing) scans no
+        slice and contributes no row.
+
+        Returns ``None`` when some profile cannot be vectorised.
+        """
+        blocks: list[_Columns] = []
+        block_pids: list[int] = []
+        segments: list[tuple[int, int, float]] = []
+        scanned = [0] * len(profiles)
+        rows = [0] * len(profiles)
+        total = 0
+        for index, (profile, window) in enumerate(zip(profiles, windows)):
+            if window is None:
                 continue
-            start = total
-            total += columns.n_rows
-            blocks.append(columns)
-            if weight != 1.0:
-                segments.append((start, total, weight))
-        return _Gathered(self._combine(blocks), segments, scanned)
+            if decay is None:
+                memo = self._profile_gather(
+                    profile, slot, type_id, window, len(profiles) > 1
+                )
+                if memo is None:
+                    return None
+                scanned[index] = len(memo.slices)
+                weighted = ((memo.columns, 1.0),)
+            else:
+                weighted = []
+                for profile_slice, weight in self.iter_weighted_slices(
+                    profile, window, decay
+                ):
+                    scanned[index] += 1
+                    if weight > 0.0:
+                        columns = self._slice_columns(profile_slice, slot, type_id)
+                        weighted.append((columns, weight))
+            first = total
+            for columns, weight in weighted:
+                if columns is _UNVECTORIZABLE:
+                    return None
+                if columns is None:
+                    continue
+                blocks.append(columns)
+                block_pids.append(index)
+                end = total + columns.n_rows
+                if weight != 1.0:
+                    segments.append((total, end, weight))
+                total = end
+            rows[index] = total - first
+        pids = None
+        if len(profiles) > 1 and blocks:
+            pids = np.repeat(
+                np.asarray(block_pids, dtype=np.int64),
+                np.asarray([block.n_rows for block in blocks], dtype=np.intp),
+            )
+        return _Gathered(self._combine(blocks), segments, pids, scanned, rows)
 
     @staticmethod
     def _combine(blocks: list[_Columns]):
@@ -392,11 +497,11 @@ class NumpyBackend(KernelBackend):
         )
 
     # ------------------------------------------------------------------
-    # Reduce: group by fid and aggregate column-wise
+    # Reduce: group by (pid, fid) and aggregate column-wise
     # ------------------------------------------------------------------
 
     def _reduce(
-        self, gathered: _Gathered, agg: str, need_first_row: bool
+        self, columns: _Columns, segments, pid_arr, agg: str, need_first_row: bool
     ) -> _Merged | None:
         """Columnar merge; ``None`` means an exactness guard tripped.
 
@@ -404,20 +509,21 @@ class NumpyBackend(KernelBackend):
         (the surviving ``fid_index`` when stats are materialised); it
         forces a stable grouping sort, as does the LAST aggregate.
         """
-        columns = gathered.columns
         n_rows = columns.n_rows
         matrix = columns.matrix
 
-        if gathered.segments and matrix.size:
+        if segments and matrix.size:
             if _max_abs(matrix) >= _FLOAT_EXACT_BOUND:
                 return None
             scaled = matrix.astype(np.float64)
-            for start, end, weight in gathered.segments:
+            for start, end, weight in segments:
                 np.trunc(scaled[start:end] * weight, out=scaled[start:end])
             matrix = scaled.astype(np.int64)
 
         fid_arr = columns.fids
-        if need_first_row or agg == "last":
+        if pid_arr is not None:
+            order = np.lexsort((fid_arr, pid_arr))  # stable; pid outermost
+        elif need_first_row or agg == "last":
             order = np.argsort(fid_arr, kind="stable")
         else:
             order = np.argsort(fid_arr)  # SUM/MAX/MIN are order-free.
@@ -425,10 +531,15 @@ class NumpyBackend(KernelBackend):
         group_head = np.empty(n_rows, dtype=bool)
         group_head[0] = True
         group_head[1:] = sorted_fids[1:] != sorted_fids[:-1]
+        sorted_pids = None
+        if pid_arr is not None:
+            sorted_pids = pid_arr[order]
+            group_head[1:] |= sorted_pids[1:] != sorted_pids[:-1]
         starts = np.flatnonzero(group_head)
 
         matrix_sorted = matrix[order]
         if agg == "sum":
+            # Conservative across a batch: any profile could saturate.
             if n_rows * _max_abs(matrix) >= _INT64_BOUND:
                 return None  # Reference clamps per fold; delegate.
             counts = np.add.reduceat(matrix_sorted, starts, axis=0)
@@ -449,6 +560,7 @@ class NumpyBackend(KernelBackend):
                 else np.maximum.reduceat(columns.widths[order], starts)
             ),
             first_row=order[starts] if need_first_row else None,
+            pids=None if sorted_pids is None else sorted_pids[starts],
         )
 
     # ------------------------------------------------------------------
@@ -468,7 +580,8 @@ class NumpyBackend(KernelBackend):
     def _ascending_order(
         self, merged: _Merged, spec: SortSpec
     ) -> np.ndarray | None:
-        """The reference key tuples as a lexsort; ``None`` = guard trip.
+        """The reference key tuples as a lexsort, pid outermost when the
+        batch has one; ``None`` = guard trip.
 
         Every key ends in a unique fid component, so the total order is
         unique and ascending-then-reverse equals the reference's
@@ -477,27 +590,27 @@ class NumpyBackend(KernelBackend):
         from ..query import SortType
 
         if spec.sort_type is SortType.FEATURE_ID:
-            return np.arange(len(merged.fids))  # fids already ascending
-        neg_fid = -merged.fids
+            return np.arange(len(merged.fids))  # already (pid, fid) ascending
         if spec.sort_type is SortType.ATTRIBUTE:
-            primary = self._attribute_column(merged, spec.attribute_index)
-            return np.lexsort((neg_fid, merged.ts, primary))
-        if spec.sort_type is SortType.TIMESTAMP:
+            keys = (merged.ts, self._attribute_column(merged, spec.attribute_index))
+        elif spec.sort_type is SortType.WEIGHTED:
+            # Accumulate columns left-to-right in caller order so the
+            # float result matches the reference's sum() bit-for-bit.
+            score = np.zeros(len(merged.fids), dtype=np.float64)
+            for index, weight in spec.weight_vector:
+                score += self._attribute_column(merged, index).astype(np.float64) * weight
+            keys = (merged.ts, score)
+        else:
             totals = self._totals(merged)
             if totals is None:
                 return None
-            return np.lexsort((neg_fid, totals, merged.ts))
-        if spec.sort_type is SortType.TOTAL:
-            totals = self._totals(merged)
-            if totals is None:
-                return None
-            return np.lexsort((neg_fid, merged.ts, totals))
-        # WEIGHTED: accumulate columns left-to-right in caller order so the
-        # float result matches the reference's sum() bit-for-bit.
-        score = np.zeros(len(merged.fids), dtype=np.float64)
-        for index, weight in spec.weight_vector:
-            score += self._attribute_column(merged, index).astype(np.float64) * weight
-        return np.lexsort((neg_fid, merged.ts, score))
+            if spec.sort_type is SortType.TIMESTAMP:
+                keys = (totals, merged.ts)
+            else:  # TOTAL
+                keys = (merged.ts, totals)
+        if merged.pids is not None:
+            keys += (merged.pids,)
+        return np.lexsort((-merged.fids,) + keys)
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -521,95 +634,151 @@ class NumpyBackend(KernelBackend):
         ]
 
     def _materialize_stats(
-        self, merged: _Merged, gathered: _Gathered
+        self, merged: _Merged, columns: _Columns
     ) -> list[FeatureStat]:
         rows = merged.counts.tolist()
         fids = merged.fids.tolist()
         timestamps = merged.ts.tolist()
-        fid_index = gathered.columns.fid_index[merged.first_row].tolist()
+        fid_index = columns.fid_index[merged.first_row].tolist()
         if merged.widths is None:
             return [
-                _make_stat(fid, row, timestamp, index)
+                new_stat(fid, row, timestamp, index)
                 for fid, row, timestamp, index in zip(
                     fids, rows, timestamps, fid_index
                 )
             ]
         widths = merged.widths.tolist()
         return [
-            _make_stat(fid, row[:width], timestamp, index)
+            new_stat(fid, row[:width], timestamp, index)
             for fid, row, width, timestamp, index in zip(
                 fids, rows, widths, timestamps, fid_index
             )
         ]
 
     @staticmethod
-    def _commit_stats(stats, gathered: _Gathered, results) -> None:
+    def _commit_stats(stats, slices_scanned, n_rows, results) -> None:
         if stats is not None:
-            stats.slices_scanned += gathered.slices_scanned
-            stats.features_merged += gathered.n_rows
+            stats.slices_scanned += slices_scanned
+            stats.features_merged += n_rows
             stats.results_returned = len(results)
+
+    def _finish(
+        self, gathered: _Gathered, merged, ascending, k, descending, stats_list
+    ):
+        """Cut each profile's contiguous segment of the global order.
+
+        All segments are materialised in a single pass (one fancy-index
+        over the merged columns) and the resulting flat list split back
+        per profile — identical output, ~constant numpy-call count.
+        """
+        lengths = [0] * len(gathered.rows)
+        pieces: list[np.ndarray] = []
+        if merged is not None:
+            bounds = (
+                (0, len(ascending))
+                if merged.pids is None
+                else np.searchsorted(
+                    merged.pids[ascending], np.arange(len(lengths) + 1)
+                )
+            )
+            for index, n_rows in enumerate(gathered.rows):
+                if not n_rows:
+                    continue
+                segment = ascending[bounds[index] : bounds[index + 1]]
+                if descending:
+                    segment = segment[::-1]
+                if k is not None:
+                    segment = segment[:k]
+                lengths[index] = len(segment)
+                pieces.append(segment)
+        flat = []
+        if pieces:
+            flat = self._materialize_results(
+                merged, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            )
+        out = []
+        cursor = 0
+        for scanned, n_rows, stats, length in zip(
+            gathered.scanned, gathered.rows, stats_list, lengths
+        ):
+            results = flat[cursor : cursor + length]
+            cursor += length
+            self._commit_stats(stats, scanned, n_rows, results)
+            out.append(results)
+        return out
 
     # ------------------------------------------------------------------
     # Query kernels
     # ------------------------------------------------------------------
 
+    def _run_ranked(
+        self, profiles, slot, type_id, windows, reduce_fn, decay, spec, k,
+        descending, stats_list,
+    ):
+        """Top-K (``decay is None``) and decay reads of a whole batch."""
+        agg = aggregate_name(reduce_fn)
+        gathered = (
+            None
+            if agg is None
+            else self._gather(profiles, slot, type_id, windows, decay)
+        )
+        if gathered is not None:
+            merged = ascending = None
+            if gathered.columns is not None:
+                merged = self._reduce(
+                    gathered.columns, gathered.segments, gathered.pids, agg, False
+                )
+                if merged is not None:
+                    ascending = self._ascending_order(merged, spec)
+            if gathered.columns is None or ascending is not None:
+                return self._finish(
+                    gathered, merged, ascending, k, descending, stats_list
+                )
+        # A UDAF, an unvectorisable row or a tripped exactness guard.
+        # Profile by profile, so that one overflow-prone profile does not
+        # drag a whole multi-get onto the reference loop; a one-profile
+        # batch that still cannot vectorise is the reference's.
+        if len(profiles) > 1:
+            return [
+                self._run_ranked(
+                    [profile], slot, type_id, [window], reduce_fn, decay,
+                    spec, k, descending, [stats],
+                )[0]
+                for profile, window, stats in zip(profiles, windows, stats_list)
+            ]
+        if decay is None:
+            return self._reference.run_topk_batch(
+                profiles, slot, type_id, windows, reduce_fn, spec, k,
+                descending, stats_list,
+            )
+        return self._reference.run_decay_batch(
+            profiles, slot, type_id, windows, reduce_fn, *decay, spec, k,
+            stats_list,
+        )
+
     def run_topk(
         self, profile, slot, type_id, window, reduce_fn, spec, k, descending, stats
     ):
-        agg = aggregate_name(reduce_fn)
-        if agg is not None:
-            gathered = self._gather(profile, slot, type_id, window, None)
-            if gathered is not None:
-                results = []
-                if gathered.n_rows:
-                    merged = self._reduce(gathered, agg, False)
-                    ascending = (
-                        None
-                        if merged is None
-                        else self._ascending_order(merged, spec)
-                    )
-                    if ascending is None:
-                        return self._reference.run_topk(
-                            profile, slot, type_id, window, reduce_fn, spec,
-                            k, descending, stats,
-                        )
-                    order = ascending[::-1] if descending else ascending
-                    results = self._materialize_results(merged, order[:k])
-                self._commit_stats(stats, gathered, results)
-                return results
-        return self._reference.run_topk(
-            profile, slot, type_id, window, reduce_fn, spec, k,
-            descending, stats,
-        )
+        return self._run_ranked(
+            [profile], slot, type_id, [window], reduce_fn, None, spec, k,
+            descending, [stats],
+        )[0]
 
-    def run_filter(
-        self, profile, slot, type_id, window, reduce_fn, predicate, stats
+    def run_topk_batch(
+        self,
+        profiles,
+        slot,
+        type_id,
+        windows,
+        reduce_fn,
+        spec,
+        k,
+        descending,
+        stats_list,
     ):
-        agg = aggregate_name(reduce_fn)
-        if agg is not None:
-            gathered = self._gather(profile, slot, type_id, window, None)
-            if gathered is not None:
-                results = []
-                if gathered.n_rows:
-                    merged = self._reduce(gathered, agg, True)
-                    if merged is None:
-                        return self._reference.run_filter(
-                            profile, slot, type_id, window, reduce_fn,
-                            predicate, stats,
-                        )
-                    kept = [
-                        stat
-                        for stat in self._materialize_stats(merged, gathered)
-                        if predicate(stat)
-                    ]
-                    kept.sort(
-                        key=lambda stat: (stat.total(), stat.fid), reverse=True
-                    )
-                    results = self._reference.finalize(kept, None)
-                self._commit_stats(stats, gathered, results)
-                return results
-        return self._reference.run_filter(
-            profile, slot, type_id, window, reduce_fn, predicate, stats
+        return self._run_ranked(
+            profiles, slot, type_id, windows, reduce_fn, None, spec, k,
+            descending, stats_list,
         )
 
     def run_decay(
@@ -625,348 +794,10 @@ class NumpyBackend(KernelBackend):
         k,
         stats,
     ):
-        agg = aggregate_name(reduce_fn)
-        if agg is not None:
-            gathered = self._gather(
-                profile, slot, type_id, window, (decay_fn, decay_factor)
-            )
-            if gathered is not None:
-                results = []
-                if gathered.n_rows:
-                    merged = self._reduce(gathered, agg, False)
-                    ascending = (
-                        None
-                        if merged is None
-                        else self._ascending_order(merged, spec)
-                    )
-                    if ascending is None:
-                        return self._reference.run_decay(
-                            profile, slot, type_id, window, reduce_fn,
-                            decay_fn, decay_factor, spec, k, stats,
-                        )
-                    order = ascending[::-1]
-                    if k is not None:
-                        order = order[:k]
-                    results = self._materialize_results(merged, order)
-                self._commit_stats(stats, gathered, results)
-                return results
-        return self._reference.run_decay(
-            profile, slot, type_id, window, reduce_fn, decay_fn,
-            decay_factor, spec, k, stats,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch query kernels: one array program per multi-get
-    # ------------------------------------------------------------------
-    #
-    # All profiles of a multi-get share a single gather → group → sort
-    # pass: rows carry a profile-index (pid) column, grouping keys on
-    # (pid, fid) and the final lexsort puts pid outermost, so every
-    # profile's segment of the ordered output is contiguous and equals
-    # its single-query ordering exactly (the keys are identical and the
-    # sorts stable).  Exactness guards are evaluated batch-wide —
-    # conservative, but the fallback *is* the single-query path, which
-    # produces byte-identical results by the oracle's contract.
-
-    #: Cap on distinct memo keys per profile (distinct resolved windows);
-    #: beyond this the memo resets, bounding growth on write-heavy
-    #: profiles whose anchored windows shift with every write.
-    _PROFILE_MEMO_LIMIT = 8
-
-    def _profile_gather(self, profile, slot, type_id, window):
-        """The profile's combined (slot, type) projection for one window.
-
-        Memoised in ``ProfileData.kernel_cache`` and revalidated by
-        identity on every hit (see :class:`_ProfileGather`).  Returns
-        ``None`` when some row cannot be vectorised — the caller
-        delegates the whole batch to the reference loop.
-        """
-        key = (slot, type_id, window.start_ms, window.end_ms)
-        cache = profile.kernel_cache
-        memo = cache.get(key)
-        entry_key = (slot, type_id)
-        if memo is not None:
-            cached_slices = memo.slices
-            entries = memo.entries
-            count = len(cached_slices)
-            i = 0
-            for profile_slice in profile.slices_in_window(
-                window.start_ms, window.end_ms
-            ):
-                if (
-                    i >= count
-                    or cached_slices[i] is not profile_slice
-                    or profile_slice.kernel_cache.get(entry_key, _MISSING)
-                    is not entries[i]
-                ):
-                    i = -1
-                    break
-                i += 1
-            if i == count:
-                return memo
-        slice_list: list = []
-        entry_list: list = []
-        profile_blocks: list[_Columns] = []
-        for profile_slice in profile.slices_in_window(
-            window.start_ms, window.end_ms
-        ):
-            columns = self._slice_columns(profile_slice, slot, type_id)
-            if columns is _UNVECTORIZABLE:
-                return None
-            slice_list.append(profile_slice)
-            entry_list.append(columns)
-            if columns is not None:
-                profile_blocks.append(columns)
-        memo = _ProfileGather(
-            tuple(slice_list),
-            entry_list,
-            self._combine(profile_blocks),
-            len(slice_list),
-        )
-        if len(cache) >= self._PROFILE_MEMO_LIMIT:
-            cache.clear()
-        cache[key] = memo
-        return memo
-
-    def _gather_batch(self, profiles, slot, type_id, windows, decay):
-        """One flat gather: every profile's blocks feed a single combine.
-
-        No per-profile concatenation happens — blocks from all profiles
-        go straight into one global block list (plus a pid per block, so
-        the row→profile map is a single ``np.repeat``).  That is where
-        the batch win comes from: a 256-profile multi-get runs the same
-        ~constant number of numpy calls as one single-profile query.
-
-        Returns ``(per_profile, combined, pid_arr)`` where
-        ``per_profile[i]`` is ``None`` for an unresolved window or a
-        ``_BatchGather`` carrying that profile's stats accounting, or
-        ``None`` overall when any profile cannot be vectorised.
-        """
-        per_profile: list[_BatchGather | None] = []
-        blocks: list[_Columns] = []
-        block_pids: list[int] = []
-        block_rows: list[int] = []
-        segments: list[tuple[int, int, float]] = []
-        slice_columns = self._slice_columns
-        total = 0
-        for index, (profile, window) in enumerate(zip(profiles, windows)):
-            if window is None:
-                per_profile.append(None)
-                continue
-            scanned = 0
-            profile_start = total
-            if decay is None:
-                # Weight-free hot path (every weight is 1.0, no segments
-                # accrue — identical to iter_weighted_slices): the whole
-                # profile contributes one pre-combined block, memoised on
-                # the profile and revalidated by identity.
-                combined = self._profile_gather(profile, slot, type_id, window)
-                if combined is None:
-                    return None
-                if combined.columns is not None:
-                    total += combined.columns.n_rows
-                    blocks.append(combined.columns)
-                    block_pids.append(index)
-                    block_rows.append(combined.columns.n_rows)
-                per_profile.append(
-                    _BatchGather(combined.scanned, total - profile_start)
-                )
-                continue
-            else:
-                for profile_slice, weight in self.iter_weighted_slices(
-                    profile, window, decay
-                ):
-                    scanned += 1
-                    if weight <= 0.0:
-                        continue
-                    columns = slice_columns(profile_slice, slot, type_id)
-                    if columns is _UNVECTORIZABLE:
-                        return None
-                    if columns is None:
-                        continue
-                    start = total
-                    total += columns.n_rows
-                    blocks.append(columns)
-                    block_pids.append(index)
-                    block_rows.append(columns.n_rows)
-                    if weight != 1.0:
-                        segments.append((start, total, weight))
-            per_profile.append(_BatchGather(scanned, total - profile_start))
-        combined = _Gathered(self._combine(blocks), segments, 0)
-        pid_arr = (
-            np.repeat(
-                np.asarray(block_pids, dtype=np.int64),
-                np.asarray(block_rows, dtype=np.intp),
-            )
-            if blocks
-            else None
-        )
-        return per_profile, combined, pid_arr
-
-    def _reduce_batch(self, gathered: _Gathered, pid_arr, agg: str):
-        """Group the combined rows by (pid, fid); ``None`` = guard trip."""
-        columns = gathered.columns
-        n_rows = columns.n_rows
-        matrix = columns.matrix
-
-        if gathered.segments and matrix.size:
-            if _max_abs(matrix) >= _FLOAT_EXACT_BOUND:
-                return None
-            scaled = matrix.astype(np.float64)
-            for start, end, weight in gathered.segments:
-                np.trunc(scaled[start:end] * weight, out=scaled[start:end])
-            matrix = scaled.astype(np.int64)
-
-        fid_arr = columns.fids
-        order = np.lexsort((fid_arr, pid_arr))  # stable; pid outermost
-        sorted_fids = fid_arr[order]
-        sorted_pids = pid_arr[order]
-        group_head = np.empty(n_rows, dtype=bool)
-        group_head[0] = True
-        group_head[1:] = (sorted_fids[1:] != sorted_fids[:-1]) | (
-            sorted_pids[1:] != sorted_pids[:-1]
-        )
-        starts = np.flatnonzero(group_head)
-
-        matrix_sorted = matrix[order]
-        if agg == "sum":
-            if n_rows * _max_abs(matrix) >= _INT64_BOUND:
-                return None  # Conservative: any profile could saturate.
-            counts = np.add.reduceat(matrix_sorted, starts, axis=0)
-        elif agg == "max":
-            counts = np.maximum.reduceat(matrix_sorted, starts, axis=0)
-        elif agg == "min":
-            counts = np.minimum.reduceat(matrix_sorted, starts, axis=0)
-        else:  # "last"
-            group_last = np.append(starts[1:], n_rows) - 1
-            counts = matrix_sorted[group_last]
-        merged = _Merged(
-            fids=sorted_fids[starts],
-            counts=counts,
-            ts=np.maximum.reduceat(columns.ts[order], starts),
-            widths=(
-                None
-                if columns.uniform
-                else np.maximum.reduceat(columns.widths[order], starts)
-            ),
-            first_row=None,
-        )
-        return merged, sorted_pids[starts]
-
-    def _batch_order(self, merged: _Merged, group_pids, spec: SortSpec):
-        """Ascending global order by (pid, spec keys); ``None`` = guard."""
-        from ..query import SortType
-
-        if spec.sort_type is SortType.FEATURE_ID:
-            return np.arange(len(merged.fids))  # already (pid, fid) asc
-        neg_fid = -merged.fids
-        if spec.sort_type is SortType.ATTRIBUTE:
-            primary = self._attribute_column(merged, spec.attribute_index)
-            return np.lexsort((neg_fid, merged.ts, primary, group_pids))
-        if spec.sort_type is SortType.TIMESTAMP:
-            totals = self._totals(merged)
-            if totals is None:
-                return None
-            return np.lexsort((neg_fid, totals, merged.ts, group_pids))
-        if spec.sort_type is SortType.TOTAL:
-            totals = self._totals(merged)
-            if totals is None:
-                return None
-            return np.lexsort((neg_fid, merged.ts, totals, group_pids))
-        score = np.zeros(len(merged.fids), dtype=np.float64)
-        for index, weight in spec.weight_vector:
-            score += self._attribute_column(merged, index).astype(np.float64) * weight
-        return np.lexsort((neg_fid, merged.ts, score, group_pids))
-
-    def _finish_batch(
-        self,
-        profiles,
-        per_profile,
-        merged,
-        group_pids,
-        ascending,
-        k,
-        descending,
-        stats_list,
-    ):
-        """Cut each profile's contiguous segment of the global order.
-
-        All segments are materialised in a single pass (one fancy-index
-        over the merged columns) and the resulting flat list split back
-        per profile — identical output, ~constant numpy-call count.
-        """
-        lengths = [0] * len(profiles)
-        pieces: list[np.ndarray] = []
-        if merged is not None:
-            ordered_pids = group_pids[ascending]
-            bounds = np.searchsorted(
-                ordered_pids, np.arange(len(profiles) + 1)
-            )
-            for index, gathered in enumerate(per_profile):
-                if gathered is None or not gathered.n_rows:
-                    continue
-                segment = ascending[bounds[index] : bounds[index + 1]]
-                if descending:
-                    segment = segment[::-1]
-                if k is not None:
-                    segment = segment[:k]
-                lengths[index] = len(segment)
-                pieces.append(segment)
-        flat = (
-            self._materialize_results(merged, np.concatenate(pieces))
-            if pieces
-            else []
-        )
-        out = []
-        cursor = 0
-        for gathered, stats, length in zip(per_profile, stats_list, lengths):
-            if gathered is None:  # window resolved to nothing
-                if stats is not None:
-                    stats.results_returned = 0
-                out.append([])
-                continue
-            results = flat[cursor : cursor + length] if length else []
-            cursor += length
-            self._commit_stats(stats, gathered, results)
-            out.append(results)
-        return out
-
-    def run_topk_batch(
-        self,
-        profiles,
-        slot,
-        type_id,
-        windows,
-        reduce_fn,
-        spec,
-        k,
-        descending,
-        stats_list,
-    ):
-        agg = aggregate_name(reduce_fn)
-        if agg is not None:
-            plan = self._gather_batch(profiles, slot, type_id, windows, None)
-            if plan is not None:
-                gathered_list, combined, pid_arr = plan
-                merged = group_pids = ascending = None
-                guard_tripped = False
-                if combined.columns is not None:
-                    reduced = self._reduce_batch(combined, pid_arr, agg)
-                    if reduced is None:
-                        guard_tripped = True
-                    else:
-                        merged, group_pids = reduced
-                        ascending = self._batch_order(merged, group_pids, spec)
-                        guard_tripped = ascending is None
-                if not guard_tripped:
-                    return self._finish_batch(
-                        profiles, gathered_list, merged, group_pids,
-                        ascending, k, descending, stats_list,
-                    )
-        return super().run_topk_batch(
-            profiles, slot, type_id, windows, reduce_fn, spec, k,
-            descending, stats_list,
-        )
+        return self._run_ranked(
+            [profile], slot, type_id, [window], reduce_fn,
+            (decay_fn, decay_factor), spec, k, True, [stats],
+        )[0]
 
     def run_decay_batch(
         self,
@@ -981,36 +812,43 @@ class NumpyBackend(KernelBackend):
         k,
         stats_list,
     ):
-        agg = aggregate_name(reduce_fn)
-        if agg is not None:
-            plan = self._gather_batch(
-                profiles, slot, type_id, windows, (decay_fn, decay_factor)
-            )
-            if plan is not None:
-                gathered_list, combined, pid_arr = plan
-                merged = group_pids = ascending = None
-                guard_tripped = False
-                if combined.columns is not None:
-                    reduced = self._reduce_batch(combined, pid_arr, agg)
-                    if reduced is None:
-                        guard_tripped = True
-                    else:
-                        merged, group_pids = reduced
-                        ascending = self._batch_order(merged, group_pids, spec)
-                        guard_tripped = ascending is None
-                if not guard_tripped:
-                    return self._finish_batch(
-                        profiles, gathered_list, merged, group_pids,
-                        ascending, k, True, stats_list,
-                    )
-        return super().run_decay_batch(
-            profiles, slot, type_id, windows, reduce_fn, decay_fn,
-            decay_factor, spec, k, stats_list,
+        return self._run_ranked(
+            profiles, slot, type_id, windows, reduce_fn,
+            (decay_fn, decay_factor), spec, k, True, stats_list,
         )
 
-    # run_filter_batch stays on the base loop: the predicate is an opaque
-    # Python callable applied per stat, so there is nothing to vectorise
-    # across profiles.
+    def run_filter(
+        self, profile, slot, type_id, window, reduce_fn, predicate, stats
+    ):
+        # run_filter_batch stays on the base loop: the predicate is an
+        # opaque Python callable applied per stat, so there is nothing to
+        # vectorise across profiles.
+        agg = aggregate_name(reduce_fn)
+        gathered = (
+            None
+            if agg is None
+            else self._gather([profile], slot, type_id, [window], None)
+        )
+        merged = None
+        vectorised = gathered is not None
+        if vectorised and gathered.columns is not None:
+            merged = self._reduce(gathered.columns, (), None, agg, True)
+            vectorised = merged is not None
+        if not vectorised:
+            return self._reference.run_filter(
+                profile, slot, type_id, window, reduce_fn, predicate, stats
+            )
+        results = []
+        if merged is not None:
+            kept = [
+                stat
+                for stat in self._materialize_stats(merged, gathered.columns)
+                if predicate(stat)
+            ]
+            kept.sort(key=lambda stat: (stat.total(), stat.fid), reverse=True)
+            results = self._reference.finalize(kept, None)
+        self._commit_stats(stats, gathered.scanned[0], gathered.rows[0], results)
+        return results
 
     # ------------------------------------------------------------------
     # Compaction kernel
@@ -1065,8 +903,7 @@ class NumpyBackend(KernelBackend):
         columns = _columns_from_lists(fids, rows, ts, fid_index)
         merged = None
         if columns is not _UNVECTORIZABLE:
-            gathered = _Gathered(columns, [], 0)
-            merged = self._reduce(gathered, agg, True)
+            merged = self._reduce(columns, (), None, agg, True)
         if merged is None:
             # Exactness guard: reference per-stat fold for this group only.
             by_fid = {stat.fid: stat for stat in target_stats}
@@ -1079,4 +916,4 @@ class NumpyBackend(KernelBackend):
                         stat.counts, reduce_fn, stat.last_timestamp_ms
                     )
             return list(by_fid.values())
-        return self._materialize_stats(merged, gathered)
+        return self._materialize_stats(merged, columns)

@@ -26,7 +26,7 @@ from ..config import TableConfig
 from ..errors import InvalidQueryError
 from .aggregate import AggregateFn
 from .decay import DECAYS, DecayFn
-from .feature import FeatureStat, clamp_int64
+from .feature import FeatureStat
 from .profile import ProfileData
 from .timerange import ResolvedWindow, TimeRange
 
@@ -252,6 +252,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Public query entry points
     # ------------------------------------------------------------------
+    #
+    # Every read is a batch: a point read is the one-profile batch, and
+    # each pair of entry points below shares one private implementation,
+    # where validation, sort-spec, window and aggregate resolution are
+    # written once per query kind.  Validation and sort-spec resolution
+    # happen once per batch; window resolution is per profile (CURRENT
+    # ranges anchor to each profile's newest timestamp).  Batch results
+    # are parallel to ``profiles`` and each list is byte-identical to the
+    # corresponding point read on the reference backend — the batch
+    # differential oracle enforces this.
 
     def top_k(
         self,
@@ -276,16 +286,45 @@ class QueryEngine:
         overrides the table's pre-configured reduce function for this
         query only (a query-time UDAF).
         """
+        return self._top_k(
+            [profile], slot, type_id, time_range, sort_type, k, now_ms,
+            sort_attribute, sort_weights, descending, aggregate, [stats],
+        )[0]
+
+    def top_k_batch(
+        self,
+        profiles: Sequence[ProfileData],
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        sort_type: SortType,
+        k: int,
+        now_ms: int,
+        sort_attribute: str | None = None,
+        sort_weights: dict[str, float] | None = None,
+        descending: bool = True,
+        aggregate: AggregateFn | None = None,
+        stats_list: "Sequence[QueryStats | None] | None" = None,
+    ) -> list[list[FeatureResult]]:
+        return self._top_k(
+            profiles, slot, type_id, time_range, sort_type, k, now_ms,
+            sort_attribute, sort_weights, descending, aggregate, stats_list,
+        )
+
+    def _top_k(
+        self, profiles, slot, type_id, time_range, sort_type, k, now_ms,
+        sort_attribute, sort_weights, descending, aggregate, stats_list,
+    ):
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         spec = self._resolve_sort_spec(sort_type, sort_attribute, sort_weights)
-        window = time_range.resolve(now_ms, profile.newest_timestamp_ms())
-        if window is None:
-            return self._empty(stats)
         reduce_fn = aggregate if aggregate is not None else self._aggregate
-        return self._backend.run_topk(
-            profile, slot, type_id, window, reduce_fn, spec, k,
-            descending, stats,
+        profiles, windows, stats_list = self._resolve_batch(
+            profiles, time_range, now_ms, stats_list
+        )
+        return self._backend.run_topk_batch(
+            profiles, slot, type_id, windows, reduce_fn, spec, k, descending,
+            stats_list,
         )
 
     def filter(
@@ -303,11 +342,33 @@ class QueryEngine:
         Results are returned in descending total-count order so callers get a
         deterministic, relevance-flavoured ordering.
         """
-        window = time_range.resolve(now_ms, profile.newest_timestamp_ms())
-        if window is None:
-            return self._empty(stats)
-        return self._backend.run_filter(
-            profile, slot, type_id, window, self._aggregate, predicate, stats
+        return self._filter(
+            [profile], slot, type_id, time_range, predicate, now_ms, [stats]
+        )[0]
+
+    def filter_batch(
+        self,
+        profiles: Sequence[ProfileData],
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        predicate: FilterFn,
+        now_ms: int,
+        stats_list: "Sequence[QueryStats | None] | None" = None,
+    ) -> list[list[FeatureResult]]:
+        return self._filter(
+            profiles, slot, type_id, time_range, predicate, now_ms, stats_list
+        )
+
+    def _filter(
+        self, profiles, slot, type_id, time_range, predicate, now_ms, stats_list
+    ):
+        profiles, windows, stats_list = self._resolve_batch(
+            profiles, time_range, now_ms, stats_list
+        )
+        return self._backend.run_filter_batch(
+            profiles, slot, type_id, windows, self._aggregate, predicate,
+            stats_list,
         )
 
     def decay(
@@ -329,81 +390,10 @@ class QueryEngine:
         where age is measured from the slice midpoint to the window end, then
         merged as usual.  An optional top-K cut applies afterwards.
         """
-        if k is not None and k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        spec = self._resolve_sort_spec(
-            SortType.ATTRIBUTE if sort_attribute else SortType.TOTAL,
-            sort_attribute,
-            None,
-        )
-        window = time_range.resolve(now_ms, profile.newest_timestamp_ms())
-        if window is None:
-            return self._empty(stats)
-        return self._backend.run_decay(
-            profile, slot, type_id, window, self._aggregate,
-            decay_fn, decay_factor, spec, k, stats,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch entry points (multi-get)
-    # ------------------------------------------------------------------
-    #
-    # Validation and sort-spec resolution happen once per batch; window
-    # resolution is per profile (CURRENT ranges anchor to each profile's
-    # newest timestamp).  Results are parallel to ``profiles`` and each
-    # list is byte-identical to the corresponding single-profile call —
-    # the batch differential oracle enforces this.
-
-    def top_k_batch(
-        self,
-        profiles: Sequence[ProfileData],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType,
-        k: int,
-        now_ms: int,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        descending: bool = True,
-        aggregate: AggregateFn | None = None,
-        stats_list: "Sequence[QueryStats | None] | None" = None,
-    ) -> list[list[FeatureResult]]:
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        spec = self._resolve_sort_spec(sort_type, sort_attribute, sort_weights)
-        windows = [
-            time_range.resolve(now_ms, profile.newest_timestamp_ms())
-            for profile in profiles
-        ]
-        reduce_fn = aggregate if aggregate is not None else self._aggregate
-        if stats_list is None:
-            stats_list = [None] * len(profiles)
-        return self._backend.run_topk_batch(
-            list(profiles), slot, type_id, windows, reduce_fn, spec, k,
-            descending, list(stats_list),
-        )
-
-    def filter_batch(
-        self,
-        profiles: Sequence[ProfileData],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        now_ms: int,
-        stats_list: "Sequence[QueryStats | None] | None" = None,
-    ) -> list[list[FeatureResult]]:
-        windows = [
-            time_range.resolve(now_ms, profile.newest_timestamp_ms())
-            for profile in profiles
-        ]
-        if stats_list is None:
-            stats_list = [None] * len(profiles)
-        return self._backend.run_filter_batch(
-            list(profiles), slot, type_id, windows, self._aggregate,
-            predicate, list(stats_list),
-        )
+        return self._decay(
+            [profile], slot, type_id, time_range, decay_fn, decay_factor,
+            now_ms, k, sort_attribute, [stats],
+        )[0]
 
     def decay_batch(
         self,
@@ -418,6 +408,15 @@ class QueryEngine:
         sort_attribute: str | None = None,
         stats_list: "Sequence[QueryStats | None] | None" = None,
     ) -> list[list[FeatureResult]]:
+        return self._decay(
+            profiles, slot, type_id, time_range, decay_fn, decay_factor,
+            now_ms, k, sort_attribute, stats_list,
+        )
+
+    def _decay(
+        self, profiles, slot, type_id, time_range, decay_fn, decay_factor,
+        now_ms, k, sort_attribute, stats_list,
+    ):
         if k is not None and k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         spec = self._resolve_sort_spec(
@@ -425,16 +424,24 @@ class QueryEngine:
             sort_attribute,
             None,
         )
+        profiles, windows, stats_list = self._resolve_batch(
+            profiles, time_range, now_ms, stats_list
+        )
+        return self._backend.run_decay_batch(
+            profiles, slot, type_id, windows, self._aggregate, decay_fn,
+            decay_factor, spec, k, stats_list,
+        )
+
+    @staticmethod
+    def _resolve_batch(profiles, time_range, now_ms, stats_list):
+        """The kernels' parallel lists: profiles, windows, stats sinks."""
         windows = [
             time_range.resolve(now_ms, profile.newest_timestamp_ms())
             for profile in profiles
         ]
         if stats_list is None:
-            stats_list = [None] * len(profiles)
-        return self._backend.run_decay_batch(
-            list(profiles), slot, type_id, windows, self._aggregate,
-            decay_fn, decay_factor, spec, k, list(stats_list),
-        )
+            stats_list = [None] * len(windows)
+        return list(profiles), windows, list(stats_list)
 
     # ------------------------------------------------------------------
     # Sort-spec resolution
@@ -474,29 +481,3 @@ class QueryEngine:
                 weight_vector=canonical_sort_weights(self._config, sort_weights),
             )
         raise InvalidQueryError(f"unsupported sort type: {sort_type!r}")
-
-    # ------------------------------------------------------------------
-    # Materialisation helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _empty(stats: QueryStats | None) -> list[FeatureResult]:
-        if stats is not None:
-            stats.results_returned = 0
-        return []
-
-    @staticmethod
-    def _finalize(
-        ranked: Sequence[FeatureStat], stats: QueryStats | None
-    ) -> list[FeatureResult]:
-        """Materialise merged stats into results (kept for compatibility)."""
-        if stats is not None:
-            stats.results_returned = len(ranked)
-        return [
-            FeatureResult(
-                fid=stat.fid,
-                counts=tuple(clamp_int64(c) for c in stat.counts),
-                last_timestamp_ms=stat.last_timestamp_ms,
-            )
-            for stat in ranked
-        ]

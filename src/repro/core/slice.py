@@ -68,8 +68,12 @@ class Slice:
                 f"timestamp {timestamp_ms} outside slice "
                 f"[{self.start_ms}, {self.end_ms})"
             )
-        # Clear *before* mutating: kernel projections may hold buffer views
-        # over the column arrays, and a live export would block resizing.
+        # Clear *before* mutating: a mutation that raises part-way then
+        # cannot leave a projection of the old columns behind, and the
+        # profile memo — validated against these entries by identity — goes
+        # stale with them.  This is about staleness only: projections are
+        # private copies, no kernel holds a buffer export over the column
+        # arrays, so they stay resizable whatever is cached.
         self._memory_dirty = True
         if self.kernel_cache:
             self.kernel_cache.clear()

@@ -8,14 +8,17 @@ batch-gather memo, whose identity revalidation must observe mutations
 made between two ``top_k_batch`` calls.
 """
 
+import sys
+import threading
 from array import array
 
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.config import TableConfig
 from repro.core.aggregate import get_aggregate
 from repro.core.columnar import INT64_TYPECODE, ColumnGroup
-from repro.core.engine import QueryEngine
+from repro.core.engine import ProfileEngine, QueryEngine
 from repro.core.feature import INT64_MAX, FeatureStat
 from repro.core.profile import ProfileData
 from repro.core.query import SortType
@@ -188,3 +191,121 @@ class TestBatchMemoInvalidation:
             now_ms=self.NOW_MS + 2500, sort_attribute="like",
         )
         assert results[0][0].fid == 777
+
+    def test_point_reads_see_mutations_between_reads(self):
+        """Point reads are served from the profile memo a multi-get left
+        behind: a write into a memoised slice, a new head slice and a
+        ``replace_slices`` between reads must each show up, and every
+        read equals the reference."""
+        engine = self._engine()
+        reference = QueryEngine(engine._config, SUM, backend="python")
+        profile = self._profile(1)
+
+        def multi_get(now_ms):  # what populates the memo
+            engine.top_k_batch(
+                [profile, self._profile(2)], 1, 1, self.WINDOW,
+                SortType.ATTRIBUTE, k=5, now_ms=now_ms, sort_attribute="like",
+            )
+
+        def point(now_ms):
+            results = engine.top_k(
+                profile, 1, 1, self.WINDOW, SortType.ATTRIBUTE, k=5,
+                now_ms=now_ms, sort_attribute="like",
+            )
+            assert results == reference.top_k(
+                profile, 1, 1, self.WINDOW, SortType.ATTRIBUTE, k=5,
+                now_ms=now_ms, sort_attribute="like",
+            )
+            return [result.fid for result in results]
+
+        first = point(self.NOW_MS)  # no memo yet
+        multi_get(self.NOW_MS)
+        assert point(self.NOW_MS) == first  # memo-hit path
+        profile.add(
+            self.NOW_MS - 10, 1, 1, fid=999, counts=[1000, 1], aggregate=SUM
+        )
+        assert point(self.NOW_MS)[0] == 999
+        later_ms = self.NOW_MS + 2500  # the memo is per resolved window
+        multi_get(later_ms)
+        profile.add(
+            self.NOW_MS + 2000, 1, 1, fid=777, counts=[5000, 1], aggregate=SUM
+        )
+        assert point(later_ms)[0] == 777
+        multi_get(later_ms)
+        # Compaction's hand-over: same window, other slice objects.
+        profile.replace_slices([s.copy() for s in profile.slices[1:]])
+        assert point(later_ms)[0] == 999
+
+
+class TestReadBesideWrite:
+    """ROADMAP item 1(a), writer side: reads must never break a write."""
+
+    ROWS = 400  # the export window only opens on larger columns
+    SECONDS = 2.0
+
+    def test_writer_survives_concurrent_reads(self):
+        """Three readers loop a point multi-get beside one appending writer.
+
+        A kernel that holds a buffer export over a primary column while
+        it copies makes ``ColumnGroup._append_row`` raise ``BufferError``
+        after ``fids``/``ts`` already grew, leaving the columns ragged
+        for good.  Reader-side transient errors (a snapshot taken between
+        two column appends) are a known open face of the same item: they
+        are counted and printed, not asserted.
+        """
+        clock = SimulatedClock(self.ROWS * 1000)
+        engine = ProfileEngine(
+            TableConfig(name="stress", attributes=("like", "share", "view")),
+            clock,
+        )
+        now_ms = clock.now_ms()
+        for fid in range(self.ROWS):
+            engine.add_profile(1, now_ms - 1, 1, 1, fid, [fid, 1, 1])
+        (group,) = engine.table.get(1).slices[0].column_groups(1, 1)
+        assert len(group) == self.ROWS
+        window = TimeRange.current(10_000)
+        stop = threading.Event()
+        writer_errors: list[BaseException] = []
+        reader_errors: list[BaseException] = []
+        appended = [0]
+
+        def write():
+            fid = self.ROWS
+            try:
+                while not stop.is_set():
+                    engine.add_profile(1, now_ms - 1, 1, 1, fid, [fid, 1, 1])
+                    fid += 1
+            except BaseException as exc:  # noqa: BLE001 - the assertion below
+                writer_errors.append(exc)
+            appended[0] = fid - self.ROWS
+
+        def read():
+            while not stop.is_set():
+                try:
+                    engine.get_profiles_topk([1], 1, 1, window, k=10)
+                except Exception as exc:  # noqa: BLE001 - counted, see docstring
+                    reader_errors.append(exc)
+
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            threads[0].join(self.SECONDS)  # returns early if the writer died
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        print(
+            f"\nappends={appended[0]} transient reader errors="
+            f"{len(reader_errors)} {sorted({type(e).__name__ for e in reader_errors})}"
+        )
+        assert writer_errors == []
+        assert appended[0] > 0
+        assert len(group.ts) == len(group.fids)
+        assert len(group.counts) == len(group.fids) * group.stride

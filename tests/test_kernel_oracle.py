@@ -309,9 +309,10 @@ class TestCacheInvalidation:
 #
 # The batch kernels' contract mirrors the single-query one: for every
 # batch shape, each profile's result list AND QueryStats must be
-# byte-identical to an independent single get.  These tests run on the
-# session-selected backend, so `make kernel-oracle` exercises all three
-# configurations (auto / pinned-python / numpy-disabled).
+# byte-identical to an independent single get on the python reference.
+# These tests run on the session-selected backend, so `make test` plus
+# `make kernel-oracle` exercise all three configurations (auto /
+# pinned-python / numpy-disabled).
 
 
 def _batch_profiles(rng, aggregate, zipf=None):
@@ -328,15 +329,34 @@ def _batch_profiles(rng, aggregate, zipf=None):
     return profiles
 
 
-def assert_batch_matches_singles(singles_fn, batch_fn, n_profiles):
-    """Run singles then the batch; demand per-profile identity."""
+def assert_batch_matches_singles(
+    config, aggregate, single, batch, n_profiles, candidate=None
+):
+    """Candidate singles and candidate batch vs python-reference singles.
+
+    ``single(engine, i, stats)`` reads profile ``i``; ``batch(engine,
+    stats_list)`` reads them all.  Point reads and multi-gets share one
+    kernel path, so comparing a backend's batch with its own singles would
+    let a planted bug break both alike: the yardstick is N independent
+    point reads on the **python reference**.  ``candidate=None`` is the
+    session-selected backend.  Returns the reference results.
+    """
+    reference_engine = QueryEngine(config, aggregate, backend="python")
+    engine = QueryEngine(config, aggregate, backend=candidate)
+    reference_stats = [QueryStats() for _ in range(n_profiles)]
+    reference = [
+        single(reference_engine, i, reference_stats[i])
+        for i in range(n_profiles)
+    ]
     single_stats = [QueryStats() for _ in range(n_profiles)]
-    singles = [singles_fn(i, single_stats[i]) for i in range(n_profiles)]
+    singles = [single(engine, i, single_stats[i]) for i in range(n_profiles)]
+    assert singles == reference
+    assert single_stats == reference_stats
     batch_stats = [QueryStats() for _ in range(n_profiles)]
-    batched = batch_fn(batch_stats)
-    assert batched == singles
-    assert batch_stats == single_stats
-    return singles
+    batched = batch(engine, batch_stats)
+    assert batched == reference
+    assert batch_stats == reference_stats
+    return reference
 
 
 class TestBatchDifferential:
@@ -349,7 +369,6 @@ class TestBatchDifferential:
     ):
         aggregate = get_aggregate(aggregate_name)
         zipf = make_zipf(200, seed=rng.randrange(2**32))
-        engine = QueryEngine(config, aggregate)
         for _ in range(4):
             profiles = _batch_profiles(rng, aggregate, zipf)
             time_range = random_time_range(rng)
@@ -358,11 +377,12 @@ class TestBatchDifferential:
             k = rng.randrange(1, 50)
             descending = rng.random() < 0.8
             assert_batch_matches_singles(
-                lambda i, stats: engine.top_k(
+                config, aggregate,
+                lambda engine, i, stats: engine.top_k(
                     profiles[i], slot, type_id, time_range, sort_type, k,
                     now_ms=NOW, descending=descending, stats=stats, **extra,
                 ),
-                lambda stats_list: engine.top_k_batch(
+                lambda engine, stats_list: engine.top_k_batch(
                     profiles, slot, type_id, time_range, sort_type, k,
                     now_ms=NOW, descending=descending,
                     stats_list=stats_list, **extra,
@@ -373,7 +393,6 @@ class TestBatchDifferential:
     @pytest.mark.parametrize("aggregate_name", AGGREGATE_NAMES)
     def test_filter_batch_matches_singles(self, config, rng, aggregate_name):
         aggregate = get_aggregate(aggregate_name)
-        engine = QueryEngine(config, aggregate)
         for _ in range(4):
             profiles = _batch_profiles(rng, aggregate)
             time_range = random_time_range(rng)
@@ -382,11 +401,12 @@ class TestBatchDifferential:
             threshold = rng.randrange(-10, 25)
             predicate = lambda stat: stat.total() > threshold  # noqa: E731
             assert_batch_matches_singles(
-                lambda i, stats: engine.filter(
+                config, aggregate,
+                lambda engine, i, stats: engine.filter(
                     profiles[i], slot, type_id, time_range, predicate,
                     now_ms=NOW, stats=stats,
                 ),
-                lambda stats_list: engine.filter_batch(
+                lambda engine, stats_list: engine.filter_batch(
                     profiles, slot, type_id, time_range, predicate,
                     now_ms=NOW, stats_list=stats_list,
                 ),
@@ -407,7 +427,6 @@ class TestBatchDifferential:
         self, config, rng, aggregate_name, decay_fn, factor
     ):
         aggregate = get_aggregate(aggregate_name)
-        engine = QueryEngine(config, aggregate)
         for _ in range(3):
             profiles = _batch_profiles(rng, aggregate)
             time_range = random_time_range(rng)
@@ -416,12 +435,13 @@ class TestBatchDifferential:
             k = rng.choice((None, rng.randrange(1, 30)))
             sort_attribute = rng.choice((None, "share"))
             assert_batch_matches_singles(
-                lambda i, stats: engine.decay(
+                config, aggregate,
+                lambda engine, i, stats: engine.decay(
                     profiles[i], slot, type_id, time_range, decay_fn,
                     factor, now_ms=NOW, k=k, sort_attribute=sort_attribute,
                     stats=stats,
                 ),
-                lambda stats_list: engine.decay_batch(
+                lambda engine, stats_list: engine.decay_batch(
                     profiles, slot, type_id, time_range, decay_fn, factor,
                     now_ms=NOW, k=k, sort_attribute=sort_attribute,
                     stats_list=stats_list,
@@ -429,22 +449,93 @@ class TestBatchDifferential:
                 len(profiles),
             )
 
+    @pytest.mark.parametrize("aggregate_name", AGGREGATE_NAMES)
+    @pytest.mark.parametrize(
+        "sort_type,extra", SORT_CASES, ids=[case[0].value for case in SORT_CASES]
+    )
+    def test_one_profile_batch_matches_reference(
+        self, config, rng, make_zipf, aggregate_name, sort_type, extra
+    ):
+        """A batch of one runs without the pid column; every corpus, both
+        directions, and cuts below, inside and beyond the result size."""
+        aggregate = get_aggregate(aggregate_name)
+        zipf = make_zipf(200, seed=rng.randrange(2**32))
+        time_range = TimeRange.current(SPAN)
+        for corpus in CORPORA:
+            profiles = [corpus(rng, aggregate, zipf)]
+            for descending in (True, False):
+                for k in (1, 7, 10_000):
+                    assert_batch_matches_singles(
+                        config, aggregate,
+                        lambda engine, i, stats: engine.top_k(
+                            profiles[i], 1, None, time_range, sort_type, k,
+                            now_ms=NOW, descending=descending, stats=stats,
+                            **extra,
+                        ),
+                        lambda engine, stats_list: engine.top_k_batch(
+                            profiles, 1, None, time_range, sort_type, k,
+                            now_ms=NOW, descending=descending,
+                            stats_list=stats_list, **extra,
+                        ),
+                        1,
+                    )
+
+    @requires_numpy
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_guard_tripping_profile_falls_back_alone(
+        self, config, rng, position
+    ):
+        """One overflow-prone profile in a multi-get: the batch-wide guard
+        trips, every profile re-runs as a batch of one, and only the
+        offender reaches the reference loop — results and QueryStats of
+        all five still equal the reference."""
+        from repro.core.kernels.numpy_backend import NumpyBackend
+        from repro.core.kernels.python_backend import PythonBackend
+
+        delegated = []
+
+        class CountingReference(PythonBackend):
+            def run_topk(self, profile, *args):
+                delegated.append(profile)
+                return super().run_topk(profile, *args)
+
+        aggregate = get_aggregate("sum")
+        backend = NumpyBackend()
+        backend._reference = CountingReference()
+        profiles = [zipf_corpus(rng, aggregate) for _ in range(4)]
+        offender = overflow_corpus(rng, aggregate)
+        profiles.insert(position, offender)
+        stats_list = [QueryStats() for _ in profiles]
+        batched = QueryEngine(config, aggregate, backend=backend).top_k_batch(
+            profiles, 1, None, TimeRange.current(SPAN), SortType.TOTAL, 20,
+            now_ms=NOW, stats_list=stats_list,
+        )
+        assert delegated == [offender]
+        reference_engine = QueryEngine(config, aggregate, backend="python")
+        for profile, results, stats in zip(profiles, batched, stats_list):
+            reference_stats = QueryStats()
+            assert results == reference_engine.top_k(
+                profile, 1, None, TimeRange.current(SPAN), SortType.TOTAL, 20,
+                now_ms=NOW, stats=reference_stats,
+            )
+            assert stats == reference_stats
+
     def test_udaf_batch_matches_singles(self, config, rng):
         """UDAF batches route through the reference loop on every backend."""
 
         def clipped_sum(left: int, right: int) -> int:
             return min(left + right, 100)
 
-        engine = QueryEngine(config, clipped_sum)
         for _ in range(3):
             profiles = _batch_profiles(rng, clipped_sum)
             time_range = random_time_range(rng)
             assert_batch_matches_singles(
-                lambda i, stats: engine.top_k(
+                config, clipped_sum,
+                lambda engine, i, stats: engine.top_k(
                     profiles[i], 1, None, time_range, SortType.TOTAL, 10,
                     now_ms=NOW, stats=stats,
                 ),
-                lambda stats_list: engine.top_k_batch(
+                lambda engine, stats_list: engine.top_k_batch(
                     profiles, 1, None, time_range, SortType.TOTAL, 10,
                     now_ms=NOW, stats_list=stats_list,
                 ),
@@ -493,18 +584,19 @@ class TestBatchOracleTeeth:
 
     def _assert_caught(self, config, rng, broken_backend):
         profiles = self._profiles(rng)
-        engine = QueryEngine(config, get_aggregate("sum"), backend=broken_backend)
         with pytest.raises(AssertionError):
             assert_batch_matches_singles(
-                lambda i, stats: engine.top_k(
+                config, get_aggregate("sum"),
+                lambda engine, i, stats: engine.top_k(
                     profiles[i], 1, None, TimeRange.current(SPAN),
                     SortType.TOTAL, 20, now_ms=NOW, stats=stats,
                 ),
-                lambda stats_list: engine.top_k_batch(
+                lambda engine, stats_list: engine.top_k_batch(
                     profiles, 1, None, TimeRange.current(SPAN),
                     SortType.TOTAL, 20, now_ms=NOW, stats_list=stats_list,
                 ),
                 len(profiles),
+                candidate=broken_backend,
             )
 
     def test_catches_dropped_batch_results(self, config, rng):
@@ -531,14 +623,15 @@ class TestBatchOracleTeeth:
         class OffByOneBatchKernel(NumpyBackend):
             name = "broken-batch-counts"
 
-            def _reduce_batch(self, gathered, pid_arr, agg):
-                reduced = super()._reduce_batch(gathered, pid_arr, agg)
-                if reduced is not None:
-                    merged, group_pids = reduced
-                    if merged.counts.size:
-                        merged.counts = merged.counts + 1  # the planted bug
-                    return merged, group_pids
-                return reduced
+            def _reduce(self, columns, segments, pid_arr, agg, need_first_row):
+                merged = super()._reduce(
+                    columns, segments, pid_arr, agg, need_first_row
+                )
+                # The planted bug lives in the pid branch only: point
+                # reads stay right, multi-gets do not.
+                if merged is not None and pid_arr is not None:
+                    merged.counts = merged.counts + 1
+                return merged
 
         self._assert_caught(config, rng, OffByOneBatchKernel())
 
@@ -549,13 +642,12 @@ class TestBatchOracleTeeth:
         class NonDescendingBatchKernel(NumpyBackend):
             name = "broken-batch-order"
 
-            def _finish_batch(
-                self, profiles, gathered_list, merged, group_pids,
-                ascending, k, descending, stats_list,
+            def _finish(
+                self, gathered, merged, ascending, k, descending, stats_list
             ):
-                return super()._finish_batch(
-                    profiles, gathered_list, merged, group_pids,
-                    ascending, k, False, stats_list,  # the planted bug
+                return super()._finish(
+                    gathered, merged, ascending, k, False,  # the planted bug
+                    stats_list,
                 )
 
         self._assert_caught(config, rng, NonDescendingBatchKernel())
@@ -662,8 +754,10 @@ class TestOracleTeeth:
         class OffByOneKernel(NumpyBackend):
             name = "broken-counts"
 
-            def _reduce(self, gathered, agg, need_first_row):
-                merged = super()._reduce(gathered, agg, need_first_row)
+            def _reduce(self, columns, segments, pid_arr, agg, need_first_row):
+                merged = super()._reduce(
+                    columns, segments, pid_arr, agg, need_first_row
+                )
                 if merged is not None and merged.counts.size:
                     merged.counts = merged.counts + 1  # the planted bug
                 return merged
@@ -682,10 +776,10 @@ class TestOracleTeeth:
             name = "broken-stats"
 
             @staticmethod
-            def _commit_stats(stats, gathered, results):
+            def _commit_stats(stats, slices_scanned, n_rows, results):
                 if stats is not None:
-                    stats.slices_scanned += gathered.slices_scanned
-                    stats.features_merged += max(0, gathered.n_rows - 1)
+                    stats.slices_scanned += slices_scanned
+                    stats.features_merged += max(0, n_rows - 1)
                     stats.results_returned = len(results)
 
         profile = self._profile(rng)

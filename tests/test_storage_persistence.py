@@ -189,7 +189,12 @@ class TestFineGrainedSpecifics:
         """Fig. 14: racing flushes retry on version conflict; the final
         state is one complete flush, never an interleaving."""
         store = InMemoryKVStore()
-        manager = FineGrainedPersistence(store, "t")
+        # The other three threads commit at most 15 times and each commit
+        # fails at most one of a thread's attempts, so no flush can run
+        # out of 16 retries; under the default 4 a flusher that loses the
+        # CAS four times in a row raises (the bounded-retry contract, not
+        # the interleaving under test) about one run in eleven.
+        manager = FineGrainedPersistence(store, "t", max_retries=16)
         profile = make_profile(writes=30)
         errors = []
 
