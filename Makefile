@@ -1,19 +1,33 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
+.PHONY: check metrics test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
 
-## check (16 targets): lint + tier-1 tests (all of tests/, which already
-## holds the kernel, serialization and result-cache invalidation oracles
-## and the socket wire/registry/transport suites in the default
-## configuration) + the kernel differential oracle in the two other
-## backend configurations + coverage floors (core + server + obs) +
-## benchmark smoke runs + chaos determinism smoke + seeded crash-point
-## recovery schedules + SLO alert falsification + the process-cluster
-## socket smoke (real workers, real SIGKILL failover) + the
-## replicated-shard failover smoke + the end-to-end benchmark smoke +
-## the perf-history snapshot/regression diff.
+## check (16 prerequisites — `make metrics` counts them), in order:
+##   lint                  clock + numpy-isolation AST lints
+##   test                  tier-1: all of tests/ in the default config
+##                         (kernel, serialization and result-cache oracles,
+##                         socket wire/registry/transport suites, docs names)
+##   kernel-oracle         the kernel oracle in the two other backend configs
+##   coverage-core         line-coverage floors: core, server, obs
+##   bench-batch, bench-kernels, bench-trace, bench-recovery, bench-server
+##                         the five in-process benchmark smokes
+##   chaos                 seeded chaos determinism smoke
+##   crashcheck            20 seeded crash-point recovery schedules
+##   slo-check             SLO alert falsification
+##   bench-cluster-smoke   process cluster over sockets, real SIGKILL failover
+##   bench-failover-smoke  replicated-shard failover
+##   bench-e2e-smoke       the BENCHMARK.json contract at smoke scale
+##   bench-history         perf-history snapshot/regression diff
 check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
+
+## metrics: the three tracked numbers ROADMAP's "Cost of the window"
+## quotes — lines of src/, lines of src/repro/core, `check:`
+## prerequisites.  Not part of check: it gates nothing.
+metrics:
+	@echo "src lines:            $$(find src -name '*.py' | xargs cat | wc -l)"
+	@echo "src/repro/core lines: $$(find src/repro/core -name '*.py' | xargs cat | wc -l)"
+	@echo "check prerequisites:  $$(sed -n 's/^check: *//p' Makefile | wc -w)"
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,8 +47,9 @@ kernel-oracle:
 	IPS_KERNEL_BACKEND=python $(PYTHON) -m pytest tests/test_kernel_oracle.py tests/test_kernel_properties.py -q
 	IPS_KERNEL_DISABLE_NUMPY=1 $(PYTHON) -m pytest tests/test_kernel_oracle.py tests/test_kernel_properties.py -q
 
-## coverage-core: stdlib-tracer line coverage over src/repro/core and
-## src/repro/server with hard floors (no coverage/pytest-cov in the image).
+## coverage-core: stdlib-tracer line coverage over src/repro/core,
+## src/repro/server and src/repro/obs with hard floors (no
+## coverage/pytest-cov in the image).
 coverage-core:
 	$(PYTHON) tools/check_core_coverage.py
 

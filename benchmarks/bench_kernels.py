@@ -112,9 +112,9 @@ def run_case(n_fids: int, k: int, repeats: int, seed: int = 0) -> dict:
     aggregate = get_aggregate("sum")
     profile = build_profile(n_fids, seed=seed)
     rows = sum(
-        len(fids)
+        len(group)
         for profile_slice in profile.slices
-        for fids in profile_slice.feature_maps(1, 1)
+        for group in profile_slice.column_groups(1, 1)
     )
 
     python_engine = QueryEngine(config, aggregate, backend="python")

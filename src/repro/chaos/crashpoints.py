@@ -484,11 +484,11 @@ def profile_fingerprint(profile) -> tuple:
     rows = []
     for data_slice in profile.slices:
         for slot, instance_set in data_slice.slots_items():
-            for type_id, features in instance_set.items():
-                for fid, stat in features.items():
+            for type_id, group in instance_set.groups_items():
+                for stat in group.iter_stats():
                     rows.append((
                         data_slice.start_ms, data_slice.end_ms, slot,
-                        type_id, fid, tuple(stat.counts),
+                        type_id, stat.fid, tuple(stat.counts),
                         stat.last_timestamp_ms,
                     ))
     return tuple(sorted(rows))

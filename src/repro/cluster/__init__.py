@@ -1,8 +1,8 @@
-"""Cluster layer: load balancing, discovery, client and multi-region.
+"""Cluster layer: load balancing, client and multi-region.
 
 IPS scales horizontally by sharding profile ids over instances with an
-ID-based consistent hash; instances register with a Consul-like discovery
-service and clients refresh the instance list periodically (§III).  For
+ID-based consistent hash (§III); the Consul-like registration, heartbeat
+and TTL flow is :mod:`repro.net.registry`, on the socket cluster.  For
 fault tolerance, deployments span multiple regions: clients write to every
 region but query only the local one, and only one region's instances
 persist to the master KV cluster (§III-G, Fig. 15).
@@ -11,7 +11,6 @@ persist to the master KV cluster (§III-G, Fig. 15).
 from .autoscaler import AutoScaler, ScalingEvent, ScalingPolicy
 from .client import ClientStats, IPSClient
 from .cluster import IPSCluster, MultiRegionDeployment
-from .discovery import DiscoveryService, InstanceRecord
 from .hashring import ConsistentHashRing
 from .region import Region
 from .resilience import (
@@ -31,11 +30,9 @@ __all__ = [
     "ClientStats",
     "ConsistentHashRing",
     "Deadline",
-    "DiscoveryService",
     "HedgePolicy",
     "IPSCluster",
     "IPSClient",
-    "InstanceRecord",
     "MultiRegionDeployment",
     "Region",
     "ResilienceConfig",

@@ -73,7 +73,6 @@ class IPSClient:
         local_region: str,
         caller: str = "default",
         max_retries: int = 2,
-        use_discovery: bool = False,
         tracer=None,
         registry: MetricsRegistry | None = None,
         resilience: ResilienceConfig | None = None,
@@ -90,11 +89,6 @@ class IPSClient:
         #: "no resilience" baseline of the Fig. 17 bench.
         self.region_failover = region_failover
         self.stats = ClientStats()
-        #: When enabled, the client refreshes the healthy instance set from
-        #: the discovery service whenever its epoch changes (§III: clients
-        #: "refresh the IPS instance list from Consul periodically") and
-        #: routes around instances missing from it.
-        self.use_discovery = use_discovery
         #: Tracing/metrics default to the deployment's (cluster-wide) ones,
         #: so one tracer sees client -> rpc -> node -> cache -> storage.
         if tracer is None:
@@ -125,9 +119,6 @@ class IPSClient:
         self.slo = slo
         #: Telemetry for the batched read path (size / dedup / fan-out).
         self.batch_metrics = BatchQueryMetrics(registry)
-        self._discovery_epoch = -1
-        self._healthy_by_region: dict[str, frozenset[str]] = {}
-        self.discovery_refreshes = 0
 
     # ------------------------------------------------------------------
     # Writes: all regions (Fig. 15)
@@ -528,9 +519,7 @@ class IPSClient:
         """
         kwargs.setdefault("caller", self.caller)
         executor = self.resilience
-        exclude: set[str] = set(self._unhealthy_in(region))
-        if executor is not None:
-            exclude |= executor.open_nodes()
+        exclude = executor.open_nodes() if executor is not None else set()
         remaining = list(profile_ids)
         deferred: list[int] = []
         shard_calls = 0
@@ -650,9 +639,7 @@ class IPSClient:
         """
         kwargs.setdefault("caller", self.caller)
         executor = self.resilience
-        exclude: set[str] = set(self._unhealthy_in(region))
-        if executor is not None:
-            exclude |= executor.open_nodes()
+        exclude = executor.open_nodes() if executor is not None else set()
         attempts = self.max_retries + 1
         if executor is not None:
             attempts = max(attempts, executor.config.max_attempts)
@@ -748,25 +735,3 @@ class IPSClient:
         summary = dict(self.resilience.stats.as_dict())
         summary["breaker_states"] = self.resilience.breaker_states()
         return summary
-
-    def _unhealthy_in(self, region) -> frozenset[str]:
-        """Nodes of a region absent from the discovery healthy set."""
-        if not self.use_discovery:
-            return frozenset()
-        discovery = getattr(self._deployment, "discovery", None)
-        if discovery is None:
-            return frozenset()
-        epoch = discovery.epoch
-        if epoch != self._discovery_epoch:
-            self._discovery_epoch = epoch
-            self.discovery_refreshes += 1
-            self._healthy_by_region = {}
-            for record in discovery.healthy_instances():
-                healthy = self._healthy_by_region.setdefault(record.region, set())
-                healthy.add(record.node_id)  # type: ignore[union-attr]
-            self._healthy_by_region = {
-                name: frozenset(nodes)
-                for name, nodes in self._healthy_by_region.items()
-            }
-        healthy = self._healthy_by_region.get(region.name, frozenset())
-        return frozenset(set(region.nodes) - healthy)

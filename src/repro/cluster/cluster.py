@@ -1,6 +1,6 @@
 """Single-region cluster and multi-region deployment composition.
 
-:class:`IPSCluster` builds one region's fleet plus its discovery entries;
+:class:`IPSCluster` builds one region's fleet;
 :class:`MultiRegionDeployment` wires several regions over a replicated KV
 cluster per Fig. 15: every region's nodes serve from their local KV view,
 the designated master region's store is the write-through master, and
@@ -16,7 +16,6 @@ from ..obs.trace import NULL_TRACER
 from ..storage.kvstore import InMemoryKVStore
 from ..storage.replication import ReplicatedKVCluster
 from .client import IPSClient
-from .discovery import DiscoveryService
 from .region import Region
 
 
@@ -40,7 +39,6 @@ class IPSCluster:
         self.tracer = tracer
         self.registry = registry
         self.store = InMemoryKVStore()
-        self.discovery = DiscoveryService(self.clock)
         self.region = Region(
             region_name,
             config,
@@ -49,7 +47,6 @@ class IPSCluster:
             num_nodes,
             cache_capacity_bytes=cache_capacity_bytes,
             isolation_enabled=isolation_enabled,
-            discovery=self.discovery,
             tracer=tracer,
             node_kwargs=node_kwargs,
         )
@@ -60,10 +57,9 @@ class IPSCluster:
         return IPSClient(self, self.region.name, caller=caller, **kwargs)
 
     def run_background_cycle(self) -> None:
-        """One deterministic tick of merge + cache + heartbeat duties."""
+        """One deterministic tick of merge + cache duties."""
         self.region.merge_all_write_tables()
         self.region.run_cache_cycles()
-        self.region.heartbeat_all()
 
     def shutdown(self) -> None:
         self.region.shutdown()
@@ -94,7 +90,6 @@ class MultiRegionDeployment:
         self.kv_cluster = ReplicatedKVCluster(
             region_names, self.master_region, metrics=registry
         )
-        self.discovery = DiscoveryService(self.clock)
         self.regions: dict[str, Region] = {}
         for name in region_names:
             # Only the master region persists through the replicating
@@ -112,7 +107,6 @@ class MultiRegionDeployment:
                 nodes_per_region,
                 cache_capacity_bytes=cache_capacity_bytes,
                 isolation_enabled=isolation_enabled,
-                discovery=self.discovery,
                 tracer=tracer,
             )
             self.regions[name] = region
@@ -130,7 +124,6 @@ class MultiRegionDeployment:
         for region in self.regions.values():
             region.merge_all_write_tables()
             region.run_cache_cycles()
-            region.heartbeat_all()
         self.replicate()
 
     def fail_region(self, name: str) -> None:

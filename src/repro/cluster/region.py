@@ -14,16 +14,15 @@ from ..errors import RegionUnavailableError
 from ..obs.trace import NULL_TRACER
 from ..server.node import IPSNode
 from ..storage.kvstore import KVStore
-from .discovery import DiscoveryService
 from .hashring import ConsistentHashRing
 
 
 class Region:
     """IPS instances of one region plus their hash ring.
 
-    When a ``discovery`` service is supplied, nodes register on creation,
-    heartbeat on :meth:`heartbeat_all`, and deregister when removed — the
-    Consul flow of §III.
+    Membership here is explicit (:meth:`fail_node` / :meth:`recover_node`);
+    the Consul flow of §III — register, heartbeat, TTL ageing — lives in
+    :mod:`repro.net.registry` on the socket cluster.
     """
 
     def __init__(
@@ -36,7 +35,6 @@ class Region:
         cache_capacity_bytes: int = 256 * 1024 * 1024,
         isolation_enabled: bool = True,
         virtual_nodes: int = 64,
-        discovery: DiscoveryService | None = None,
         tracer=NULL_TRACER,
         node_kwargs: dict | None = None,
     ) -> None:
@@ -44,7 +42,6 @@ class Region:
             raise ValueError(f"region needs at least one node, got {num_nodes}")
         self.name = name
         self.store = store
-        self.discovery = discovery
         self.tracer = tracer
         #: Extra :class:`IPSNode` constructor kwargs applied to every node
         #: in the region (current and autoscaled) — e.g. ``result_cache``
@@ -68,8 +65,6 @@ class Region:
             )
             self.nodes[node_id] = node
             self.ring.add_node(node_id)
-            if discovery is not None:
-                discovery.register(node_id, name)
 
     # ------------------------------------------------------------------
 
@@ -90,26 +85,12 @@ class Region:
         return self.nodes[node_id]
 
     def fail_node(self, node_id: str) -> None:
-        """Mark a node crashed: the ring routes around it.
-
-        A crashed node stops heartbeating, so with a discovery service it
-        ages out of the healthy set via TTL rather than deregistering.
-        """
+        """Mark a node crashed: the ring routes around it."""
         if node_id in self.nodes:
             self._failed_nodes.add(node_id)
 
     def recover_node(self, node_id: str) -> None:
         self._failed_nodes.discard(node_id)
-        if self.discovery is not None and node_id in self.nodes:
-            self.discovery.register(node_id, self.name)
-
-    def heartbeat_all(self) -> None:
-        """Heartbeat every healthy node (the periodic liveness refresh)."""
-        if self.discovery is None:
-            return
-        for node_id in self.nodes:
-            if node_id not in self._failed_nodes:
-                self.discovery.heartbeat(node_id)
 
     def fail_region(self) -> None:
         """Take the whole region down (data-center outage)."""

@@ -17,8 +17,8 @@ seam:
   exceeds a trailing percentile threshold, a hedge request is issued to a
   different replica and the faster result wins (tail-latency insurance);
 * :class:`CircuitBreaker` — per-node closed/open/half-open breaker; open
-  breakers are excluded from ring routing (the same health view discovery
-  feeds), and half-open probes readmit a node after it recovers.
+  breakers are excluded from ring routing, and half-open probes readmit
+  a node after it recovers.
 
 Everything is driven by the injected :class:`~repro.clock.Clock` and
 seeded RNGs, so chaos runs are deterministic and replayable.

@@ -14,10 +14,10 @@ each ``(slot, type)`` group stores its features directly as parallel
 * ``fid_index`` — per-row profile-wide insertion index, or ``None`` when
   every row carries the default ``-1``.
 
-The dict-of-:class:`~repro.core.feature.FeatureStat` view that the rest
-of the system historically consumed is demoted to an adapter:
-:meth:`stats` / :meth:`get` materialise fresh ``FeatureStat`` objects on
-demand, and all mutation flows through :meth:`add` / :meth:`merge_from`
+Per-feature :class:`~repro.core.feature.FeatureStat` objects are not
+stored: :meth:`iter_stats` / :meth:`stats` / :meth:`get` materialise
+fresh ones on demand (the python oracle, filter predicates and shrink
+read them), and all mutation flows through :meth:`add` / :meth:`merge_from`
 / :meth:`replace` which reproduce ``FeatureStat.merge_counts`` exactly
 (positionwise aggregation over the *native* widths, implicit zero
 padding, per-position int64 clamping, max timestamps).
@@ -343,7 +343,7 @@ class ColumnGroup:
             existing.merge_counts(values, agg, timestamp_ms)
 
     # ------------------------------------------------------------------
-    # Dict-view adapters (materialise on demand)
+    # FeatureStat views (materialise on demand)
     # ------------------------------------------------------------------
 
     def _iter_columnar_stats(self) -> Iterator[FeatureStat]:
@@ -375,12 +375,6 @@ class ColumnGroup:
 
     def stats(self) -> list[FeatureStat]:
         return list(self.iter_stats())
-
-    def as_dict(self) -> dict[int, FeatureStat]:
-        """``{fid: stat}`` adapter view (materialised; do not mutate)."""
-        if self._legacy is not None:
-            return self._legacy
-        return {stat.fid: stat for stat in self._iter_columnar_stats()}
 
     def get(self, fid: int) -> FeatureStat | None:
         if self._legacy is not None:

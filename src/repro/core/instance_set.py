@@ -7,10 +7,9 @@ the search space with ``(slot, type)`` before any merging happens.
 
 Since the columnar-native refactor each type's features live in a
 :class:`~repro.core.columnar.ColumnGroup` — parallel int64 arrays as the
-primary representation.  The historical dict-of-``FeatureStat`` view is
-served by materialise-on-demand adapters (:meth:`features_for_type`,
-:meth:`feature_maps`, :meth:`get`, :meth:`items`): returned stats are
-fresh snapshots, and all mutation flows through :meth:`add`,
+primary representation.  Per-feature ``FeatureStat`` objects are
+materialised on demand (:meth:`features_for_type`, :meth:`get`): returned
+stats are fresh snapshots, and all mutation flows through :meth:`add`,
 :meth:`merge_from` and :meth:`replace_type`.
 """
 
@@ -61,18 +60,6 @@ class InstanceSet:
             group = self._types.get(type_id)
             if group is not None:
                 yield from group.iter_stats()
-
-    def feature_maps(self, type_id: int | None) -> list[dict[int, FeatureStat]]:
-        """Materialised fid -> stat maps for one type (all when ``None``).
-
-        Compatibility adapter over the column groups: iterating the
-        returned maps' values visits stats in exactly
-        ``features_for_type`` order.  Callers must not mutate.
-        """
-        if type_id is None:
-            return [group.as_dict() for group in self._types.values()]
-        group = self._types.get(type_id)
-        return [group.as_dict()] if group is not None else []
 
     def column_groups(self, type_id: int | None) -> list[ColumnGroup]:
         """The primary column groups for one type (all when ``None``).
@@ -127,11 +114,6 @@ class InstanceSet:
         for type_id, group in self._types.items():
             duplicate._types[type_id] = group.copy()
         return duplicate
-
-    def items(self) -> Iterator[tuple[int, dict[int, FeatureStat]]]:
-        """Compatibility iterator over ``(type_id, {fid: stat})`` views."""
-        for type_id, group in self._types.items():
-            yield type_id, group.as_dict()
 
     def groups_items(self) -> Iterator[tuple[int, ColumnGroup]]:
         return iter(self._types.items())

@@ -74,9 +74,7 @@ class Slice:
         # stale with them.  This is about staleness only: projections are
         # private copies, no kernel holds a buffer export over the column
         # arrays, so they stay resizable whatever is cached.
-        self._memory_dirty = True
-        if self.kernel_cache:
-            self.kernel_cache.clear()
+        self.mark_mutated()
         instance_set = self._slots.setdefault(slot, InstanceSet())
         return instance_set.add(type_id, fid, counts, timestamp_ms, aggregate)
 
@@ -98,14 +96,6 @@ class Slice:
         if instance_set is not None:
             yield from instance_set.features_for_type(type_id)
 
-    def feature_maps(self, slot: int, type_id: int | None):
-        """Bulk fid -> stat maps under (slot, type); same order as
-        :meth:`features`.  Read-only adapter (stats are materialised)."""
-        instance_set = self._slots.get(slot)
-        if instance_set is None:
-            return []
-        return instance_set.feature_maps(type_id)
-
     def column_groups(self, slot: int, type_id: int | None):
         """The primary column groups under (slot, type) — kernel and
         serializer fast path; callers must not mutate the arrays."""
@@ -116,9 +106,7 @@ class Slice:
 
     def merge_from(self, other: "Slice", aggregate) -> None:
         """Absorb another slice's data and widen the time range to cover it."""
-        self._memory_dirty = True
-        if self.kernel_cache:
-            self.kernel_cache.clear()
+        self.mark_mutated()
         for slot, instance_set in other._slots.items():
             mine = self._slots.setdefault(slot, InstanceSet())
             mine.merge_from(instance_set, aggregate)
@@ -144,9 +132,7 @@ class Slice:
         for slot in empty:
             del self._slots[slot]
         if empty:
-            self._memory_dirty = True
-            if self.kernel_cache:
-                self.kernel_cache.clear()
+            self.mark_mutated()
 
     def feature_count(self) -> int:
         return sum(inst.feature_count() for inst in self._slots.values())

@@ -3,10 +3,11 @@
 Production IPS is observed through per-node counters rolled up into
 cluster dashboards (throughput, latency percentiles, error rate, memory,
 hit ratio — Figs. 16-19).  :class:`ClusterMonitor` collects those rollups
-from a live in-process cluster or deployment:
+from a live cluster or deployment — in-process nodes or the worker
+processes of a :class:`~repro.net.cluster.ProcessCluster` alike:
 
-* :meth:`snapshot` reads every node's counters and returns a
-  :class:`ClusterSnapshot` (gauges and monotonic counters);
+* :meth:`snapshot` asks every node for its ``node_stats()`` dict and
+  returns a :class:`ClusterSnapshot` (gauges and monotonic counters);
 * :meth:`sample` appends deltas-per-interval to named
   :class:`~repro.sim.metrics.TimeSeries` so a driver loop produces the
   same series the paper plots, from the *real* implementation.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import RPCError
 from .obs.registry import Histogram, MetricsRegistry
 from .sim.metrics import TimeSeries
 
@@ -110,31 +112,36 @@ class BatchQueryMetrics:
 
 @dataclass(frozen=True)
 class NodeSnapshot:
-    """One node's counters at an instant."""
+    """One node's counters at an instant.
+
+    The fields are the keys of :meth:`repro.server.node.IPSNode.node_stats`
+    — the same dict in process and over a worker's ``node_stats`` admin
+    RPC — plus the region the monitor found the node in.  Counters of a
+    layer the node runs without (WAL, result cache, coalescing) are zero.
+    """
 
     node_id: str
     region: str
-    reads: int
-    writes: int
-    cache_hits: int
-    cache_misses: int
-    cache_swaps: int
-    flushes: int
-    flush_failures: int
-    memory_bytes: int
-    cache_capacity_bytes: int
-    resident_profiles: int
-    write_table_pending: int
-    quota_rejections: int
+    reads: int = 0
+    writes: int = 0
     batch_reads: int = 0
     batch_keys: int = 0
-    #: Durability-layer counters (zero when the node runs without a WAL).
+    merge_passes: int = 0
+    resident: int = 0
+    memory_bytes: int = 0
+    cache_capacity_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_swaps: int = 0
+    flushes: int = 0
+    flush_failures: int = 0
+    write_table_pending: int = 0
+    quota_rejections: int = 0
+    wal_last_sequence: int = 0
     wal_appends: int = 0
     wal_replay_lag: int = 0
     checkpoints: int = 0
     recoveries: int = 0
-    #: Hot-read-path counters (zero when the node runs without the
-    #: result cache / coalescing layer).
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     result_cache_entries: int = 0
@@ -142,6 +149,10 @@ class NodeSnapshot:
     coalesced_reads: int = 0
     batch_windows: int = 0
     batch_window_keys: int = 0
+    #: Only a worker process reports these: its OS pid and, when shards
+    #: are replicated, its :meth:`WorkerReplication.stats` dict.
+    pid: int | None = None
+    replication: dict | None = None
 
     @property
     def memory_ratio(self) -> float:
@@ -154,11 +165,6 @@ class NodeSnapshot:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    @property
-    def result_cache_hit_ratio(self) -> float:
-        total = self.result_cache_hits + self.result_cache_misses
-        return self.result_cache_hits / total if total else 0.0
-
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
@@ -167,143 +173,84 @@ class ClusterSnapshot:
     time_ms: int
     nodes: tuple[NodeSnapshot, ...]
 
+    def total(self, counter: str) -> int:
+        """Fleet-wide sum of one :class:`NodeSnapshot` counter."""
+        return sum(getattr(node, counter) for node in self.nodes)
+
     @property
     def reads(self) -> int:
-        return sum(node.reads for node in self.nodes)
+        return self.total("reads")
 
     @property
     def writes(self) -> int:
-        return sum(node.writes for node in self.nodes)
+        return self.total("writes")
 
     @property
     def memory_bytes(self) -> int:
-        return sum(node.memory_bytes for node in self.nodes)
+        return self.total("memory_bytes")
 
     @property
     def memory_ratio(self) -> float:
-        capacity = sum(node.cache_capacity_bytes for node in self.nodes)
+        capacity = self.total("cache_capacity_bytes")
         return self.memory_bytes / capacity if capacity else 0.0
 
     @property
     def hit_ratio(self) -> float:
-        hits = sum(node.cache_hits for node in self.nodes)
-        misses = sum(node.cache_misses for node in self.nodes)
-        total = hits + misses
+        hits = self.total("cache_hits")
+        total = hits + self.total("cache_misses")
         return hits / total if total else 0.0
 
     @property
     def resident_profiles(self) -> int:
-        return sum(node.resident_profiles for node in self.nodes)
+        return self.total("resident")
 
     @property
     def quota_rejections(self) -> int:
-        return sum(node.quota_rejections for node in self.nodes)
+        return self.total("quota_rejections")
 
     @property
     def wal_replay_lag(self) -> int:
         """WAL records a fleet-wide crash right now would have to replay."""
-        return sum(node.wal_replay_lag for node in self.nodes)
+        return self.total("wal_replay_lag")
 
     @property
     def recoveries(self) -> int:
-        return sum(node.recoveries for node in self.nodes)
+        return self.total("recoveries")
 
     @property
     def result_cache_hit_ratio(self) -> float:
-        hits = sum(node.result_cache_hits for node in self.nodes)
-        total = hits + sum(node.result_cache_misses for node in self.nodes)
+        hits = self.total("result_cache_hits")
+        total = hits + self.total("result_cache_misses")
         return hits / total if total else 0.0
 
     @property
     def coalesced_reads(self) -> int:
-        return sum(node.coalesced_reads for node in self.nodes)
+        return self.total("coalesced_reads")
 
     @property
     def batch_window_occupancy(self) -> float:
         """Mean keys per executed batch window, fleet-wide."""
-        windows = sum(node.batch_windows for node in self.nodes)
-        keys = sum(node.batch_window_keys for node in self.nodes)
-        return keys / windows if windows else 0.0
+        windows = self.total("batch_windows")
+        return self.total("batch_window_keys") / windows if windows else 0.0
 
-
-def fleet_summary(fleet_stats: dict[str, dict]) -> dict:
-    """Roll up :meth:`repro.net.cluster.ProcessCluster.fleet_stats`.
-
-    :class:`ClusterMonitor` introspects in-process node objects directly;
-    a process-per-node fleet is only observable through each worker's
-    ``node_stats`` admin RPC.  This takes that ``node_id -> stats`` dict
-    and produces the same style of fleet-wide rollup (sums plus the
-    per-worker pids, which in-process clusters by definition cannot show).
-    """
-    workers = sorted(fleet_stats)
-    summed = (
-        "reads", "writes", "batch_reads", "batch_keys",
-        "merge_passes", "resident", "memory_bytes", "wal_appends",
-    )
-    summary: dict = {"workers": len(workers), "worker_ids": workers}
-    for key in summed:
-        summary[key] = sum(stats.get(key, 0) for stats in fleet_stats.values())
-    summary["pids"] = {
-        node_id: fleet_stats[node_id].get("pid") for node_id in workers
-    }
-    summary["wal_last_sequence"] = {
-        node_id: fleet_stats[node_id].get("wal_last_sequence", 0)
-        for node_id in workers
-    }
-    replication = {
-        node_id: stats["replication"]
-        for node_id, stats in fleet_stats.items()
-        if stats.get("replication")
-    }
-    if replication:
-        summary["replication"] = {
+    @property
+    def replication(self) -> dict[str, int]:
+        """Replication rollup over the workers that report one (empty for
+        an in-process cluster or an unreplicated fleet)."""
+        reports = [node.replication for node in self.nodes if node.replication]
+        if not reports:
+            return {}
+        return {
             # "pending" is a per-peer lag dict on each worker; the rollup
             # is total queued deltas fleet-wide.
-            "pending": sum(
-                sum(r.get("pending", {}).values())
-                for r in replication.values()
-            ),
-            "handoff_depth": sum(
-                r.get("handoff_depth", 0) for r in replication.values()
-            ),
-            "applies": sum(r.get("applies", 0) for r in replication.values()),
-            "delta_bytes": sum(
-                r.get("delta_bytes", 0) for r in replication.values()
-            ),
+            "pending": sum(sum(r.get("pending", {}).values()) for r in reports),
+            "handoff_depth": sum(r.get("handoff_depth", 0) for r in reports),
+            "applies": sum(r.get("applies", 0) for r in reports),
+            "delta_bytes": sum(r.get("delta_bytes", 0) for r in reports),
             "repair_bytes": sum(
-                r.get("repair_bytes_shipped", 0) for r in replication.values()
+                r.get("repair_bytes_shipped", 0) for r in reports
             ),
         }
-    return summary
-
-
-def format_fleet_report(fleet_stats: dict[str, dict]) -> str:
-    """One-screen text view of a process fleet (mirrors ``report()``)."""
-    summary = fleet_summary(fleet_stats)
-    lines = [
-        f"fleet — {summary['workers']} worker processes, "
-        f"{summary['resident']} resident profiles",
-        f"  reads={summary['reads']}  writes={summary['writes']}  "
-        f"batch_keys={summary['batch_keys']}  "
-        f"memory_bytes={summary['memory_bytes']}",
-    ]
-    if "replication" in summary:
-        repl = summary["replication"]
-        lines.append(
-            f"  replication: pending={repl['pending']}  "
-            f"handoff={repl['handoff_depth']}  applies={repl['applies']}  "
-            f"delta_bytes={repl['delta_bytes']}  "
-            f"repair_bytes={repl['repair_bytes']}"
-        )
-    for node_id in summary["worker_ids"]:
-        stats = fleet_stats[node_id]
-        lines.append(
-            f"  {node_id}: pid={stats.get('pid')} "
-            f"reads={stats.get('reads', 0)} writes={stats.get('writes', 0)} "
-            f"resident={stats.get('resident', 0)} "
-            f"wal_seq={stats.get('wal_last_sequence', 0)}"
-        )
-    return "\n".join(lines)
 
 
 class ClusterMonitor:
@@ -359,68 +306,25 @@ class ClusterMonitor:
         return rollup
 
     def snapshot(self) -> ClusterSnapshot:
-        """Roll up every node's counters right now."""
+        """Roll up every node's counters right now.
+
+        A node is whatever ``region.nodes`` holds: an in-process
+        :class:`~repro.server.node.IPSNode` (or its RPC proxy, which
+        passes ``node_stats`` through uncharged) or a socket
+        :class:`~repro.net.transport.RemoteNode`, asked over its admin
+        RPC — an unreachable worker drops out of the snapshot.
+        """
         nodes = []
         for region in self._deployment.regions.values():
-            for node in region.nodes.values():
-                metrics = node.cache.metrics
-                durability = getattr(node, "durability", None)
-                result_cache = getattr(node, "result_cache", None)
-                singleflight = getattr(node, "singleflight", None)
-                batcher = getattr(node, "batcher", None)
-                nodes.append(
-                    NodeSnapshot(
-                        node_id=node.node_id,
-                        region=region.name,
-                        reads=node.stats.reads,
-                        writes=node.stats.writes,
-                        cache_hits=metrics.hits,
-                        cache_misses=metrics.misses,
-                        cache_swaps=metrics.swaps,
-                        flushes=metrics.flushes,
-                        flush_failures=metrics.flush_failures,
-                        memory_bytes=node.memory_bytes(),
-                        cache_capacity_bytes=node.cache.capacity_bytes,
-                        resident_profiles=node.cache.resident_count(),
-                        write_table_pending=node.write_table.pending_count,
-                        quota_rejections=node.quota.rejected,
-                        batch_reads=node.stats.batch_reads,
-                        batch_keys=node.stats.batch_keys,
-                        wal_appends=(
-                            durability.stats.writes_logged if durability else 0
-                        ),
-                        wal_replay_lag=(
-                            durability.replay_lag_records() if durability else 0
-                        ),
-                        checkpoints=(
-                            durability.stats.checkpoints if durability else 0
-                        ),
-                        recoveries=(
-                            durability.stats.recoveries if durability else 0
-                        ),
-                        result_cache_hits=(
-                            result_cache.stats.hits if result_cache else 0
-                        ),
-                        result_cache_misses=(
-                            result_cache.stats.misses if result_cache else 0
-                        ),
-                        result_cache_entries=(
-                            len(result_cache) if result_cache else 0
-                        ),
-                        result_cache_invalidations=(
-                            result_cache.stats.invalidations
-                            if result_cache
-                            else 0
-                        ),
-                        coalesced_reads=(
-                            singleflight.stats.coalesced if singleflight else 0
-                        ),
-                        batch_windows=(batcher.stats.batches if batcher else 0),
-                        batch_window_keys=(
-                            batcher.stats.batched_keys if batcher else 0
-                        ),
-                    )
-                )
+            refresh = getattr(region, "refresh", None)
+            if refresh is not None:
+                refresh()  # a registry-driven region re-reads its roster
+            for node in list(region.nodes.values()):
+                try:
+                    stats = node.node_stats()
+                except RPCError:
+                    continue
+                nodes.append(NodeSnapshot(region=region.name, **stats))
         clock = self._deployment.clock
         return ClusterSnapshot(time_ms=clock.now_ms(), nodes=tuple(nodes))
 
@@ -484,30 +388,34 @@ class ClusterMonitor:
             or node.batch_windows
             for node in snapshot.nodes
         ):
-            invalidations = sum(
-                node.result_cache_invalidations for node in snapshot.nodes
-            )
             lines.append(
                 "  hot reads: result_cache_hit_ratio="
                 f"{snapshot.result_cache_hit_ratio:.3f}  "
-                f"invalidations={invalidations}  "
+                f"invalidations={snapshot.total('result_cache_invalidations')}  "
                 f"coalesced={snapshot.coalesced_reads}  "
-                f"batch_windows="
-                f"{sum(node.batch_windows for node in snapshot.nodes)}  "
+                f"batch_windows={snapshot.total('batch_windows')}  "
                 f"window_occupancy={snapshot.batch_window_occupancy:.1f}"
             )
         if any(node.wal_appends or node.recoveries for node in snapshot.nodes):
-            appends = sum(node.wal_appends for node in snapshot.nodes)
-            checkpoints = sum(node.checkpoints for node in snapshot.nodes)
             lines.append(
-                f"  durability: wal_appends={appends}  "
+                f"  durability: wal_appends={snapshot.total('wal_appends')}  "
                 f"replay_lag={snapshot.wal_replay_lag}  "
-                f"checkpoints={checkpoints}  "
+                f"checkpoints={snapshot.total('checkpoints')}  "
                 f"recoveries={snapshot.recoveries}"
             )
-        for node in snapshot.nodes:
+        repl = snapshot.replication
+        if repl:
             lines.append(
-                f"  {node.node_id}: reads={node.reads} writes={node.writes} "
+                f"  replication: pending={repl['pending']}  "
+                f"handoff={repl['handoff_depth']}  applies={repl['applies']}  "
+                f"delta_bytes={repl['delta_bytes']}  "
+                f"repair_bytes={repl['repair_bytes']}"
+            )
+        for node in snapshot.nodes:
+            process = f"pid={node.pid} " if node.pid is not None else ""
+            lines.append(
+                f"  {node.node_id}: {process}"
+                f"reads={node.reads} writes={node.writes} "
                 f"hit={node.hit_ratio:.2f} mem={node.memory_ratio:.1%} "
                 f"pending={node.write_table_pending}"
             )

@@ -12,11 +12,10 @@ Layering:
 * :mod:`repro.net.wire` — length-prefixed, CRC32-framed wire codec for
   requests/responses (reuses the varint primitives of
   :mod:`repro.storage.serialization`);
-* :mod:`repro.net.transport` — the shared :class:`Transport` interface
-  with two implementations: :class:`InProcessTransport` (the existing
-  simulated ``server/rpc.py`` path) and :class:`SocketTransport` (a real
-  blocking TCP client), plus :class:`RemoteNode`, the duck-typed node
-  facade the cluster client routes to;
+* :mod:`repro.net.transport` — the :class:`Transport` interface and its
+  :class:`SocketTransport` implementation (a real blocking TCP client),
+  plus :class:`RemoteNode`, the duck-typed node facade the cluster
+  client routes to;
 * :mod:`repro.net.registry` — node registry with heartbeat liveness,
   TTL eviction and deterministic master election, servable over the same
   wire protocol (:class:`RegistryServer`);
@@ -41,16 +40,10 @@ from .replication import (
     ReplicationLog,
     WorkerReplication,
 )
-from .transport import (
-    InProcessTransport,
-    RemoteNode,
-    SocketTransport,
-    Transport,
-)
+from .transport import RemoteNode, SocketTransport, Transport
 from .wire import Request, Response, WireCodecError, WriteDelta
 
 __all__ = [
-    "InProcessTransport",
     "MemberRecord",
     "NetRegion",
     "NodeRegistry",

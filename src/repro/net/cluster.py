@@ -163,7 +163,6 @@ class ProcessDeployment:
         #: Metrics registry slot the client looks up; chaos/process fleet
         #: runs export through worker ``node_stats`` instead.
         self.registry = None
-        self.discovery = None
 
 
 class ProcessCluster:

@@ -1,19 +1,16 @@
-"""The shared transport seam: one interface, two implementations.
+"""The socket transport behind the :class:`Transport` interface.
 
-:class:`Transport` is the contract both paths meet:
+:class:`Transport` is the client-side channel contract;
+:class:`SocketTransport`, its implementation, is a real blocking TCP
+client with a small connection pool, speaking the :mod:`repro.net.wire`
+frame protocol to a :mod:`repro.net.worker` process.
 
-* :class:`InProcessTransport` routes through the existing simulated
-  :class:`~repro.server.rpc.RPCServer` — the default everywhere else in
-  the repo, byte-identical to the pre-``net/`` behaviour;
-* :class:`SocketTransport` is a real blocking TCP client with a small
-  connection pool, speaking the :mod:`repro.net.wire` frame protocol to a
-  :mod:`repro.net.worker` process.
-
-Both record per-call accounting into the same
-:class:`~repro.server.rpc.RPCStats` (client wall latency + server-side
-handler time), so the cluster client's hedging policy — which reads
-``rpc.stats.last_client_ms - last_server_ms`` as the network estimate —
-works unchanged over real sockets.
+It records per-call accounting into the same
+:class:`~repro.server.rpc.RPCStats` as the simulated RPC path (client
+wall latency + server-side handler time), so the cluster client's
+hedging policy — which reads ``rpc.stats.last_client_ms -
+last_server_ms`` as the network estimate — works unchanged over real
+sockets.
 
 :class:`RemoteNode` is the duck-typed node facade the cluster client
 routes to: it exposes ``node_id`` plus ``getattr`` method dispatch
@@ -32,7 +29,7 @@ from typing import Any
 
 from ..clock import perf_ms
 from ..errors import NodeUnavailableError, RPCTimeoutError
-from ..server.rpc import RPCServer, RPCStats
+from ..server.rpc import RPCStats
 from . import wire
 
 #: Methods a remote node serves over the wire: the proxy's RPC surface
@@ -90,33 +87,6 @@ class Transport(ABC):
 
     def close(self) -> None:  # pragma: no cover - default no-op
         """Release any underlying connections."""
-
-
-class InProcessTransport(Transport):
-    """The existing simulated RPC path behind the shared interface.
-
-    Wraps a node in an :class:`~repro.server.rpc.RPCServer` with measured
-    server time — the same configuration :class:`RPCNodeProxy` uses — so
-    in-process and socket deployments differ only in the medium.
-    """
-
-    def __init__(self, node: Any, clock: Any, latency_model=None,
-                 advance_clock: bool = False) -> None:
-        self._node = node
-        self.rpc = RPCServer(
-            node, clock, latency_model, advance_clock=advance_clock
-        )
-        self.stats = self.rpc.stats
-
-    @property
-    def node_id(self) -> str:
-        return getattr(self._node, "node_id", "unknown")
-
-    def call(self, method: str, *args: Any, timeout_ms: float | None = None,
-             **kwargs: Any) -> Any:
-        # The simulated transport has no real wire to time out on; the
-        # deadline is enforced by the resilience layer above.
-        return self.rpc.call(method, *args, measure_server_time=True, **kwargs)
 
 
 class SocketTransport(Transport):

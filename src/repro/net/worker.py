@@ -380,22 +380,8 @@ class WorkerServer:
         return {"node_id": self.node.node_id, "pid": os.getpid()}
 
     def _admin_node_stats(self) -> dict:
-        node = self.node
-        stats = {
-            "node_id": node.node_id,
-            "pid": os.getpid(),
-            "reads": node.stats.reads,
-            "writes": node.stats.writes,
-            "batch_reads": node.stats.batch_reads,
-            "batch_keys": node.stats.batch_keys,
-            "merge_passes": node.stats.merge_passes,
-            "resident": node.cache.resident_count(),
-            "memory_bytes": node.memory_bytes(),
-        }
-        if node.durability is not None:
-            wal = node.durability.wal
-            stats["wal_last_sequence"] = wal.last_sequence
-            stats["wal_appends"] = wal.stats.appends
+        stats = self.node.node_stats()
+        stats["pid"] = os.getpid()
         if self.replication.enabled:
             stats["replication"] = self.replication.stats()
         return stats

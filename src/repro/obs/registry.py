@@ -7,13 +7,13 @@ the single telemetry surface behind those rollups:
 * :class:`Counter` / :class:`Gauge` — monotonic and instantaneous values;
 * :class:`Histogram` — the **one** histogram implementation in the
   codebase: fixed-size log-bucketed, O(buckets) memory regardless of
-  sample count, with p50/p95/p99 quantile estimates.  ``sim.metrics``
-  re-exports it as ``LatencyHistogram`` and ``RPCStats`` /
-  ``BatchQueryMetrics`` build on it.  Histograms optionally carry
-  **exemplars**: ``record(value, trace_id=...)`` remembers the most
-  recent ``(trace_id, value)`` per bucket (memory stays O(buckets)),
-  so a slow exposition bucket links to one concrete trace retained by
-  the tail sampler (:mod:`repro.obs.tail`);
+  sample count, with p50/p95/p99 quantile estimates.  The simulator
+  (``sim.driver``), ``RPCStats`` and ``BatchQueryMetrics`` build on it.
+  Histograms optionally carry **exemplars**: ``record(value,
+  trace_id=...)`` remembers the most recent ``(trace_id, value)`` per
+  bucket (memory stays O(buckets)), so a slow exposition bucket links
+  to one concrete trace retained by the tail sampler
+  (:mod:`repro.obs.tail`);
 * :class:`MetricsRegistry` — named, labelled metric families with a
   Prometheus-style text exposition (:meth:`MetricsRegistry.render_text`)
   and a JSON export (:meth:`MetricsRegistry.to_json`).  Label values are

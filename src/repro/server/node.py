@@ -60,7 +60,6 @@ class NodeStats:
     writes_isolated: int = 0
     writes_direct: int = 0
     merge_passes: int = 0
-    quota_rejections: int = 0
     batch_reads: int = 0
     batch_keys: int = 0
 
@@ -871,6 +870,54 @@ class IPSNode:
 
     def memory_bytes(self) -> int:
         return self.cache.memory_bytes() + self.write_table.memory_bytes
+
+    def node_stats(self) -> dict:
+        """Every counter a dashboard reads, as one flat dict.
+
+        The single node snapshot: :class:`~repro.monitoring.NodeSnapshot`
+        takes these keys as its fields, and a worker's ``node_stats``
+        admin RPC returns the same dict (plus ``pid`` and
+        ``replication``).  A layer the node runs without contributes no
+        keys; the snapshot reads those as zero.
+        """
+        metrics = self.cache.metrics
+        stats = {
+            "node_id": self.node_id,
+            "reads": self.stats.reads,
+            "writes": self.stats.writes,
+            "batch_reads": self.stats.batch_reads,
+            "batch_keys": self.stats.batch_keys,
+            "merge_passes": self.stats.merge_passes,
+            "resident": self.cache.resident_count(),
+            "memory_bytes": self.memory_bytes(),
+            "cache_capacity_bytes": self.cache.capacity_bytes,
+            "cache_hits": metrics.hits,
+            "cache_misses": metrics.misses,
+            "cache_swaps": metrics.swaps,
+            "flushes": metrics.flushes,
+            "flush_failures": metrics.flush_failures,
+            "write_table_pending": self.write_table.pending_count,
+            "quota_rejections": self.quota.rejected,
+        }
+        durability = self.durability
+        if durability is not None:
+            stats["wal_last_sequence"] = durability.wal.last_sequence
+            stats["wal_appends"] = durability.wal.stats.appends
+            stats["wal_replay_lag"] = durability.replay_lag_records()
+            stats["checkpoints"] = durability.stats.checkpoints
+            stats["recoveries"] = durability.stats.recoveries
+        if self.result_cache is not None:
+            cached = self.result_cache.stats
+            stats["result_cache_hits"] = cached.hits
+            stats["result_cache_misses"] = cached.misses
+            stats["result_cache_entries"] = len(self.result_cache)
+            stats["result_cache_invalidations"] = cached.invalidations
+        if self.singleflight is not None:
+            stats["coalesced_reads"] = self.singleflight.stats.coalesced
+        if self.batcher is not None:
+            stats["batch_windows"] = self.batcher.stats.batches
+            stats["batch_window_keys"] = self.batcher.stats.batched_keys
+        return stats
 
     def __repr__(self) -> str:
         return (

@@ -21,14 +21,13 @@ paper's qualitative claims rather than just replaying its numbers.
 from .calibrate import CalibrationResult, calibrate_service_times
 from .driver import ClusterSimulator, ServiceProfile, StepMetrics
 from .faults import FaultEvent, FaultSchedule
-from .metrics import LatencyHistogram, TimeSeries, percentile
+from .metrics import TimeSeries, percentile
 
 __all__ = [
     "CalibrationResult",
     "ClusterSimulator",
     "FaultEvent",
     "FaultSchedule",
-    "LatencyHistogram",
     "ServiceProfile",
     "StepMetrics",
     "TimeSeries",

@@ -25,8 +25,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from ..obs.registry import Histogram
 from .faults import FaultSchedule
-from .metrics import LatencyHistogram
 
 
 @dataclass
@@ -209,7 +209,7 @@ class ClusterSimulator:
                 self.num_nodes * self.service.node_capacity_qps
             )
             hit_ratio = self._hit_ratio_at(time_ms)
-            histogram = LatencyHistogram()
+            histogram = Histogram()
             hits = 0
             for _ in range(self.samples_per_step):
                 latency, hit = self._sample_read_ms(
@@ -260,7 +260,7 @@ class ClusterSimulator:
                 if read_traffic_model is not None
                 else 0.75
             )
-            histogram = LatencyHistogram()
+            histogram = Histogram()
             for _ in range(self.samples_per_step):
                 histogram.record(
                     self._sample_write_ms(
@@ -287,10 +287,10 @@ class ClusterSimulator:
     ) -> dict[str, dict[str, float]]:
         """Table II: client/server query latency split by cache hit/miss."""
         histograms = {
-            ("client", True): LatencyHistogram(),
-            ("client", False): LatencyHistogram(),
-            ("server", True): LatencyHistogram(),
-            ("server", False): LatencyHistogram(),
+            ("client", True): Histogram(),
+            ("client", False): Histogram(),
+            ("server", True): Histogram(),
+            ("server", False): Histogram(),
         }
         for _ in range(samples):
             for client_side in (True, False):

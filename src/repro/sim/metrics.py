@@ -1,8 +1,8 @@
-"""Metric primitives: percentiles, latency histograms, time series.
+"""Metric primitives: percentiles and time series.
 
-The log-bucketed histogram lives in :mod:`repro.obs.registry` (the one
-histogram implementation in the codebase); ``LatencyHistogram`` is kept
-here as a compatibility alias for the simulator and older callers.
+The log-bucketed latency histogram the simulator records into is
+:class:`repro.obs.registry.Histogram`, the one histogram implementation
+in the codebase.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..obs.registry import Histogram as LatencyHistogram
-
-__all__ = ["LatencyHistogram", "TimeSeries", "percentile"]
+__all__ = ["TimeSeries", "percentile"]
 
 
 def percentile(samples: list[float], q: float) -> float:

@@ -279,6 +279,14 @@ class FineGrainedPersistence:
         if current is not None:
             *_, previous_entries = _decode_meta(current.value)
             previous_ids = {entry.slice_id for entry in previous_entries}
+            # Slice keys are per profile and every new manager (each node
+            # restart) counts from zero: allocate past the ids the live
+            # meta lists, or step 1 overwrites those values in place
+            # before the publish and step 3 then deletes them.
+            with self._id_lock:
+                self._next_slice_id = max(
+                    self._next_slice_id, max(previous_ids, default=0)
+                )
 
         # 1. Write every slice value under a fresh id.
         entries = []

@@ -5,31 +5,24 @@ format before persisting it (§III-E, Fig. 12).  We implement the same idea
 from scratch: a varint/length-delimited wire format that encodes the
 nesting Profile → Slice → Slot → Type → FeatureStat compactly.
 
-Since the columnar-native refactor there are **two slice encodings**,
-distinguished by the first varint of the slice body:
-
-* **v1 (dict era)** — the original per-feature varint format.  Written
-  only by :meth:`ProfileCodec.encode_slice_v1` (kept for compatibility
-  tests); still fully decodable so WAL/checkpoint/KV images from before
-  the refactor load losslessly into the array-native representation.
-* **v2 (columnar)** — tagged by :data:`SLICE_V2_MAGIC`, a varint far above
-  any plausible ``start_ms`` (> 2**62), which is what a v1 body starts
-  with.  Each ``(slot, type)`` section carries either zigzag-varint
-  feature rows (small or demoted groups) or **raw little-endian int64
-  column dumps** taken straight off the primary arrays through
-  ``memoryview`` — the zero-copy path: encoding touches no per-feature
-  Python objects, and decoding rebuilds the arrays with one
-  ``frombytes`` per column so cold reads skip the gather entirely.
+Every slice body is **columnar**: it opens with :data:`SLICE_V2_MAGIC`,
+a varint far above any plausible ``start_ms`` (> 2**62).  Each
+``(slot, type)`` section carries either zigzag-varint feature rows
+(small or demoted groups) or **raw little-endian int64 column dumps**
+taken straight off the primary arrays through ``memoryview`` — the
+zero-copy path: encoding touches no per-feature Python objects, and
+decoding rebuilds the arrays with one ``frombytes`` per column so cold
+reads skip the gather entirely.  The dict-era per-feature body (no
+magic, starting at ``start_ms``) is refused by name: no stored value
+that old can reach the codec any more (the persistence layer refuses the
+LZ-era records that held them).
 
 Wire layout (all integers are unsigned LEB128 varints):
 
 ``profile``  := MAGIC version profile_id granularity n_slices slice*
-``slice_v1`` := start_ms end_ms n_slots slot_v1*
-``slot_v1``  := slot_id n_types (type_id n_features feature_v1*)*
-``feature_v1`` := fid last_ts n_counts zigzag(count)*
-``slice_v2`` := V2MAGIC start_ms end_ms n_slots slot_v2*
-``slot_v2``  := slot_id n_types type_v2*
-``type_v2``  := type_id encoding body
+``slice``    := V2MAGIC start_ms end_ms n_slots slot*
+``slot``     := slot_id n_types type*
+``type``     := type_id encoding body
   encoding 0 := n_features (zigzag(fid) zigzag(last_ts) n_counts
                 zigzag(count)*)*
   encoding 1 := n_rows stride flags [widths_raw] fids_raw ts_raw counts_raw
@@ -56,9 +49,9 @@ from ..errors import SerializationError
 MAGIC = 0x49505331  # "IPS1"
 FORMAT_VERSION = 1
 
-#: First varint of a v2 slice body.  A v1 body starts with ``start_ms``;
-#: this constant is > 2**62, far beyond any real timestamp, so the two
-#: encodings cannot collide.
+#: First varint of every slice body.  The retired dict-era body started
+#: with ``start_ms``; this constant is > 2**62, far beyond any real
+#: timestamp, so such a body is recognised and refused, never misread.
 SLICE_V2_MAGIC = 0x4950_5332_434F_4C31  # "IPS2COL1"
 
 #: Column groups with at least this many rows use raw int64 column dumps
@@ -117,8 +110,8 @@ def _varint_bytes(value: int) -> bytes:
     return bytes(out)
 
 
-#: The nine bytes :data:`SLICE_V2_MAGIC` encodes to.  A v2 body is told
-#: from a v1 body by comparing this prefix, not by decoding the varint.
+#: The nine bytes :data:`SLICE_V2_MAGIC` encodes to; a slice body is
+#: checked against this prefix, not by decoding the varint.
 _SLICE_V2_PREFIX = _varint_bytes(SLICE_V2_MAGIC)
 
 
@@ -176,13 +169,6 @@ class ProfileCodec:
         return bytes(out)
 
     @staticmethod
-    def encode_slice_v1(profile_slice: Slice) -> bytes:
-        """The dict-era encoding, kept for backward-compatibility tests."""
-        out = bytearray()
-        ProfileCodec._write_slice_v1(out, profile_slice)
-        return bytes(out)
-
-    @staticmethod
     def decode_slice(blob: bytes) -> Slice:
         profile_slice, pos = ProfileCodec._read_slice(blob, 0)
         if pos != len(blob):
@@ -190,77 +176,6 @@ class ProfileCodec:
                 f"{len(blob) - pos} trailing bytes after slice"
             )
         return profile_slice
-
-    @staticmethod
-    def _read_slice(data: bytes, pos: int) -> tuple[Slice, int]:
-        """Decode one slice body, dispatching on the version tag."""
-        if data.startswith(_SLICE_V2_PREFIX, pos):
-            return ProfileCodec._read_slice_v2(data, pos + len(_SLICE_V2_PREFIX))
-        return ProfileCodec._read_slice_v1(data, pos)
-
-    # -- v1 (dict era) --------------------------------------------------
-
-    @staticmethod
-    def _write_slice_v1(out: bytearray, profile_slice: Slice) -> None:
-        write_varint(out, profile_slice.start_ms)
-        write_varint(out, profile_slice.end_ms)
-        slots = list(profile_slice.slots_items())
-        write_varint(out, len(slots))
-        for slot_id, instance_set in slots:
-            write_varint(out, slot_id)
-            types = list(instance_set.items())
-            write_varint(out, len(types))
-            for type_id, features in types:
-                write_varint(out, type_id)
-                write_varint(out, len(features))
-                for stat in features.values():
-                    ProfileCodec._write_feature(out, stat)
-
-    @staticmethod
-    def _read_slice_v1(data: bytes, pos: int) -> tuple[Slice, int]:
-        start_ms, pos = read_varint(data, pos)
-        end_ms, pos = read_varint(data, pos)
-        profile_slice = ProfileCodec._new_slice(start_ms, end_ms)
-        n_slots, pos = read_varint(data, pos)
-        for _ in range(n_slots):
-            slot_id, pos = read_varint(data, pos)
-            instance_set = profile_slice.ensure_slot(slot_id)
-            n_types, pos = read_varint(data, pos)
-            for _ in range(n_types):
-                type_id, pos = read_varint(data, pos)
-                n_features, pos = read_varint(data, pos)
-                features: list[FeatureStat] = []
-                for _ in range(n_features):
-                    stat, pos = ProfileCodec._read_feature(data, pos)
-                    features.append(stat)
-                instance_set.adopt_group(
-                    type_id, ColumnGroup.from_stats(features)
-                )
-        profile_slice.mark_mutated()
-        return profile_slice, pos
-
-    @staticmethod
-    def _write_feature(out: bytearray, stat: FeatureStat) -> None:
-        write_varint(out, stat.fid)
-        write_varint(out, stat.last_timestamp_ms)
-        write_varint(out, len(stat.counts))
-        for count in stat.counts:
-            write_varint(out, zigzag_encode(count))
-
-    @staticmethod
-    def _read_feature(data: bytes, pos: int) -> tuple[FeatureStat, int]:
-        fid, pos = read_varint(data, pos)
-        last_ts, pos = read_varint(data, pos)
-        n_counts, pos = read_varint(data, pos)
-        if n_counts > _MAX_COUNTS:
-            raise SerializationError(f"implausible count vector length {n_counts}")
-        counts = []
-        for _ in range(n_counts):
-            encoded, pos = read_varint(data, pos)
-            counts.append(zigzag_decode(encoded))
-        return FeatureStat(fid, counts, last_ts), pos
-
-    # -- v2 (columnar) --------------------------------------------------
 
     @staticmethod
     def _write_slice_v2(out: bytearray, profile_slice: Slice) -> None:
@@ -305,11 +220,20 @@ class ProfileCodec:
                 write_varint(out, zigzag_encode(count))
 
     @staticmethod
-    def _read_slice_v2(data: bytes, pos: int) -> tuple[Slice, int]:
-        """Decode a v2 body from just past its magic."""
-        start_ms, pos = read_varint(data, pos)
+    def _read_slice(data: bytes, pos: int) -> tuple[Slice, int]:
+        if not data.startswith(_SLICE_V2_PREFIX, pos):
+            raise SerializationError(
+                "slice body does not open with the columnar slice codec's "
+                "magic: cut short, or written by the dict-era codec this "
+                "build no longer decodes"
+            )
+        start_ms, pos = read_varint(data, pos + len(_SLICE_V2_PREFIX))
         end_ms, pos = read_varint(data, pos)
-        profile_slice = ProfileCodec._new_slice(start_ms, end_ms)
+        if end_ms <= start_ms:
+            raise SerializationError(
+                f"decoded slice has empty range [{start_ms}, {end_ms})"
+            )
+        profile_slice = Slice(start_ms, end_ms)
         n_slots, pos = read_varint(data, pos)
         for _ in range(n_slots):
             slot_id, pos = read_varint(data, pos)
@@ -369,16 +293,6 @@ class ProfileCodec:
                 )
             )
         return ColumnGroup.from_stats(features), pos
-
-    # -- shared ---------------------------------------------------------
-
-    @staticmethod
-    def _new_slice(start_ms: int, end_ms: int) -> Slice:
-        if end_ms <= start_ms:
-            raise SerializationError(
-                f"decoded slice has empty range [{start_ms}, {end_ms})"
-            )
-        return Slice(start_ms, end_ms)
 
     # -- whole profiles ---------------------------------------------------
 

@@ -72,16 +72,6 @@ class TestRegionAccounting:
         assert "healthy=1" in text
         assert "nodes=2" in text
 
-    def test_heartbeat_without_discovery_is_noop(self):
-        from repro.cluster.region import Region
-        from repro.storage import InMemoryKVStore
-
-        region = Region(
-            "r", TableConfig(name="t", attributes=("c",)),
-            InMemoryKVStore(), SimulatedClock(NOW), num_nodes=1,
-        )
-        region.heartbeat_all()  # Must not raise.
-
 
 class TestShutdownPaths:
     def test_cluster_shutdown_flushes_everything(self, cluster):

@@ -13,6 +13,8 @@ from repro.cluster import IPSCluster
 from repro.config import TableConfig
 from repro.core.query import SortType
 from repro.core.timerange import TimeRange
+from repro.server.node import IPSNode
+from repro.storage.filestore import FileKVStore
 from repro.storage.persistence import FineGrainedPersistence
 
 NOW = 400 * MILLIS_PER_DAY
@@ -107,3 +109,30 @@ class TestFineGrainedThroughCluster:
             node.cache.flush_all()
         exported = export_table(cluster.store, "big", "/tmp/fg.snapshot")
         assert exported == 0  # No bulk keys exist for this table.
+
+
+class TestFineGrainedNodeRestart:
+    def test_writes_survive_repeated_restarts(self, tmp_path):
+        """write / shutdown / reopen, three times over one FileKVStore:
+        each reopened node's first re-flush must not destroy the profile
+        the previous run stored."""
+        config = TableConfig(
+            name="big", attributes=("click",), fine_grained_persistence=True
+        )
+        clock = SimulatedClock(NOW)
+        for run in range(3):
+            store = FileKVStore(tmp_path / "kv.log")
+            node = IPSNode("n0", config, store, clock=clock)
+            for hour in range(4):
+                node.add_profile(
+                    7, NOW - (run * 4 + hour) * MILLIS_PER_HOUR, 1, 0,
+                    100 + run * 4 + hour, {"click": 1},
+                )
+            node.shutdown()
+            store.close()
+
+        store = FileKVStore(tmp_path / "kv.log")
+        node = IPSNode("n0", config, store, clock=clock)
+        rows = node.get_profile_topk(7, 1, 0, WINDOW, k=50)
+        store.close()
+        assert sorted(row.fid for row in rows) == list(range(100, 112))

@@ -193,10 +193,8 @@ class TestNodeSnapshotRatios:
         from repro.monitoring import NodeSnapshot
 
         snapshot = NodeSnapshot(
-            node_id="n0", region="local", reads=0, writes=0,
-            cache_hits=0, cache_misses=0, cache_swaps=0, flushes=0,
-            flush_failures=0, memory_bytes=123, cache_capacity_bytes=0,
-            resident_profiles=1, write_table_pending=0, quota_rejections=0,
+            node_id="n0", region="local", memory_bytes=123,
+            cache_capacity_bytes=0, resident=1,
         )
         assert snapshot.memory_ratio == 0.0
 
@@ -204,10 +202,8 @@ class TestNodeSnapshotRatios:
         from repro.monitoring import NodeSnapshot
 
         snapshot = NodeSnapshot(
-            node_id="n0", region="local", reads=0, writes=0,
-            cache_hits=0, cache_misses=0, cache_swaps=0, flushes=0,
-            flush_failures=0, memory_bytes=50, cache_capacity_bytes=200,
-            resident_profiles=1, write_table_pending=0, quota_rejections=0,
+            node_id="n0", region="local", memory_bytes=50,
+            cache_capacity_bytes=200, resident=1,
         )
         assert snapshot.memory_ratio == 0.25
 

@@ -27,7 +27,7 @@ from repro.chaos.engine import ChaosEvent
 from repro.chaos.process import ProcessChaosEngine
 from repro.cluster.resilience import ResilienceConfig
 from repro.core.timerange import TimeRange
-from repro.monitoring import fleet_summary, format_fleet_report
+from repro.monitoring import ClusterMonitor
 from repro.net.cluster import ProcessCluster
 
 WORKER_ENV = {"IPS_KERNEL_DISABLE_NUMPY": "1"}
@@ -104,11 +104,30 @@ class TestEndToEnd:
         assert stats["w00"]["pid"] != stats["w01"]["pid"]
         # The ring actually spread the writes across both processes.
         assert stats["w00"]["writes"] > 0 and stats["w01"]["writes"] > 0
-        summary = fleet_summary(stats)
-        assert summary["workers"] == 2
-        assert summary["writes"] == 40
-        report = format_fleet_report(stats)
-        assert "2 worker processes" in report and "w01" in report
+
+        # The monitor that reads an in-process cluster reads this one too:
+        # same dict, asked over each worker's node_stats admin RPC.
+        monitor = ClusterMonitor(cluster.deployment())
+
+        def idle_pair():
+            before = cluster.fleet_stats()
+            snapshot = monitor.snapshot()
+            return (before, snapshot) if cluster.fleet_stats() == before else None
+
+        stats, snapshot = _poll(idle_pair, 5.0, "the fleet to sit idle")
+        assert [node.node_id for node in snapshot.nodes] == ["w00", "w01"]
+        for node in snapshot.nodes:
+            for key, value in stats[node.node_id].items():
+                assert getattr(node, key) == value, (node.node_id, key)
+        assert snapshot.writes == 40
+        report = monitor.report()
+        assert "2 nodes" in report
+        for node_id in ("w00", "w01"):
+            assert f"{node_id}: pid={stats[node_id]['pid']} " in report
+
+        cluster.kill_worker("w01")
+        survivors = monitor.snapshot()
+        assert [node.node_id for node in survivors.nodes] == ["w00"]
 
 
 class TestShutdownDurability:

@@ -78,7 +78,12 @@ class TestEpoch:
         registry.members()
         assert registry.epoch == epoch1  # steady state: no bump
         registry.register("w1", "h", 2)
-        assert registry.epoch > epoch1
+        epoch2 = registry.epoch
+        assert epoch2 > epoch1
+        registry.deregister("ghost")  # unknown node: not a change
+        assert registry.epoch == epoch2
+        registry.deregister("w1")
+        assert registry.epoch > epoch2
 
     def test_eviction_bumps_epoch(self, registry, clock):
         registry.register("w0", "h", 1)
@@ -215,6 +220,10 @@ class TestNetRegionRebalance:
         for pid in range(100):
             region.node_for(pid)
         assert region.refreshes == refreshes  # epoch never moved
+        registry.register("w1", "h", 2)
+        for pid in range(100):
+            region.node_for(pid)
+        assert region.refreshes == refreshes + 1  # one rebuild per move
 
 
 @pytest.fixture

@@ -306,18 +306,23 @@ class TestWorkerReplication:
         assert pair["a0"].repair_blocks_matched > 0
 
     def test_stats_shape_matches_fleet_rollup(self, pair):
-        from repro.monitoring import fleet_summary
+        from repro.monitoring import ClusterSnapshot, NodeSnapshot
 
         pair["a0"].on_client_write(1, NOW, 0, 1, 500, (1, 0, 0))
         pair["a0"].ship_once()
-        fleet = {
-            "a0": {"replication": pair["a0"].stats(), "pid": 1},
-            "b0": {"replication": pair["b0"].stats(), "pid": 2},
-        }
-        summary = fleet_summary(fleet)
-        assert summary["replication"]["applies"] == 1
-        assert summary["replication"]["pending"] == 0
-        assert summary["replication"]["delta_bytes"] > 0
+        rollup = ClusterSnapshot(
+            time_ms=NOW,
+            nodes=tuple(
+                NodeSnapshot(
+                    node_id=node_id, region="net", pid=pid,
+                    replication=pair[node_id].stats(),
+                )
+                for pid, node_id in enumerate(("a0", "b0"), start=1)
+            ),
+        ).replication
+        assert rollup["applies"] == 1
+        assert rollup["pending"] == 0
+        assert rollup["delta_bytes"] > 0
 
     def test_factor_adopted_from_registry_when_not_fixed(self, tmp_path):
         node = build_durable_node("c0", tmp_path / "c0")

@@ -145,6 +145,17 @@ class TestAdminSurface:
         assert stats["writes"] >= 1
         assert stats["wal_last_sequence"] >= 1
 
+    def test_node_stats_is_the_nodes_own_dict_plus_process_keys(
+        self, server, remote
+    ):
+        """One snapshot, in process and over the wire: the admin RPC may
+        add only the process-level keys, so the two cannot drift."""
+        over_the_wire = set(remote.node_stats())
+        assert "pid" in over_the_wire
+        assert over_the_wire - {"pid", "replication"} == set(
+            server.node.node_stats()
+        )
+
     def test_checkpoint_now(self, server, remote):
         _seed(server.node)
         reply = remote.checkpoint_now()

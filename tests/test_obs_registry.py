@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.registry import (
     Counter,
@@ -99,11 +100,33 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(min_ms=0.0)
         with pytest.raises(ValueError):
+            Histogram(min_ms=10, max_ms=5)
+        with pytest.raises(ValueError):
             Histogram(growth=1.0)
 
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError):
             Histogram().record(-1.0)
+
+    def test_out_of_range_values_clamp_to_edges(self):
+        histogram = Histogram(min_ms=1.0, max_ms=100.0)
+        histogram.record(0.0001)
+        histogram.record(1e9)
+        assert histogram.count == 2
+        assert histogram.quantile(0.0) <= 1.0
+
+    def test_quantile_never_exceeds_max_seen(self):
+        histogram = Histogram()
+        histogram.record_many([1.0, 1.0, 1.0])
+        assert histogram.p99 <= 1.0
+
+    @given(st.lists(st.floats(min_value=0.001, max_value=1e4), min_size=1, max_size=500))
+    @settings(max_examples=50, deadline=None)
+    def test_quantile_monotone_in_q(self, samples):
+        histogram = Histogram()
+        histogram.record_many(samples)
+        quantiles = [histogram.quantile(q / 10) for q in range(11)]
+        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
 
 
 class TestRegistry:
@@ -165,12 +188,6 @@ class TestRegistry:
         assert data["mem"]["metrics"][0]["value"] == 0.5
         assert data["lat"]["metrics"][0]["count"] == 1.0
         assert "p99" in data["lat"]["metrics"][0]
-
-    def test_sim_metrics_reexports_same_class(self):
-        """Exactly one histogram implementation in the codebase."""
-        from repro.sim.metrics import LatencyHistogram
-
-        assert LatencyHistogram is Histogram
 
 
 NASTY = 'back\\slash "quoted"\nnewline'

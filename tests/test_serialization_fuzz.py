@@ -61,10 +61,10 @@ def flatten(profile: ProfileData):
     for profile_slice in profile.slices:
         slots = []
         for slot_id, instance_set in sorted(profile_slice.slots_items()):
-            for type_id, features in sorted(instance_set.items()):
-                for fid, stat in sorted(features.items()):
+            for type_id, group in sorted(instance_set.groups_items()):
+                for stat in sorted(group.iter_stats(), key=lambda s: s.fid):
                     slots.append(
-                        (slot_id, type_id, fid, tuple(stat.counts),
+                        (slot_id, type_id, stat.fid, tuple(stat.counts),
                          stat.last_timestamp_ms)
                     )
         out.append((profile_slice.start_ms, profile_slice.end_ms, tuple(slots)))
@@ -202,9 +202,11 @@ class TestCorruption:
     def test_implausible_feature_count_rejected(self):
         """A corrupted count-vector length fails fast, not with a huge alloc."""
         out = bytearray()
-        write_varint(out, 1)  # fid
-        write_varint(out, NOW)  # last_ts
+        write_varint(out, 0)  # encoding: zigzag-varint rows
+        write_varint(out, 1)  # n_features
+        write_varint(out, 2)  # zigzag(fid)
+        write_varint(out, 2 * NOW)  # zigzag(last_ts)
         write_varint(out, 1_000_000)  # absurd n_counts
         with pytest.raises(SerializationError) as excinfo:
-            ProfileCodec._read_feature(bytes(out), 0)
+            ProfileCodec._read_group_v2(bytes(out), 0)
         assert "implausible" in str(excinfo.value)

@@ -1,13 +1,9 @@
 """Property-based suite for the zero-copy (columnar v2) serialization.
 
-Two contracts, enforced with hypothesis over generated slices/profiles:
-
-1. **v2 round-trip** — array-native slice → bytes → slice is lossless,
-   and re-encoding the decoded slice reproduces the exact same bytes
-   (stability matters: replica repair compares encoded block digests).
-2. **Backward compatibility** — dict-era (v1) bytes decode losslessly
-   into the array-native representation, so WAL/checkpoint/KV images
-   written before the columnar refactor keep loading.
+One contract, enforced with hypothesis over generated slices/profiles:
+array-native slice → bytes → slice is lossless, and re-encoding the
+decoded slice reproduces the exact same bytes (stability matters:
+replica repair compares encoded block digests).
 
 Plus structural checks that the raw int64 column sections actually
 appear on the wire for large groups (the zero-copy path) and that
@@ -41,8 +37,8 @@ from repro.storage.serialization import (
 #: Counts beyond int64 are clamped by FeatureStat; include both.
 count_values = st.integers(min_value=-(2**70), max_value=2**70)
 
-#: fids stay unsigned for v1-encoder compatibility (it rejects negatives)
-#: but may exceed int64 — those rows demote their group to legacy mode.
+#: fids stay unsigned but may exceed int64 — those rows demote their
+#: group to legacy mode.
 fid_values = st.integers(min_value=0, max_value=2**64 - 1)
 
 timestamp_values = st.integers(min_value=0, max_value=2**48)
@@ -148,43 +144,6 @@ class TestV2RoundTrip:
         assert serialize_profile(back) == blob
         # Logical memory accounting is representation-stable.
         assert back.memory_bytes() == profile.memory_bytes()
-
-
-# ----------------------------------------------------------------------
-# Backward compatibility: v1 (dict-era) bytes
-# ----------------------------------------------------------------------
-
-
-class TestV1Compatibility:
-    @settings(max_examples=120, deadline=None)
-    @given(slices())
-    def test_v1_bytes_decode_losslessly(self, profile_slice):
-        blob = ProfileCodec.encode_slice_v1(profile_slice)
-        decoded = ProfileCodec.decode_slice(blob)
-        assert slice_snapshot(decoded) == slice_snapshot(profile_slice)
-
-    @settings(max_examples=60, deadline=None)
-    @given(slices())
-    def test_v1_decodes_into_array_native_groups(self, profile_slice):
-        decoded = ProfileCodec.decode_slice(
-            ProfileCodec.encode_slice_v1(profile_slice)
-        )
-        for _, instance_set in decoded.slots_items():
-            for _, group in instance_set.groups_items():
-                if all(_fits_int64(stat) for stat in group.iter_stats()):
-                    assert group.is_columnar
-
-    @settings(max_examples=60, deadline=None)
-    @given(slices())
-    def test_v1_and_v2_decode_identically(self, profile_slice):
-        via_v1 = ProfileCodec.decode_slice(
-            ProfileCodec.encode_slice_v1(profile_slice)
-        )
-        via_v2 = ProfileCodec.decode_slice(
-            ProfileCodec.encode_slice(profile_slice)
-        )
-        assert slice_snapshot(via_v1) == slice_snapshot(via_v2)
-        assert via_v1.memory_bytes() == via_v2.memory_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Tests for percentile/histogram/time-series metric primitives."""
-
-import random
+"""Tests for percentile/time-series metric primitives."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.sim.metrics import LatencyHistogram, TimeSeries, percentile
+from repro.sim.metrics import TimeSeries, percentile
 
 
 class TestPercentile:
@@ -38,74 +36,6 @@ class TestPercentile:
     def test_result_within_sample_range(self, samples, q):
         result = percentile(samples, q)
         assert min(samples) <= result <= max(samples)
-
-
-class TestLatencyHistogram:
-    def test_quantiles_approximate_exact(self):
-        rng = random.Random(0)
-        samples = [rng.lognormvariate(0.0, 0.5) for _ in range(50_000)]
-        histogram = LatencyHistogram()
-        histogram.record_many(samples)
-        exact_p50 = percentile(samples, 50)
-        exact_p99 = percentile(samples, 99)
-        # Log-bucketed: within the 5% bucket growth factor (plus slack).
-        assert abs(histogram.p50 - exact_p50) / exact_p50 < 0.08
-        assert abs(histogram.p99 - exact_p99) / exact_p99 < 0.08
-
-    def test_mean_and_count(self):
-        histogram = LatencyHistogram()
-        histogram.record_many([1.0, 2.0, 3.0])
-        assert histogram.count == 3
-        assert histogram.mean == pytest.approx(2.0)
-        assert histogram.max == 3.0
-
-    def test_empty_quantile_raises(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().quantile(0.5)
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().record(-1.0)
-
-    def test_out_of_range_values_clamp_to_edges(self):
-        histogram = LatencyHistogram(min_ms=1.0, max_ms=100.0)
-        histogram.record(0.0001)
-        histogram.record(1e9)
-        assert histogram.count == 2
-        assert histogram.quantile(0.0) <= 1.0
-
-    def test_quantile_never_exceeds_max_seen(self):
-        histogram = LatencyHistogram()
-        histogram.record_many([1.0, 1.0, 1.0])
-        assert histogram.p99 <= 1.0
-
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record_many([1.0] * 100)
-        b.record_many([10.0] * 100)
-        a.merge(b)
-        assert a.count == 200
-        assert a.p50 <= 10.0 <= a.max
-
-    def test_merge_incompatible_layouts_rejected(self):
-        a = LatencyHistogram(growth=1.05)
-        b = LatencyHistogram(growth=1.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(min_ms=10, max_ms=5)
-        with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.0)
-
-    @given(st.lists(st.floats(min_value=0.001, max_value=1e4), min_size=1, max_size=500))
-    @settings(max_examples=50, deadline=None)
-    def test_quantile_monotone_in_q(self, samples):
-        histogram = LatencyHistogram()
-        histogram.record_many(samples)
-        quantiles = [histogram.quantile(q / 10) for q in range(11)]
-        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
 
 
 class TestTimeSeries:

@@ -311,6 +311,49 @@ class TestFineGrainedSpecifics:
         assert loaded.feature_count() == profile.feature_count()
 
 
+class TestFineGrainedRestart:
+    """A new manager over a store that already holds the profile — every
+    restart of a fine-grained node — must not allocate the slice ids the
+    live meta record lists."""
+
+    def test_reflush_by_a_new_manager_keeps_every_slice(self):
+        store = InMemoryKVStore()
+        FineGrainedPersistence(store, "t").flush(make_profile(writes=20))
+
+        second = FineGrainedPersistence(store, "t")
+        profile = second.load(1)
+        profile.add(2_000_000, 0, 0, 99, [1, 1], SUM)
+        second.flush(profile)
+
+        reloaded = FineGrainedPersistence(store, "t").load(1)
+        assert reloaded.slice_count() == profile.slice_count()
+        assert reloaded.feature_count() == profile.feature_count()
+        assert ProfileCodec.encode_profile(reloaded) == (
+            ProfileCodec.encode_profile(profile)
+        )
+        # One meta record + one key per slice: nothing leaked either.
+        assert len(store) == 1 + profile.slice_count()
+
+    def test_two_managers_flushing_alternately(self):
+        store = InMemoryKVStore()
+        managers = [
+            FineGrainedPersistence(store, "t"),
+            FineGrainedPersistence(store, "t"),
+        ]
+        profile = make_profile(writes=20)
+        for round_number in range(5):
+            for manager in managers:
+                profile.add(
+                    3_000_000 + round_number * 2000, 0, 0, 7, [1, 1], SUM
+                )
+                manager.flush(profile)
+                loaded = manager.load(1)
+                assert ProfileCodec.encode_profile(loaded) == (
+                    ProfileCodec.encode_profile(profile)
+                )
+        assert len(store) == 1 + profile.slice_count()
+
+
 class TestStoredProfileIds:
     def test_enumerates_flushed_profiles(self, persistence):
         manager, _ = persistence

@@ -8,6 +8,8 @@ from repro.core.profile import ProfileData
 from repro.core.slice import Slice
 from repro.errors import SerializationError
 from repro.storage.serialization import (
+    FORMAT_VERSION,
+    MAGIC,
     RAW_COLUMN_MIN_ROWS,
     SLICE_V2_MAGIC,
     ProfileCodec,
@@ -223,20 +225,30 @@ class TestDecodeFastPathEdges:
         with pytest.raises(SerializationError, match="too long"):
             read_varint(b"\x80" * 11 + b"\x01", 0)
 
-    def test_v1_body_still_decodes(self):
-        """Also one whose start_ms opens with the magic's own first byte:
+    def test_v1_body_is_refused_by_name(self):
+        """A dict-era slice body (no magic, starts at ``start_ms``) raises
+        an error naming the columnar codec — never a garbage ``Slice``.
+        The second body's start_ms opens with the magic's own first byte:
         the prefix compare looks at all nine."""
         magic = bytearray()
         write_varint(magic, SLICE_V2_MAGIC)
-        start_ms = (magic[0] & 0x7F) | (1 << 7)  # varint: magic[0], 0x01
-        original = Slice(start_ms, start_ms + 4000)
-        original.add(1, 2, 42, [3, -1, 7], start_ms + 10, SUM)
-        blob = ProfileCodec.encode_slice_v1(original)
-        assert blob[0] == magic[0]
-        decoded = ProfileCodec.decode_slice(blob)
-        assert (decoded.start_ms, decoded.end_ms) == (start_ms, start_ms + 4000)
-        assert list(decoded.features(1, 2)) == list(original.features(1, 2))
-        assert decoded.memory_bytes() == original.memory_bytes()
+        for start_ms in (1_000_000, (magic[0] & 0x7F) | (1 << 7)):
+            body = bytearray()
+            for value in (
+                start_ms, start_ms + 4000,  # range
+                1, 1,  # n_slots, slot_id
+                1, 2,  # n_types, type_id
+                1, 42, start_ms + 10,  # n_features, fid, last_ts
+                2, zigzag_encode(3), zigzag_encode(-1),  # counts
+            ):
+                write_varint(body, value)
+            with pytest.raises(SerializationError, match="columnar slice codec"):
+                ProfileCodec.decode_slice(bytes(body))
+            profile = bytearray()
+            for value in (MAGIC, FORMAT_VERSION, 9, 4000, 1, len(body)):
+                write_varint(profile, value)
+            with pytest.raises(SerializationError, match="columnar slice codec"):
+                ProfileCodec.decode_profile(bytes(profile + body))
 
     def test_mixed_raw_and_varint_groups_round_trip(self):
         profile = ProfileData(9, 4000)
