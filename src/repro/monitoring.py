@@ -149,9 +149,11 @@ class NodeSnapshot:
     coalesced_reads: int = 0
     batch_windows: int = 0
     batch_window_keys: int = 0
-    #: Only a worker process reports these: its OS pid and, when shards
-    #: are replicated, its :meth:`WorkerReplication.stats` dict.
+    #: Only a worker process reports these: pid, open / refused client
+    #: connections and, when replicated, :meth:`WorkerReplication.stats`.
     pid: int | None = None
+    connections: int = 0
+    connections_refused: int = 0
     replication: dict | None = None
 
     @property

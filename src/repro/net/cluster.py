@@ -180,7 +180,6 @@ class ProcessCluster:
         heartbeat_ms: float = 200.0,
         ttl_ms: float = 1_500.0,
         maintenance_ms: float = 100.0,
-        handler_threads: int = 4,
         replication_factor: int = 1,
         replication_ms: float = 50.0,
         repair_ms: float = 2_000.0,
@@ -195,7 +194,6 @@ class ProcessCluster:
         self.checkpoint_interval = checkpoint_interval
         self.heartbeat_ms = heartbeat_ms
         self.maintenance_ms = maintenance_ms
-        self.handler_threads = handler_threads
         self.replication_factor = replication_factor
         self.replication_ms = replication_ms
         self.repair_ms = repair_ms
@@ -249,7 +247,6 @@ class ProcessCluster:
                 "--checkpoint-interval", str(self.checkpoint_interval),
                 "--heartbeat-ms", str(self.heartbeat_ms),
                 "--maintenance-ms", str(self.maintenance_ms),
-                "--handler-threads", str(self.handler_threads),
                 "--replication-factor", str(self.replication_factor),
                 "--replication-ms", str(self.replication_ms),
                 "--repair-ms", str(self.repair_ms),

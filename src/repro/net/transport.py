@@ -164,21 +164,11 @@ class SocketTransport(Transport):
 
     # -- wire I/O -------------------------------------------------------
 
-    @staticmethod
-    def _recv_exact(sock: socket.socket, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = sock.recv(n - len(chunks))
-            if not chunk:
-                raise ConnectionError("peer closed mid-frame")
-            chunks.extend(chunk)
-        return bytes(chunks)
-
     def _roundtrip(self, sock: socket.socket, frame: bytes) -> wire.Response:
         sock.sendall(frame)
-        header = self._recv_exact(sock, wire.HEADER_SIZE)
-        length, crc = wire.decode_frame_header(header)
-        payload = wire.check_frame_payload(self._recv_exact(sock, length), crc)
+        payload = wire.read_frame(sock)
+        if payload is None:
+            raise ConnectionError("peer closed the connection")
         message = wire.decode_message(payload)
         if not isinstance(message, wire.Response):
             raise wire.WireCodecError("expected a response frame")
@@ -196,37 +186,26 @@ class SocketTransport(Transport):
         try:
             sock.settimeout(max(budget_ms, 1.0) / 1000.0)
             response = self._roundtrip(sock, frame)
-        except socket.timeout as exc:
-            sock.close()
+            if response.request_id != request.request_id:
+                raise wire.WireCodecError(
+                    f"response id {response.request_id} does not match "
+                    f"request id {request.request_id}"
+                )
+        except Exception as exc:
+            sock.close()  # broken or out of step: never back into the pool
             with self._lock:
                 self.stats.calls += 1
                 self.stats.failures += 1
-            raise RPCTimeoutError(
-                f"call {method} to {self._node_id} timed out after "
-                f"{budget_ms:g} ms"
-            ) from exc
-        except (OSError, ConnectionError) as exc:
-            sock.close()
-            with self._lock:
-                self.stats.calls += 1
-                self.stats.failures += 1
-            raise NodeUnavailableError(self._node_id) from exc
-        except wire.WireCodecError:
-            sock.close()
-            with self._lock:
-                self.stats.calls += 1
-                self.stats.failures += 1
+            if isinstance(exc, socket.timeout):
+                raise RPCTimeoutError(
+                    f"call {method} to {self._node_id} timed out after "
+                    f"{budget_ms:g} ms"
+                ) from exc
+            if isinstance(exc, OSError):
+                raise NodeUnavailableError(self._node_id) from exc
             raise
         self._checkin(sock)
         client_ms = perf_ms() - start
-        if response.request_id != request.request_id:
-            with self._lock:
-                self.stats.calls += 1
-                self.stats.failures += 1
-            raise wire.WireCodecError(
-                f"response id {response.request_id} does not match "
-                f"request id {request.request_id}"
-            )
         with self._lock:
             self.stats.calls += 1
             if response.ok:

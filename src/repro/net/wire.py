@@ -61,6 +61,10 @@ class WireCodecError(RPCError):
     """A frame or value could not be encoded or decoded."""
 
 
+class TruncatedFrameError(WireCodecError, ConnectionError):
+    """The peer closed mid-frame: torn to a reader, a lost connection to a caller."""
+
+
 class RemoteError(RPCError):
     """A worker-side failure whose type the client could not reconstruct."""
 
@@ -105,6 +109,34 @@ def check_frame_payload(payload: bytes, crc: int) -> bytes:
 
 
 HEADER_SIZE = _HEADER.size
+
+
+def _recv_upto(sock, n: int) -> bytes:
+    """``n`` bytes off a blocking socket; fewer only if the peer closed."""
+    data = sock.recv(n)
+    if len(data) == n or not data:
+        return data  # the usual case: one recv, no copy
+    buffer = bytearray(data)
+    while len(buffer) < n and (chunk := sock.recv(n - len(buffer))):
+        buffer += chunk
+    return bytes(buffer)
+
+
+def read_frame(sock) -> bytes | None:
+    """:func:`read_frame_async` for a blocking socket, same contract.
+
+    A socket timeout propagates as ``socket.timeout``.
+    """
+    header = _recv_upto(sock, HEADER_SIZE)
+    if not header:
+        return None  # clean EOF between frames
+    if len(header) < HEADER_SIZE:
+        raise TruncatedFrameError("connection closed mid-header")
+    length, crc = decode_frame_header(header)
+    payload = _recv_upto(sock, length)
+    if len(payload) < length:
+        raise TruncatedFrameError("connection closed mid-frame")
+    return check_frame_payload(payload, crc)
 
 
 async def read_frame_async(reader) -> bytes | None:

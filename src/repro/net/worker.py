@@ -1,14 +1,17 @@
-"""Worker process: one durable IPSNode behind an asyncio TCP server.
+"""Worker process: one durable IPSNode behind a thread-per-connection TCP server.
 
 ``python -m repro.net.worker --node-id w0 --data-dir /tmp/w0 ...`` hosts a
 single :class:`~repro.server.node.IPSNode` with full file-backed
 durability — CRC-framed KV store, group-commit WAL, checkpoint barrier —
 recovers it on start, and serves the framed wire protocol on a TCP port.
-Handlers run on a small thread pool (the node stack is thread-safe and
-the real work releases the GIL in I/O and numpy), while the event loop
-stays free for framing and new connections.
+One thread carries a request from ``recv`` to ``send``: each accepted
+connection (at most :data:`MAX_CONNECTIONS`; one more is closed and
+counted) gets a daemon thread that reads a frame, runs the handler and
+writes the response itself, as Thrift's threaded server does — the node
+stack is thread-safe and the real work releases the GIL in I/O and numpy.
 
-Four background duties run on the loop:
+Off the request path an asyncio loop keeps the registry connection and
+four duties (blocking bodies on its default executor):
 
 * **maintenance** — drain the isolation write table and run one cache
   cycle (which also drives periodic checkpoints) every
@@ -25,8 +28,11 @@ Four background duties run on the loop:
 
 Graceful shutdown — SIGTERM or the ``prepare_shutdown`` admin RPC — is
 strictly ordered so no acked write can be lost: stop accepting, drain
-in-flight requests, deregister, then ``node.shutdown()`` (merge + flush +
-final checkpoint) and close the WAL **before** the event loop exits.
+in-flight requests, deregister, close idle connections, then
+``node.shutdown()`` (merge + flush + final checkpoint) and close the WAL
+**before** the event loop exits.  A request is in flight from before
+dispatch (counted under the lock that tests ``_closing``) until after
+``sendall`` returns: the drain misses none and cuts no response.
 Repeated SIGTERMs are harmless from the first to the last instruction:
 the handler stays installed through the sequence and is swapped for
 "ignore" — which interpreter finalization leaves alone — before
@@ -41,9 +47,9 @@ import argparse
 import asyncio
 import os
 import signal
+import socket
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..clock import perf_ms
@@ -60,6 +66,9 @@ from .transport import (
     RPC_METHODS,
     SocketTransport,
 )
+
+#: Open connections (= serving threads) per worker; one more is closed and counted.
+MAX_CONNECTIONS = 256
 
 
 def build_durable_node(
@@ -117,7 +126,6 @@ class WorkerServer:
         heartbeat_ms: float = 500.0,
         maintenance_ms: float = 200.0,
         drain_timeout_ms: float = 5_000.0,
-        handler_threads: int = 4,
         replication_factor: int = 0,
         replication_ms: float = 50.0,
         repair_ms: float = 2_000.0,
@@ -141,15 +149,15 @@ class WorkerServer:
                 node_id, host_, port_, call_timeout_ms=2_000.0, pool_size=1
             ),
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=handler_threads, thread_name_prefix="ips-worker"
-        )
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
         self._shutdown_event: asyncio.Event | None = None
+        #: Guards the four fields below; the drain tests and counts in one hold.
+        self._conn_lock = threading.Lock()
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._inflight = 0
         self._closing = False
-        self._writers: set[asyncio.StreamWriter] = set()
+        self.connections_refused = 0
         #: The one registry connection: (reader, writer), or None until
         #: the first call and after any failed exchange.
         self._registry_conn: (
@@ -217,26 +225,37 @@ class WorkerServer:
         loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
         try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
+            self._listener = socket.create_server((self.host, self.port))
         except OSError as exc:
             self._startup_error = exc
             self._ready.set()
             return
-        self.port = self._server.sockets[0].getsockname()[1]
-        tasks = [loop.create_task(self._maintenance_loop())]
-        if self.registry_host is not None and self.registry_port is not None:
-            tasks.append(loop.create_task(self._heartbeat_loop()))
-            tasks.append(loop.create_task(self._replication_loop()))
-            tasks.append(loop.create_task(self._repair_loop()))
+        self.port = self._listener.getsockname()[1]
+        accept_thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"ips-accept-{self.node.node_id}",
+            daemon=True,
+        )
+        accept_thread.start()
+        registered = None not in (self.registry_host, self.registry_port)
+        duties = [self._duty_loop(self.maintenance_ms, self._maintenance_once)]
+        if registered:
+            ship, repair = self.replication.ship_once, self.replication.repair_round
+            duties += [
+                self._heartbeat_loop(),
+                self._duty_loop(self.replication_ms, ship, replicated=True),
+                self._duty_loop(self.repair_ms, repair, replicated=True),
+            ]
+        tasks = [loop.create_task(duty) for duty in duties]
         self._ready.set()
         print(f"READY {self.host} {self.port}", flush=True)
         await self._shutdown_event.wait()
         # ---- graceful ordering (satellite: SIGTERM must not lose acks) --
-        self._closing = True
-        self._server.close()
-        await self._server.wait_closed()
+        with self._conn_lock:
+            self._closing = True  # every request read from here on is dropped
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self._listener.close()
+        accept_thread.join()
         deadline = loop.time() + self.drain_timeout_ms / 1000.0
         while self._inflight > 0 and loop.time() < deadline:
             await asyncio.sleep(0.01)
@@ -248,18 +267,16 @@ class WorkerServer:
         # of writes would exist nowhere but its own (departing) disk.
         if self.replication.enabled:
             await loop.run_in_executor(None, self._final_replication_drain)
-        if self.registry_host is not None and self.registry_port is not None:
+        if registered:
             try:
                 await self._registry_call("deregister", self.node.node_id)
             except Exception:  # noqa: BLE001 - registry may already be gone
                 pass
             self._drop_registry_connection()
-        for writer in list(self._writers):
-            writer.close()
+        self._close_connections()  # nothing else is left on the loop
         # The node flush + final checkpoint runs *before* the loop exits;
         # only then is the WAL closed.  This is the ordering under test.
         await loop.run_in_executor(None, self._close_node)
-        self._pool.shutdown(wait=False)
         self.shut_down_cleanly = True
 
     def _final_replication_drain(self, budget_s: float = 3.0) -> None:
@@ -287,33 +304,62 @@ class WorkerServer:
     # Request serving
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        self._writers.add(writer)
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._closing:
+                    return  # listener shut down: the graceful sequence began
+                continue  # e.g. ECONNABORTED: that client left, the rest have not
+            with self._conn_lock:
+                if self._closing or len(self._conns) >= MAX_CONNECTIONS:
+                    self.connections_refused += 1
+                    conn.close()  # the client sees NodeUnavailableError: retryable
+                    continue
+                thread = self._conns[conn] = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name=f"ips-conn-{self.node.node_id}-{conn.fileno()}",
+                    daemon=True,
+                )
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Read a frame, run it, send the answer — all on this thread."""
         try:
-            while not self._closing:
-                try:
-                    payload = await wire.read_frame_async(reader)
-                except wire.WireCodecError:
-                    break  # torn frame: drop the connection
+            while True:
+                payload = wire.read_frame(conn)
                 if payload is None:
                     break
-                self._inflight += 1
+                with self._conn_lock:
+                    if self._closing:
+                        break  # unanswered, so unacked: the client retries
+                    self._inflight += 1
                 try:
-                    response = await loop.run_in_executor(
-                        self._pool, self._dispatch, payload
-                    )
+                    conn.sendall(wire.encode_response(self._dispatch(payload)))
                 finally:
-                    self._inflight -= 1
-                writer.write(wire.encode_response(response))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                    with self._conn_lock:
+                        self._inflight -= 1
+        except (wire.WireCodecError, OSError):
+            pass  # torn frame or peer gone: drop this connection only
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            with self._conn_lock:
+                self._conns.pop(conn, None)
+            conn.close()
+
+    def _close_connections(self) -> None:
+        """Wake every thread idle in ``recv`` and wait for it to leave."""
+        with self._conn_lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
+        for thread in conns.values():
+            thread.join(timeout=1.0)
 
     def _dispatch(self, payload: bytes) -> wire.Response:
         start = perf_ms()
@@ -382,6 +428,8 @@ class WorkerServer:
     def _admin_node_stats(self) -> dict:
         stats = self.node.node_stats()
         stats["pid"] = os.getpid()
+        stats["connections"] = len(self._conns)
+        stats["connections_refused"] = self.connections_refused
         if self.replication.enabled:
             stats["replication"] = self.replication.stats()
         return stats
@@ -506,44 +554,17 @@ class WorkerServer:
                 pass  # registry temporarily unreachable: retry next tick
             await asyncio.sleep(self.heartbeat_ms / 1000.0)
 
-    async def _replication_loop(self) -> None:
+    async def _duty_loop(
+        self, interval_ms: float, body, *, replicated: bool = False
+    ) -> None:
+        """Run a blocking duty every ``interval_ms``, off the loop thread."""
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.replication_ms / 1000.0)
-            if not self.replication.enabled:
+            await asyncio.sleep(interval_ms / 1000.0)
+            if replicated and not self.replication.enabled:
                 continue
             try:
-                await loop.run_in_executor(
-                    self._pool, self.replication.ship_once
-                )
-            except RuntimeError:
-                return  # pool shut down under us mid-exit
-            except Exception:  # noqa: BLE001 - keep the loop alive
-                pass
-
-    async def _repair_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.repair_ms / 1000.0)
-            if not self.replication.enabled:
-                continue
-            try:
-                await loop.run_in_executor(
-                    self._pool, self.replication.repair_round
-                )
-            except RuntimeError:
-                return
-            except Exception:  # noqa: BLE001 - keep the loop alive
-                pass
-
-    async def _maintenance_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.maintenance_ms / 1000.0)
-            try:
-                await loop.run_in_executor(self._pool, self._maintenance_once)
-            except RuntimeError:
-                return  # pool shut down under us mid-exit
+                await loop.run_in_executor(None, body)
             except Exception:  # noqa: BLE001 - keep the loop alive
                 pass
 
@@ -572,7 +593,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("always", "group", "manual"))
     parser.add_argument("--heartbeat-ms", type=float, default=500.0)
     parser.add_argument("--maintenance-ms", type=float, default=200.0)
-    parser.add_argument("--handler-threads", type=int, default=4)
     parser.add_argument(
         "--replication-factor", type=int, default=0,
         help="copies per key range; 0 adopts the registry's factor",
@@ -597,7 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         registry_port=args.registry_port,
         heartbeat_ms=args.heartbeat_ms,
         maintenance_ms=args.maintenance_ms,
-        handler_threads=args.handler_threads,
         replication_factor=args.replication_factor,
         replication_ms=args.replication_ms,
         repair_ms=args.repair_ms,

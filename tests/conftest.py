@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
+import time
 
 import pytest
 
@@ -123,4 +125,44 @@ def process_tracker():
         pytest.fail(
             "leaked worker processes (killed by process_tracker): "
             + ", ".join(leaked)
+        )
+
+
+def _serving_threads() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(("ips-conn", "ips-accept"))
+    }
+
+
+@pytest.fixture
+def serving_threads():
+    """The live ``ips-accept*`` / ``ips-conn*`` threads, as a callable."""
+    return _serving_threads
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_serving_threads(request):
+    """Fail a ``test_net_*`` test that leaves a worker serving thread alive.
+
+    The thread analogue of ``process_tracker``: a stopped
+    :class:`repro.net.worker.WorkerServer` must have no ``ips-accept*`` /
+    ``ips-conn*`` thread left.  Autouse fixtures tear down last, so every
+    server the test's own fixtures stop is already stopped here.  Threads
+    cannot be killed, so ones leaked by an earlier test are not blamed
+    on this one.
+    """
+    if not request.path.name.startswith("test_net_"):
+        yield
+        return
+    before = _serving_threads()
+    yield
+    deadline = time.monotonic() + 2.0
+    while (leaked := _serving_threads() - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if leaked:
+        pytest.fail(
+            "worker serving threads still alive after the test: "
+            + ", ".join(sorted(thread.name for thread in leaked))
         )

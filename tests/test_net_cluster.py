@@ -118,6 +118,11 @@ class TestEndToEnd:
         assert [node.node_id for node in snapshot.nodes] == ["w00", "w01"]
         for node in snapshot.nodes:
             for key, value in stats[node.node_id].items():
+                if key == "connections":
+                    # A gauge that counts the asker's own socket: each
+                    # fleet_stats poll dials one, the monitor reuses its own.
+                    assert 1 <= getattr(node, key) <= value
+                    continue
                 assert getattr(node, key) == value, (node.node_id, key)
         assert snapshot.writes == 40
         report = monitor.report()

@@ -11,6 +11,10 @@ object returns — the wire hop adds failure modes, never semantics.
 
 from __future__ import annotations
 
+import socket
+import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -18,6 +22,8 @@ import pytest
 from repro.core.query import SortType
 from repro.core.timerange import TimeRange
 from repro.errors import NodeUnavailableError, QuotaExceededError
+from repro.net import wire
+from repro.net import worker as worker_module
 from repro.net.registry import RegistryServer
 from repro.net.transport import RemoteNode, SocketTransport
 from repro.net.wire import WireCodecError
@@ -152,9 +158,10 @@ class TestAdminSurface:
         add only the process-level keys, so the two cannot drift."""
         over_the_wire = set(remote.node_stats())
         assert "pid" in over_the_wire
-        assert over_the_wire - {"pid", "replication"} == set(
-            server.node.node_stats()
-        )
+        process_keys = {
+            "pid", "connections", "connections_refused", "replication"
+        }
+        assert over_the_wire - process_keys == set(server.node.node_stats())
 
     def test_checkpoint_now(self, server, remote):
         _seed(server.node)
@@ -182,6 +189,231 @@ class TestConnectionPooling:
             assert transport.dials <= 2
         finally:
             transport.close()
+
+
+    def test_mismatched_response_id_discards_the_connection(self):
+        """A stream known to be out of step must not poison the next call."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer(conn):
+            with conn:
+                while data := conn.recv(65536):  # one small frame per recv
+                    request = wire.decode_message(data[wire.HEADER_SIZE:])
+                    reply = wire.Response(request.request_id + 1, True, "pong")
+                    conn.sendall(wire.encode_response(reply))
+
+        def serve():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                threading.Thread(target=answer, args=(conn,), daemon=True).start()
+
+        threading.Thread(target=serve, daemon=True).start()
+        transport = SocketTransport("liar", *listener.getsockname())
+        try:
+            with pytest.raises(WireCodecError, match="does not match"):
+                transport.call("ping")
+            assert transport.stats.failures == 1
+            with pytest.raises(WireCodecError, match="does not match"):
+                transport.call("ping")
+            assert transport.dials == 2  # the first socket was not re-pooled
+        finally:
+            transport.close()
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+
+
+class TestReadFrame:
+    FRAME = wire.encode_frame(b"twenty payload bytes")
+
+    @pytest.fixture
+    def pair(self):
+        ours, theirs = socket.socketpair()
+        ours.settimeout(5.0)
+        yield ours, theirs
+        ours.close()
+        theirs.close()
+
+    def test_every_split_offset(self, pair):
+        ours, theirs = pair
+
+        def write_in_two(split):
+            theirs.sendall(self.FRAME[:split])
+            time.sleep(0.002)  # let the reader block on the rest
+            theirs.sendall(self.FRAME[split:])
+
+        for split in range(1, len(self.FRAME)):
+            writer = threading.Thread(target=write_in_two, args=(split,))
+            writer.start()
+            assert wire.read_frame(ours) == b"twenty payload bytes", split
+            writer.join(5.0)
+            assert not writer.is_alive()
+        theirs.close()
+        assert wire.read_frame(ours) is None  # clean EOF at a frame boundary
+
+    @pytest.mark.parametrize(
+        "sent, match",
+        [
+            (FRAME[:5], "mid-header"),
+            (FRAME[: wire.HEADER_SIZE + 3], "mid-frame"),
+            (b"XXXX" + FRAME[4:], "bad frame magic"),
+            (
+                struct.pack("<III", wire.FRAME_MAGIC, wire.MAX_FRAME_BYTES + 1, 0),
+                "exceeds cap",
+            ),
+            (FRAME[:-1] + bytes([FRAME[-1] ^ 0xFF]), "CRC32"),
+        ],
+        ids=["eof-mid-header", "eof-mid-payload", "bad-magic", "over-cap", "crc"],
+    )
+    def test_torn_and_corrupt_frames(self, pair, sent, match):
+        ours, theirs = pair
+        theirs.sendall(sent)
+        theirs.close()
+        with pytest.raises(WireCodecError, match=match):
+            wire.read_frame(ours)
+
+    def test_eof_mid_frame_is_also_a_lost_connection(self, pair):
+        """The client maps it to NodeUnavailableError — retryable — as the
+        ConnectionError of the old ``_recv_exact`` was."""
+        ours, theirs = pair
+        theirs.sendall(self.FRAME[:-1])
+        theirs.close()
+        with pytest.raises(ConnectionError):
+            wire.read_frame(ours)
+
+
+def _ping_frame(request_id):
+    return wire.encode_request(wire.Request(request_id, "ping"))
+
+
+class TestThreadPerConnection:
+    def test_slow_handlers_do_not_queue_behind_each_other(
+        self, server, monkeypatch
+    ):
+        """Eight 0.2 s calls on eight connections overlap (a 4-thread pool
+        needed two rounds), a ninth connection is served meanwhile, and
+        each request runs on the thread that owns its connection."""
+        ran_on = []
+
+        def slow_topk(*args, **kwargs):
+            ran_on.append(threading.current_thread().name)
+            time.sleep(0.2)
+            return []
+
+        monkeypatch.setattr(server.node, "get_profile_topk", slow_topk)
+        transports = [
+            SocketTransport("t0", server.host, server.port) for _ in range(9)
+        ]
+        try:
+            for transport in transports:
+                transport.call("ping")  # dial before the clock starts
+            callers = [
+                threading.Thread(
+                    target=transport.call,
+                    args=("get_profile_topk", 1, 0, 1, WINDOW),
+                )
+                for transport in transports[:8]
+            ]
+            start = time.monotonic()
+            for caller in callers:
+                caller.start()
+            while len(ran_on) < 8 and time.monotonic() - start < 0.5:
+                time.sleep(0.001)
+            ping_start = time.monotonic()
+            transports[8].call("ping")
+            ping_s = time.monotonic() - ping_start
+            for caller in callers:
+                caller.join(10.0)
+            elapsed = time.monotonic() - start
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            for transport in transports:
+                transport.close()
+        assert elapsed < 0.6
+        assert ping_s < 0.05
+        assert len(set(ran_on)) == 8
+        assert all(name.startswith("ips-conn") for name in ran_on)
+
+    def test_connection_accounting_survives_contention(self, server):
+        """More clients than cores on a short switch interval: a lost
+        update to the in-flight count or the connection table would leave
+        either non-zero once every client has been answered and has left."""
+        answered = []
+
+        def hammer():
+            transport = SocketTransport("t0", server.host, server.port)
+            try:
+                answered.append(
+                    sum(transport.call("ping")["node_id"] == "t0" for _ in range(150))
+                )
+            finally:
+                transport.close()
+
+        clients = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(client.is_alive() for client in clients)
+        assert answered == [150] * 8
+        deadline = time.monotonic() + 5.0
+        while server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)  # the worker sees each close a moment later
+        assert server._inflight == 0 and not server._conns
+        assert server.connections_refused == 0
+
+    def test_back_to_back_frames_answered_in_order(self, server):
+        with socket.create_connection((server.host, server.port), 5.0) as sock:
+            sock.sendall(_ping_frame(7) + _ping_frame(8))
+            replies = [
+                wire.decode_message(wire.read_frame(sock)) for _ in range(2)
+            ]
+        assert [reply.request_id for reply in replies] == [7, 8]
+        assert all(reply.ok for reply in replies)
+
+    def test_corrupt_frame_drops_that_connection_only(self, server, remote):
+        assert remote.ping()["node_id"] == "t0"
+        frame = _ping_frame(1)
+        with socket.create_connection((server.host, server.port), 5.0) as sock:
+            sock.sendall(frame[:-1] + bytes([frame[-1] ^ 0xFF]))
+            assert wire.read_frame(sock) is None  # dropped, nothing answered
+        assert remote.ping()["node_id"] == "t0"
+        assert remote.transport.dials == 1  # ... on its original connection
+
+    def test_connection_cap_refuses_counts_and_recovers(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(worker_module, "MAX_CONNECTIONS", 2)
+        first, second, third = (
+            SocketTransport("t0", server.host, server.port) for _ in range(3)
+        )
+        try:
+            first.call("ping")
+            second.call("ping")
+            with pytest.raises(NodeUnavailableError):
+                third.call("ping")
+            stats = first.call("node_stats")
+            assert stats["connections"] == 2
+            assert stats["connections_refused"] == 1
+            second.close()
+            deadline = time.monotonic() + 5.0
+            while True:  # until the worker has seen the close
+                try:
+                    assert third.call("ping")["node_id"] == "t0"
+                    break
+                except NodeUnavailableError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+        finally:
+            for transport in (first, second, third):
+                transport.close()
 
 
 class TestRegistryConnection:
@@ -231,6 +463,67 @@ class TestGracefulShutdown:
         assert worker._thread is not None
         worker._thread.join(timeout=15.0)
         assert worker.shut_down_cleanly
+
+    def test_stop_with_idle_connections_leaves_no_serving_thread(
+        self, tmp_path, serving_threads
+    ):
+        worker = WorkerServer(
+            build_durable_node("t4", tmp_path), maintenance_ms=10_000.0
+        ).start()
+        transports = [
+            SocketTransport("t4", worker.host, worker.port) for _ in range(3)
+        ]
+        try:
+            for transport in transports:
+                transport.call("ping")  # each now holds one idle connection
+            assert len(serving_threads()) == 4  # 3 connections + accept
+            start = time.monotonic()
+            worker.stop()
+            assert time.monotonic() - start < 2.0
+            assert worker.shut_down_cleanly
+            assert serving_threads() == set()
+        finally:
+            for transport in transports:
+                transport.close()
+
+    def test_inflight_write_racing_shutdown_is_answered_and_durable(
+        self, tmp_path, monkeypatch
+    ):
+        node = build_durable_node("t5", tmp_path)
+        worker = WorkerServer(node, maintenance_ms=10_000.0).start()
+        entered = threading.Event()
+        real_add_profile = node.add_profile
+
+        def slow_add_profile(*args, **kwargs):
+            entered.set()
+            time.sleep(0.3)
+            return real_add_profile(*args, **kwargs)
+
+        monkeypatch.setattr(node, "add_profile", slow_add_profile)
+        remote = RemoteNode(SocketTransport("t5", worker.host, worker.port))
+        outcome = []
+
+        def write():
+            try:
+                outcome.append(remote.add_profile(11, NOW, 0, 1, 600, (5, 0, 0)))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcome.append(exc)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert entered.wait(5.0)
+            worker.request_shutdown()  # the request is already in the handler
+            writer.join(10.0)
+            assert not writer.is_alive()
+            assert outcome == [None]  # the ok response was not cut
+        finally:
+            remote.close()
+            worker.stop()
+        assert worker.shut_down_cleanly
+        revived = build_durable_node("t5", tmp_path)
+        rows = revived.get_profile_topk(11, 0, 1, WINDOW)
+        assert [(row.fid, row.counts[0]) for row in rows] == [(600, 5)]
 
     def test_acked_write_survives_graceful_stop(self, tmp_path):
         node = build_durable_node("t2", tmp_path)
