@@ -29,43 +29,15 @@ from ..clock import SystemClock, perf_ms
 from ..cluster.hashring import ConsistentHashRing
 from ..errors import NoHealthyNodeError, RegionUnavailableError
 from ..obs.trace import NULL_TRACER
-from .registry import NodeRegistry, RegistryServer
+from .registry import NodeRegistry, RegistryClient, RegistryServer
 from .transport import RemoteNode, SocketTransport
-
-
-class RegistryClient:
-    """Blocking client for a :class:`RegistryServer` (same wire protocol)."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self._transport = SocketTransport("registry", host, port)
-
-    def members(self) -> dict[str, Any]:
-        return self._transport.call("members")
-
-    def register(self, node_id: str, host: str, port: int) -> dict[str, Any]:
-        return self._transport.call("register", node_id, host, port)
-
-    def heartbeat(
-        self, node_id: str, generation: int, report: dict | None = None
-    ) -> bool:
-        if report is None:
-            return self._transport.call("heartbeat", node_id, generation)
-        return self._transport.call(
-            "heartbeat", node_id, generation, report=report
-        )
-
-    def deregister(self, node_id: str) -> bool:
-        return self._transport.call("deregister", node_id)
-
-    def close(self) -> None:
-        self._transport.close()
 
 
 class NetRegion:
     """Registry-driven region of remote nodes (duck-types ``Region``).
 
     ``registry`` is anything with a ``members()`` snapshot — a
-    :class:`RegistryClient` over sockets, or a local
+    :class:`~repro.net.registry.RegistryClient` over sockets, or a local
     :class:`~repro.net.registry.NodeRegistry` in tests.  The hash ring is
     rebuilt only when the registry epoch changes; between epochs a
     membership poll is rate-limited to ``refresh_interval_ms`` of real

@@ -18,19 +18,21 @@ silently shadowing its replacement.
 
 :class:`NodeRegistry` is the pure, clock-injected core (unit-testable on
 a :class:`~repro.clock.SimulatedClock`); :class:`RegistryServer` serves
-it over the same wire protocol the workers speak, from an asyncio loop on
-a background thread.
+it over the same wire protocol — and the same thread-per-connection
+:class:`~repro.net.transport.FrameServer` — the workers use, and
+:class:`RegistryClient` is the blocking client workers and routing
+regions reach it through.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..clock import Clock, SystemClock, perf_ms
+from ..clock import Clock, SystemClock
 from . import wire
+from .transport import PEER_CALL_TIMEOUT_MS, FrameServer, SocketTransport, respond
 
 #: Registry methods reachable over the wire.
 REGISTRY_METHODS = frozenset({"register", "heartbeat", "deregister", "members"})
@@ -291,9 +293,10 @@ class NodeRegistry:
 class RegistryServer:
     """Serves a :class:`NodeRegistry` over the framed wire protocol.
 
-    Runs its own asyncio loop on a daemon thread so it can sit beside
-    blocking test code and the worker subprocesses alike.  Bind to port 0
-    and read :attr:`port` after :meth:`start` to get the real port.
+    The same :class:`~repro.net.transport.FrameServer` the workers run,
+    over the registry's four methods, so it sits beside blocking test
+    code and the worker subprocesses alike.  Bind to port 0 and read
+    :attr:`port` after :meth:`start` to get the real port.
     """
 
     def __init__(
@@ -305,113 +308,62 @@ class RegistryServer:
         self.registry = registry if registry is not None else NodeRegistry()
         self.host = host
         self.port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        #: Connections accepted so far (a worker should hold exactly one).
-        self.connections_accepted = 0
+        self._frames = FrameServer(
+            "registry", lambda payload: respond(payload, self._invoke)
+        )
+
+    @property
+    def connections_accepted(self) -> int:
+        """Connections accepted so far (a worker should hold exactly one)."""
+        return self._frames.connections_accepted
 
     def start(self) -> "RegistryServer":
-        self._thread = threading.Thread(
-            target=self._run, name="ips-registry", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("registry server did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("registry server failed to bind") from (
-                self._startup_error
-            )
+        """Bind and serve; a bind failure raises its ``OSError`` here."""
+        self.port = self._frames.listen(self.host, self.port)
         return self
 
     def stop(self) -> None:
-        loop = self._loop
-        if loop is None:
-            return
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._loop = None
+        self._frames.stop_accepting()
+        self._frames.close_connections()
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(self._handle, self.host, self.port)
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._server = server
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
+    def _invoke(self, method: str, args: tuple, kwargs: dict):
+        if method not in REGISTRY_METHODS:
+            raise wire.WireCodecError(f"unknown registry method {method!r}")
+        return getattr(self.registry, method)(*args, **kwargs)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_accepted += 1
-        try:
-            while True:
-                try:
-                    payload = await wire.read_frame_async(reader)
-                except wire.WireCodecError:
-                    break  # torn frame: drop the connection
-                if payload is None:
-                    break
-                response = self._dispatch(payload)
-                writer.write(wire.encode_response(response))
-                await writer.drain()
-        except (asyncio.CancelledError, ConnectionError):
-            pass  # server stopping or peer gone mid-exchange
-        finally:
-            writer.close()
 
-    def _dispatch(self, payload: bytes) -> wire.Response:
-        start = perf_ms()
-        request_id = 0
-        try:
-            message = wire.decode_message(payload)
-            if not isinstance(message, wire.Request):
-                raise wire.WireCodecError("expected a request frame")
-            request_id = message.request_id
-            if message.method not in REGISTRY_METHODS:
-                raise wire.WireCodecError(
-                    f"unknown registry method {message.method!r}"
-                )
-            handler = getattr(self.registry, message.method)
-            value = handler(*message.args, **message.kwargs)
-        except Exception as exc:  # noqa: BLE001 - every error goes on the wire
-            error_type, message_text, error_args = wire.error_to_wire(exc)
-            return wire.Response(
-                request_id=request_id,
-                ok=False,
-                error_type=error_type,
-                error_message=message_text,
-                error_args=error_args,
-                server_ms=perf_ms() - start,
-            )
-        return wire.Response(
-            request_id=request_id,
-            ok=True,
-            value=value,
-            server_ms=perf_ms() - start,
+class RegistryClient:
+    """Blocking client for a :class:`RegistryServer` (same wire protocol).
+
+    One :class:`~repro.net.transport.SocketTransport`: a persistent
+    connection, dropped on any error, and a fixed
+    :data:`~repro.net.transport.PEER_CALL_TIMEOUT_MS` per call, so an
+    unresponsive registry costs a caller that long and raises the
+    retryable :class:`~repro.errors.RPCTimeoutError`.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self._transport = SocketTransport(
+            "registry", host, port, call_timeout_ms=PEER_CALL_TIMEOUT_MS
         )
+
+    def members(self) -> dict[str, Any]:
+        return self._transport.call("members")
+
+    def register(self, node_id: str, host: str, port: int) -> dict[str, Any]:
+        return self._transport.call("register", node_id, host, port)
+
+    def heartbeat(
+        self, node_id: str, generation: int, report: dict | None = None
+    ) -> bool:
+        if report is None:
+            return self._transport.call("heartbeat", node_id, generation)
+        return self._transport.call(
+            "heartbeat", node_id, generation, report=report
+        )
+
+    def deregister(self, node_id: str) -> bool:
+        return self._transport.call("deregister", node_id)
+
+    def close(self) -> None:
+        self._transport.close()

@@ -1,9 +1,16 @@
-"""The socket transport behind the :class:`Transport` interface.
+"""Both ends of the framed socket protocol: client transport and frame server.
 
 :class:`Transport` is the client-side channel contract;
 :class:`SocketTransport`, its implementation, is a real blocking TCP
 client with a small connection pool, speaking the :mod:`repro.net.wire`
-frame protocol to a :mod:`repro.net.worker` process.
+frame protocol to a :mod:`repro.net.worker` process or the registry.
+
+:class:`FrameServer` is the other end, shared by the worker and the
+registry: one accept thread, one daemon thread per connection that reads
+a frame, runs the handler and writes the response itself (Thrift's
+threaded server), at most :data:`MAX_CONNECTIONS` of them.
+:func:`respond` is the one decode → invoke → encode-the-outcome step
+both servers hand it.
 
 It records per-call accounting into the same
 :class:`~repro.server.rpc.RPCStats` as the simulated RPC path (client
@@ -23,9 +30,10 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+import time
 from abc import ABC, abstractmethod
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Callable
 
 from ..clock import perf_ms
 from ..errors import NodeUnavailableError, RPCTimeoutError
@@ -67,6 +75,11 @@ REPLICATION_METHODS = frozenset(
         "replication_stats",
     }
 )
+
+#: Open connections (= serving threads) per server; one more is closed and counted.
+MAX_CONNECTIONS = 256
+#: Call budget of a worker's links to its replication peers and to the registry.
+PEER_CALL_TIMEOUT_MS = 2_000.0
 
 
 class Transport(ABC):
@@ -261,3 +274,153 @@ class RemoteNode:
 
     def close(self) -> None:
         self.transport.close()
+
+
+def respond(
+    payload: bytes, invoke: Callable[[str, tuple, dict], Any]
+) -> wire.Response:
+    """Decode one request, run ``invoke(method, args, kwargs)``, wrap the outcome."""
+    start = perf_ms()
+    request_id = 0
+    try:
+        message = wire.decode_message(payload)
+        if not isinstance(message, wire.Request):
+            raise wire.WireCodecError("expected a request frame")
+        request_id = message.request_id
+        value = invoke(message.method, message.args, message.kwargs)
+    except Exception as exc:  # noqa: BLE001 - every error goes on the wire
+        error_type, text, error_args = wire.error_to_wire(exc)
+        return wire.Response(
+            request_id=request_id,
+            ok=False,
+            error_type=error_type,
+            error_message=text,
+            error_args=error_args,
+            server_ms=perf_ms() - start,
+        )
+    return wire.Response(
+        request_id=request_id,
+        ok=True,
+        value=value,
+        server_ms=perf_ms() - start,
+    )
+
+
+class FrameServer:
+    """Thread-per-connection server for the framed wire protocol.
+
+    ``handler`` turns one request payload into its response; ``name``
+    labels the threads (``ips-accept-<name>``, ``ips-conn-<name>-<fd>``).
+    A request is in flight from before the handler runs — counted under
+    the lock that tests ``_closing`` — until after ``sendall`` returns,
+    so :meth:`drain` misses none and cuts no response.  Stopping is three
+    steps an owner may put its own between: :meth:`stop_accepting`,
+    :meth:`drain`, :meth:`close_connections`.
+    """
+
+    def __init__(
+        self, name: str, handler: Callable[[bytes], wire.Response]
+    ) -> None:
+        self.name = name
+        self._handler = handler
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        #: Guards the fields below; the drain tests and counts in one hold.
+        self._lock = threading.Lock()
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._inflight = 0
+        self._closing = False
+        self.connections_accepted = 0
+        self.connections_refused = 0
+
+    @property
+    def connections(self) -> int:
+        """Connections open now (= connection threads alive)."""
+        return len(self._conns)
+
+    def listen(self, host: str, port: int) -> int:
+        """Bind, start the accept thread, return the bound port."""
+        listener = self._listener = socket.create_server((host, port))
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            args=(listener,),
+            name=f"ips-accept-{self.name}",
+            daemon=True,
+        )
+        self._accept_thread.start()
+        return listener.getsockname()[1]
+
+    def stop_accepting(self) -> None:
+        """Close the listener; every request read from here on is dropped."""
+        with self._lock:
+            self._closing = True
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        listener.close()
+        self._accept_thread.join()
+
+    def drain(self, timeout_ms: float) -> None:
+        """Wait until no request is in flight, for at most ``timeout_ms``."""
+        deadline = perf_ms() + timeout_ms
+        while self._inflight > 0 and perf_ms() < deadline:
+            time.sleep(0.01)
+
+    def close_connections(self) -> None:
+        """Wake every thread idle in ``recv`` and wait for it to leave."""
+        with self._lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
+        for thread in conns.values():
+            thread.join(timeout=1.0)
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._closing:
+                    return  # listener shut down: the owner is stopping
+                continue  # e.g. ECONNABORTED: that client left, the rest have not
+            with self._lock:
+                if self._closing or len(self._conns) >= MAX_CONNECTIONS:
+                    self.connections_refused += 1
+                    conn.close()  # the client sees NodeUnavailableError: retryable
+                    continue
+                self.connections_accepted += 1
+                thread = self._conns[conn] = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name=f"ips-conn-{self.name}-{conn.fileno()}",
+                    daemon=True,
+                )
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Read a frame, run it, send the answer — all on this thread."""
+        try:
+            while True:
+                payload = wire.read_frame(conn)
+                if payload is None:
+                    break
+                with self._lock:
+                    if self._closing:
+                        break  # unanswered, so unacked: the client retries
+                    self._inflight += 1
+                try:
+                    conn.sendall(wire.encode_response(self._handler(payload)))
+                finally:
+                    with self._lock:
+                        self._inflight -= 1
+        except (wire.WireCodecError, OSError):
+            pass  # torn frame or peer gone: drop this connection only
+        finally:
+            with self._lock:
+                self._conns.pop(conn, None)
+            conn.close()

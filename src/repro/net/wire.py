@@ -123,9 +123,11 @@ def _recv_upto(sock, n: int) -> bytes:
 
 
 def read_frame(sock) -> bytes | None:
-    """:func:`read_frame_async` for a blocking socket, same contract.
+    """Read one frame payload from a blocking socket.
 
-    A socket timeout propagates as ``socket.timeout``.
+    Returns ``None`` on a clean EOF at a frame boundary; raises
+    :class:`WireCodecError` on a torn or corrupt frame.  A socket timeout
+    propagates as ``socket.timeout``.
     """
     header = _recv_upto(sock, HEADER_SIZE)
     if not header:
@@ -136,28 +138,6 @@ def read_frame(sock) -> bytes | None:
     payload = _recv_upto(sock, length)
     if len(payload) < length:
         raise TruncatedFrameError("connection closed mid-frame")
-    return check_frame_payload(payload, crc)
-
-
-async def read_frame_async(reader) -> bytes | None:
-    """Read one frame payload from an :mod:`asyncio` stream reader.
-
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`WireCodecError` on a torn or corrupt frame.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise WireCodecError("connection closed mid-header") from exc
-    length, crc = decode_frame_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise WireCodecError("connection closed mid-frame") from exc
     return check_frame_payload(payload, crc)
 
 

@@ -3,72 +3,79 @@
 ``python -m repro.net.worker --node-id w0 --data-dir /tmp/w0 ...`` hosts a
 single :class:`~repro.server.node.IPSNode` with full file-backed
 durability — CRC-framed KV store, group-commit WAL, checkpoint barrier —
-recovers it on start, and serves the framed wire protocol on a TCP port.
-One thread carries a request from ``recv`` to ``send``: each accepted
-connection (at most :data:`MAX_CONNECTIONS`; one more is closed and
-counted) gets a daemon thread that reads a frame, runs the handler and
-writes the response itself, as Thrift's threaded server does — the node
-stack is thread-safe and the real work releases the GIL in I/O and numpy.
+recovers it on start, and serves the framed wire protocol on a TCP port
+through a :class:`~repro.net.transport.FrameServer`: one thread carries a
+request from ``recv`` to ``send``, as Thrift's threaded server does — the
+node stack is thread-safe and the real work releases the GIL in I/O and
+numpy.
 
-Off the request path an asyncio loop keeps the registry connection and
-four duties (blocking bodies on its default executor):
+Off the request path four duties run, each a synchronous body on its own
+daemon thread (``ips-duty-<node>-<duty>``) that sleeps on a stop event
+between ticks:
 
-* **maintenance** — drain the isolation write table and run one cache
-  cycle (which also drives periodic checkpoints) every
-  ``maintenance_ms``;
-* **heartbeat** — register with the node registry and refresh liveness
-  every ``heartbeat_ms`` over one persistent registry connection,
-  piggybacking the replication lag report and adopting the fresh
-  membership roster; a rejected heartbeat (stale
-  generation after an eviction) falls back to re-registration;
-* **replication shipping** — drain the per-peer delta queues (see
-  :mod:`repro.net.replication`) every ``replication_ms``;
-* **anti-entropy repair** — one digest-exchange round against the next
-  live peer every ``repair_ms``.
+* **maintenance** (``_maintenance_once``) — drain the isolation write
+  table and run one cache cycle (which also drives periodic checkpoints)
+  every ``maintenance_ms``;
+* **heartbeat** (``_heartbeat_once``) — register with the node registry
+  or refresh liveness every ``heartbeat_ms`` over one persistent
+  :class:`~repro.net.registry.RegistryClient` connection, piggybacking
+  the replication lag report and adopting the fresh membership roster; a
+  rejected heartbeat (stale generation after an eviction) falls back to
+  re-registration, an unreachable or silent registry to the next tick;
+* **replication shipping** (``replication.ship_once``) — drain the
+  per-peer delta queues (see :mod:`repro.net.replication`) every
+  ``replication_ms``;
+* **anti-entropy repair** (``replication.repair_round``) — one
+  digest-exchange round against the next live peer every ``repair_ms``.
 
 Graceful shutdown — SIGTERM or the ``prepare_shutdown`` admin RPC — is
 strictly ordered so no acked write can be lost: stop accepting, drain
-in-flight requests, deregister, close idle connections, then
-``node.shutdown()`` (merge + flush + final checkpoint) and close the WAL
-**before** the event loop exits.  A request is in flight from before
-dispatch (counted under the lock that tests ``_closing``) until after
-``sendall`` returns: the drain misses none and cuts no response.
-Repeated SIGTERMs are harmless from the first to the last instruction:
-the handler stays installed through the sequence and is swapped for
-"ignore" — which interpreter finalization leaves alone — before
-``main`` returns.  SIGKILL skips all of that by definition; the WAL
-replay on the next start is the safety net (the crash-recovery contract
-of `make crashcheck`).
+in-flight requests, stop and join the duty threads, hand the last
+deltas to the peers, deregister, close idle connections, then
+``node.shutdown()`` (merge + flush + final checkpoint) and close the
+WAL.  A request is in flight from before dispatch until after
+``sendall`` returns: the drain misses none and cuts no response.  The
+duties are joined, not abandoned, so no cycle or repair round is still
+running when the node closes its WAL and store.  A shutdown request is
+one ``os.write`` to a self-pipe ``run`` reads: the SIGTERM handler may
+interrupt the main thread anywhere, so it must take no lock that thread
+could hold.  Repeated SIGTERMs are harmless from the first to the last
+instruction: the handler stays installed through the sequence and is
+swapped for "ignore" — which interpreter finalization leaves alone —
+before ``main`` returns.  SIGKILL skips all of that by definition; the
+WAL replay on the next start is the safety net (the crash-recovery
+contract of `make crashcheck`).
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
 import signal
-import socket
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 from ..clock import perf_ms
 from ..config import TableConfig
+from ..errors import NodeUnavailableError, RPCTimeoutError
 from ..server.node import IPSNode
 from ..server.recovery import NodeDurability
 from ..storage.filestore import FileKVStore
 from ..storage.wal import FileLogFile, WriteAheadLog
 from . import wire
+from .registry import RegistryClient
 from .replication import WorkerReplication
 from .transport import (
     ADMIN_METHODS,
+    PEER_CALL_TIMEOUT_MS,
     REPLICATION_METHODS,
     RPC_METHODS,
+    FrameServer,
     SocketTransport,
+    respond,
 )
-
-#: Open connections (= serving threads) per worker; one more is closed and counted.
-MAX_CONNECTIONS = 256
 
 
 def build_durable_node(
@@ -134,8 +141,6 @@ class WorkerServer:
         self.node = node
         self.host = host
         self.port = port
-        self.registry_host = registry_host
-        self.registry_port = registry_port
         self.heartbeat_ms = heartbeat_ms
         self.maintenance_ms = maintenance_ms
         self.drain_timeout_ms = drain_timeout_ms
@@ -146,23 +151,24 @@ class WorkerServer:
             factor=replication_factor,
             data_dir=data_dir,
             transport_factory=lambda node_id, host_, port_: SocketTransport(
-                node_id, host_, port_, call_timeout_ms=2_000.0, pool_size=1
+                node_id, host_, port_,
+                call_timeout_ms=PEER_CALL_TIMEOUT_MS, pool_size=1,
             ),
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._listener: socket.socket | None = None
-        self._shutdown_event: asyncio.Event | None = None
-        #: Guards the four fields below; the drain tests and counts in one hold.
-        self._conn_lock = threading.Lock()
-        self._conns: dict[socket.socket, threading.Thread] = {}
-        self._inflight = 0
-        self._closing = False
-        self.connections_refused = 0
-        #: The one registry connection: (reader, writer), or None until
-        #: the first call and after any failed exchange.
-        self._registry_conn: (
-            tuple[asyncio.StreamReader, asyncio.StreamWriter] | None
-        ) = None
+        self._frames = FrameServer(node.node_id, self._dispatch)
+        self._registry = (
+            None
+            if None in (registry_host, registry_port)
+            else RegistryClient(registry_host, registry_port)
+        )
+        self._generation: int | None = None
+        self._duties: list[threading.Thread] = []
+        self._stop_duties = threading.Event()
+        #: The shutdown request: a byte written here wakes :meth:`run`.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        for fd in (self._wake_r, self._wake_w):
+            weakref.finalize(self, os.close, fd)
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
         self._startup_error: BaseException | None = None
@@ -193,91 +199,83 @@ class WorkerServer:
             self._thread.join(timeout=15.0)
 
     def request_shutdown(self) -> None:
-        loop, event = self._loop, self._shutdown_event
-        if loop is not None and event is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # loop already closed: shutdown finished
+        """Ask :meth:`run` for the graceful sequence; safe in a signal handler.
+
+        One ``os.write`` on a non-blocking pipe and nothing else — no lock
+        the interrupted thread could hold (``threading.Event.set`` takes
+        one).
+        """
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # pipe full: a request is already pending
 
     # ------------------------------------------------------------------
     # Main body
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Run the server until shutdown (blocks the calling thread)."""
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+        """Serve until shutdown is requested, then shut down (blocks)."""
         try:
-            loop.run_until_complete(self._serve())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-        finally:
-            loop.close()
-
-    async def _serve(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._shutdown_event = asyncio.Event()
-        try:
-            self._listener = socket.create_server((self.host, self.port))
+            self.port = self._frames.listen(self.host, self.port)
         except OSError as exc:
             self._startup_error = exc
             self._ready.set()
             return
-        self.port = self._listener.getsockname()[1]
-        accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"ips-accept-{self.node.node_id}",
-            daemon=True,
-        )
-        accept_thread.start()
-        registered = None not in (self.registry_host, self.registry_port)
-        duties = [self._duty_loop(self.maintenance_ms, self._maintenance_once)]
-        if registered:
-            ship, repair = self.replication.ship_once, self.replication.repair_round
+        duties = [("maintenance", self.maintenance_ms, self._maintenance_once)]
+        if self._registry is not None:
             duties += [
-                self._heartbeat_loop(),
-                self._duty_loop(self.replication_ms, ship, replicated=True),
-                self._duty_loop(self.repair_ms, repair, replicated=True),
+                ("heartbeat", self.heartbeat_ms, self._heartbeat_once),
+                ("ship", self.replication_ms, self.replication.ship_once),
+                ("repair", self.repair_ms, self.replication.repair_round),
             ]
-        tasks = [loop.create_task(duty) for duty in duties]
+        for name, interval_ms, body in duties:
+            # The heartbeat ticks at once: registering is how clients
+            # find this worker.
+            first_ms = 0.0 if name == "heartbeat" else interval_ms
+            duty = threading.Thread(
+                target=self._duty_loop,
+                args=(first_ms, interval_ms, body),
+                name=f"ips-duty-{self.node.node_id}-{name}",
+                daemon=True,
+            )
+            self._duties.append(duty)
+            duty.start()
         self._ready.set()
         print(f"READY {self.host} {self.port}", flush=True)
-        await self._shutdown_event.wait()
+        os.read(self._wake_r, 1)  # until request_shutdown writes the pipe
         # ---- graceful ordering (satellite: SIGTERM must not lose acks) --
-        with self._conn_lock:
-            self._closing = True  # every request read from here on is dropped
-        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
-        self._listener.close()
-        accept_thread.join()
-        deadline = loop.time() + self.drain_timeout_ms / 1000.0
-        while self._inflight > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        self._frames.stop_accepting()  # every request read from here on is dropped
+        self._frames.drain(self.drain_timeout_ms)
+        self._stop_duties.set()
+        for duty in self._duties:
+            duty.join()  # a tick already running ends before the stores close
         # A graceful leaver hands its last deltas to the surviving owners
         # before it drops out of the roster — otherwise the final window
         # of writes would exist nowhere but its own (departing) disk.
         if self.replication.enabled:
-            await loop.run_in_executor(None, self._final_replication_drain)
-        if registered:
+            self._final_replication_drain()
+        if self._registry is not None:
             try:
-                await self._registry_call("deregister", self.node.node_id)
+                self._registry.deregister(self.node.node_id)
             except Exception:  # noqa: BLE001 - registry may already be gone
                 pass
-            self._drop_registry_connection()
-        self._close_connections()  # nothing else is left on the loop
-        # The node flush + final checkpoint runs *before* the loop exits;
-        # only then is the WAL closed.  This is the ordering under test.
-        await loop.run_in_executor(None, self._close_node)
+            self._registry.close()
+        self._frames.close_connections()
+        # The node flush + final checkpoint runs last; only then is the
+        # WAL closed.  This is the ordering under test.
+        self._close_node()
         self.shut_down_cleanly = True
+
+    def _duty_loop(self, first_ms: float, interval_ms: float, body) -> None:
+        """Call ``body`` after ``first_ms``, then every ``interval_ms``."""
+        wait_ms = first_ms
+        while not self._stop_duties.wait(wait_ms / 1000.0):
+            try:
+                body()
+            except Exception:  # noqa: BLE001 - a failed tick retries on the next
+                pass
+            wait_ms = interval_ms
 
     def _final_replication_drain(self, budget_s: float = 3.0) -> None:
         deadline = perf_ms() + budget_s * 1_000.0
@@ -304,88 +302,8 @@ class WorkerServer:
     # Request serving
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                if self._closing:
-                    return  # listener shut down: the graceful sequence began
-                continue  # e.g. ECONNABORTED: that client left, the rest have not
-            with self._conn_lock:
-                if self._closing or len(self._conns) >= MAX_CONNECTIONS:
-                    self.connections_refused += 1
-                    conn.close()  # the client sees NodeUnavailableError: retryable
-                    continue
-                thread = self._conns[conn] = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name=f"ips-conn-{self.node.node_id}-{conn.fileno()}",
-                    daemon=True,
-                )
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """Read a frame, run it, send the answer — all on this thread."""
-        try:
-            while True:
-                payload = wire.read_frame(conn)
-                if payload is None:
-                    break
-                with self._conn_lock:
-                    if self._closing:
-                        break  # unanswered, so unacked: the client retries
-                    self._inflight += 1
-                try:
-                    conn.sendall(wire.encode_response(self._dispatch(payload)))
-                finally:
-                    with self._conn_lock:
-                        self._inflight -= 1
-        except (wire.WireCodecError, OSError):
-            pass  # torn frame or peer gone: drop this connection only
-        finally:
-            with self._conn_lock:
-                self._conns.pop(conn, None)
-            conn.close()
-
-    def _close_connections(self) -> None:
-        """Wake every thread idle in ``recv`` and wait for it to leave."""
-        with self._conn_lock:
-            conns = dict(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # the peer closed it first
-        for thread in conns.values():
-            thread.join(timeout=1.0)
-
     def _dispatch(self, payload: bytes) -> wire.Response:
-        start = perf_ms()
-        request_id = 0
-        try:
-            message = wire.decode_message(payload)
-            if not isinstance(message, wire.Request):
-                raise wire.WireCodecError("expected a request frame")
-            request_id = message.request_id
-            value = self._invoke(message.method, message.args, message.kwargs)
-        except Exception as exc:  # noqa: BLE001 - every error goes on the wire
-            error_type, text, error_args = wire.error_to_wire(exc)
-            return wire.Response(
-                request_id=request_id,
-                ok=False,
-                error_type=error_type,
-                error_message=text,
-                error_args=error_args,
-                server_ms=perf_ms() - start,
-            )
-        return wire.Response(
-            request_id=request_id,
-            ok=True,
-            value=value,
-            server_ms=perf_ms() - start,
-        )
+        return respond(payload, self._invoke)
 
     def _invoke(self, method: str, args: tuple, kwargs: dict):
         if method in RPC_METHODS:
@@ -428,8 +346,8 @@ class WorkerServer:
     def _admin_node_stats(self) -> dict:
         stats = self.node.node_stats()
         stats["pid"] = os.getpid()
-        stats["connections"] = len(self._conns)
-        stats["connections_refused"] = self.connections_refused
+        stats["connections"] = self._frames.connections
+        stats["connections_refused"] = self._frames.connections_refused
         if self.replication.enabled:
             stats["replication"] = self.replication.stats()
         return stats
@@ -471,102 +389,39 @@ class WorkerServer:
         return self.replication.stats()
 
     def _admin_prepare_shutdown(self) -> dict:
-        """Ack first, then run the same graceful sequence as SIGTERM."""
-        loop = self._loop
-        assert loop is not None
-        loop.call_soon_threadsafe(
-            loop.call_later, 0.05, self._shutdown_event.set
-        )
+        """Ack, then run the same graceful sequence as SIGTERM.
+
+        The ack is not cut: this request stays in flight until its
+        ``sendall`` returns, and the sequence drains before anything else.
+        """
+        self.request_shutdown()
         return {"shutting_down": True}
 
     # ------------------------------------------------------------------
-    # Registry heartbeat
+    # Duty bodies
     # ------------------------------------------------------------------
 
-    async def _registry_call(self, method: str, *args, **kwargs):
-        """One exchange on the worker's persistent registry connection.
-
-        Dialled on first use and again after any failed exchange — a
-        dial per beat left ~1100 sockets in TIME_WAIT at steady state.
-        """
+    def _heartbeat_once(self) -> None:
+        """Register or beat, then adopt the roster; a dead registry waits a tick."""
+        registry, node_id = self._registry, self.node.node_id
         try:
-            if self._registry_conn is None:
-                self._registry_conn = await asyncio.open_connection(
-                    self.registry_host, self.registry_port
-                )
-            reader, writer = self._registry_conn
-            writer.write(
-                wire.encode_request(wire.Request(1, method, args, kwargs))
-            )
-            await writer.drain()
-            payload = await wire.read_frame_async(reader)
-            if payload is None:
-                raise ConnectionError("registry closed the connection")
-            response = wire.decode_message(payload)
-            if not isinstance(response, wire.Response):
-                raise wire.WireCodecError("expected a response frame")
-        except BaseException:
-            # Whatever broke the exchange — a cancellation included — may
-            # have left half of it on the wire: never reuse the socket.
-            self._drop_registry_connection()
-            raise
-        if not response.ok:
-            raise wire.error_from_wire(
-                response.error_type,
-                response.error_message,
-                response.error_args,
-            )
-        return response.value
-
-    def _drop_registry_connection(self) -> None:
-        if self._registry_conn is not None:
-            self._registry_conn[1].close()
-            self._registry_conn = None
-
-    async def _heartbeat_loop(self) -> None:
-        generation: int | None = None
-        while True:
-            try:
-                if generation is None:
-                    reply = await self._registry_call(
-                        "register", self.node.node_id, self.host, self.port
-                    )
-                    generation = reply["generation"]
-                else:
-                    alive = await self._registry_call(
-                        "heartbeat",
-                        self.node.node_id,
-                        generation,
-                        report=self.replication.heartbeat_report(),
-                    )
-                    if not alive:
-                        # Evicted (e.g. a long GC pause): re-register with
-                        # a fresh generation instead of going zombie.
-                        generation = None
-                        continue
-                # Every beat also refreshes the replication roster — the
-                # placement ring over live members + tombstones.  Done on
-                # the register path too, so a worker knows its owner sets
-                # before the first client write can land.
-                snapshot = await self._registry_call("members")
-                self.replication.update_membership(snapshot)
-            except (OSError, ConnectionError, wire.WireCodecError):
-                pass  # registry temporarily unreachable: retry next tick
-            await asyncio.sleep(self.heartbeat_ms / 1000.0)
-
-    async def _duty_loop(
-        self, interval_ms: float, body, *, replicated: bool = False
-    ) -> None:
-        """Run a blocking duty every ``interval_ms``, off the loop thread."""
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(interval_ms / 1000.0)
-            if replicated and not self.replication.enabled:
-                continue
-            try:
-                await loop.run_in_executor(None, body)
-            except Exception:  # noqa: BLE001 - keep the loop alive
-                pass
+            if self._generation is not None and not registry.heartbeat(
+                node_id, self._generation,
+                report=self.replication.heartbeat_report(),
+            ):
+                # Evicted (e.g. a long GC pause): re-register with a
+                # fresh generation instead of going zombie.
+                self._generation = None
+            if self._generation is None:
+                reply = registry.register(node_id, self.host, self.port)
+                self._generation = reply["generation"]
+            # Every beat also refreshes the replication roster — the
+            # placement ring over live members + tombstones.  Done on the
+            # register path too, so a worker knows its owner sets before
+            # the first client write can land.
+            self.replication.update_membership(registry.members())
+        except (NodeUnavailableError, RPCTimeoutError):
+            pass  # registry unreachable or silent: retry on the next tick
 
     def _maintenance_once(self) -> None:
         self.node.merge_write_table()

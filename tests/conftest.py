@@ -128,12 +128,16 @@ def process_tracker():
         )
 
 
-def _serving_threads() -> set[threading.Thread]:
+def _threads_named(*prefixes: str) -> set[threading.Thread]:
     return {
         thread
         for thread in threading.enumerate()
-        if thread.name.startswith(("ips-conn", "ips-accept"))
+        if thread.name.startswith(prefixes)
     }
+
+
+def _serving_threads() -> set[threading.Thread]:
+    return _threads_named("ips-conn", "ips-accept")
 
 
 @pytest.fixture
@@ -144,25 +148,30 @@ def serving_threads():
 
 @pytest.fixture(autouse=True)
 def _no_leaked_serving_threads(request):
-    """Fail a ``test_net_*`` test that leaves a worker serving thread alive.
+    """Fail a ``test_net_*`` test that leaves a serving or duty thread alive.
 
     The thread analogue of ``process_tracker``: a stopped
-    :class:`repro.net.worker.WorkerServer` must have no ``ips-accept*`` /
-    ``ips-conn*`` thread left.  Autouse fixtures tear down last, so every
-    server the test's own fixtures stop is already stopped here.  Threads
-    cannot be killed, so ones leaked by an earlier test are not blamed
-    on this one.
+    :class:`repro.net.worker.WorkerServer` or
+    :class:`repro.net.registry.RegistryServer` must have no
+    ``ips-accept*`` / ``ips-conn*`` / ``ips-duty*`` thread left.  Autouse
+    fixtures tear down last, so every server the test's own fixtures stop
+    is already stopped here.  Threads cannot be killed, so ones leaked by
+    an earlier test are not blamed on this one.
     """
     if not request.path.name.startswith("test_net_"):
         yield
         return
-    before = _serving_threads()
+    prefixes = ("ips-conn", "ips-accept", "ips-duty")
+    before = _threads_named(*prefixes)
     yield
     deadline = time.monotonic() + 2.0
-    while (leaked := _serving_threads() - before) and time.monotonic() < deadline:
+    while (
+        (leaked := _threads_named(*prefixes) - before)
+        and time.monotonic() < deadline
+    ):
         time.sleep(0.01)
     if leaked:
         pytest.fail(
-            "worker serving threads still alive after the test: "
+            "serving or duty threads still alive after the test: "
             + ", ".join(sorted(thread.name for thread in leaked))
         )

@@ -22,9 +22,9 @@ import pytest
 from repro.core.query import SortType
 from repro.core.timerange import TimeRange
 from repro.errors import NodeUnavailableError, QuotaExceededError
+from repro.net import transport as transport_module
 from repro.net import wire
-from repro.net import worker as worker_module
-from repro.net.registry import RegistryServer
+from repro.net.registry import RegistryClient, RegistryServer
 from repro.net.transport import RemoteNode, SocketTransport
 from repro.net.wire import WireCodecError
 from repro.net.worker import WorkerServer, build_durable_node
@@ -364,10 +364,11 @@ class TestThreadPerConnection:
         assert not any(client.is_alive() for client in clients)
         assert answered == [150] * 8
         deadline = time.monotonic() + 5.0
-        while server._conns and time.monotonic() < deadline:
+        frames = server._frames
+        while frames._conns and time.monotonic() < deadline:
             time.sleep(0.01)  # the worker sees each close a moment later
-        assert server._inflight == 0 and not server._conns
-        assert server.connections_refused == 0
+        assert frames._inflight == 0 and not frames._conns
+        assert frames.connections_refused == 0
 
     def test_back_to_back_frames_answered_in_order(self, server):
         with socket.create_connection((server.host, server.port), 5.0) as sock:
@@ -390,7 +391,7 @@ class TestThreadPerConnection:
     def test_connection_cap_refuses_counts_and_recovers(
         self, server, monkeypatch
     ):
-        monkeypatch.setattr(worker_module, "MAX_CONNECTIONS", 2)
+        monkeypatch.setattr(transport_module, "MAX_CONNECTIONS", 2)
         first, second, third = (
             SocketTransport("t0", server.host, server.port) for _ in range(3)
         )
@@ -448,6 +449,95 @@ class TestRegistryConnection:
             registry_server.stop()
         assert worker.shut_down_cleanly
         assert registry.members()["members"] == []  # deregistered on the way out
+
+    @pytest.fixture
+    def silent_registry(self):
+        """A registry port that accepts connections and never answers."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        held = []
+
+        def accept():
+            while True:
+                try:
+                    held.append(listener.accept()[0])
+                except OSError:
+                    return
+
+        acceptor = threading.Thread(target=accept, daemon=True)
+        acceptor.start()
+        yield listener.getsockname()
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        acceptor.join(5.0)
+        for conn in held:
+            conn.close()
+
+    def test_silent_registry_does_not_block_graceful_stop(
+        self, tmp_path, silent_registry
+    ):
+        """Every registry call has a fixed budget, so heartbeat and
+        deregister give up and the node is still flushed and closed."""
+        host, port = silent_registry
+        worker = WorkerServer(
+            build_durable_node("t6", tmp_path),
+            registry_host=host,
+            registry_port=port,
+            heartbeat_ms=10.0,
+            maintenance_ms=10_000.0,
+        ).start()
+        remote = RemoteNode(SocketTransport("t6", worker.host, worker.port))
+        try:
+            remote.add_profile(12, NOW, 0, 1, 700, (3, 0, 0))
+        finally:
+            remote.close()
+        start = time.monotonic()
+        worker.stop()
+        assert time.monotonic() - start < 6.0
+        assert worker.shut_down_cleanly
+        revived = build_durable_node("t6", tmp_path)
+        rows = revived.get_profile_topk(12, 0, 1, WINDOW)
+        assert [(row.fid, row.counts[0]) for row in rows] == [(700, 3)]
+
+    def test_registry_stop_with_idle_clients_leaves_no_thread(
+        self, serving_threads
+    ):
+        registry_server = RegistryServer().start()
+        clients = [
+            RegistryClient(registry_server.host, registry_server.port)
+            for _ in range(2)
+        ]
+
+        def registry_threads():
+            return {t for t in serving_threads() if "registry" in t.name}
+
+        try:
+            for client in clients:
+                assert client.members()["members"] == []  # now idle, connected
+            assert len(registry_threads()) == 3  # 2 connections + accept
+            start = time.monotonic()
+            registry_server.stop()
+            assert time.monotonic() - start < 2.0
+            assert registry_threads() == set()
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_corrupt_frame_to_registry_drops_that_connection_only(self):
+        registry_server = RegistryServer().start()
+        client = RegistryClient(registry_server.host, registry_server.port)
+        try:
+            assert client.members()["members"] == []
+            frame = wire.encode_request(wire.Request(1, "members"))
+            with socket.create_connection(
+                (registry_server.host, registry_server.port), 5.0
+            ) as sock:
+                sock.sendall(frame[:-1] + bytes([frame[-1] ^ 0xFF]))
+                assert wire.read_frame(sock) is None  # dropped, unanswered
+            assert client.register("t9", "127.0.0.1", 1)["generation"] == 1
+            assert client._transport.dials == 1  # ... on its first connection
+        finally:
+            client.close()
+            registry_server.stop()
 
 
 class TestGracefulShutdown:
@@ -524,6 +614,88 @@ class TestGracefulShutdown:
         revived = build_durable_node("t5", tmp_path)
         rows = revived.get_profile_topk(11, 0, 1, WINDOW)
         assert [(row.fid, row.counts[0]) for row in rows] == [(600, 5)]
+
+    def test_running_duty_ends_before_the_node_shuts_down(
+        self, tmp_path, monkeypatch
+    ):
+        """A maintenance cycle caught mid-run by shutdown finishes before
+        ``node.shutdown`` starts closing what the cycle is using."""
+        node = build_durable_node("t7", tmp_path)
+        events = []
+        cycling = threading.Event()
+        real_cycle, real_shutdown = node.run_cache_cycle, node.shutdown
+
+        def slow_cycle():
+            events.append("cycle-start")
+            cycling.set()
+            time.sleep(0.5)
+            result = real_cycle()
+            events.append("cycle-end")
+            return result
+
+        def spied_shutdown():
+            events.append("node.shutdown")
+            real_shutdown()
+
+        monkeypatch.setattr(node, "run_cache_cycle", slow_cycle)
+        monkeypatch.setattr(node, "shutdown", spied_shutdown)
+        worker = WorkerServer(node, maintenance_ms=10.0).start()
+        assert cycling.wait(5.0)
+        worker.stop()
+        assert worker.shut_down_cleanly
+        assert events[-3:] == ["cycle-start", "cycle-end", "node.shutdown"]
+
+    def test_graceful_sequence_runs_in_order(self, tmp_path, monkeypatch):
+        registry_server = RegistryServer().start()
+        node = build_durable_node("t8", tmp_path)
+        worker = WorkerServer(
+            node,
+            registry_host=registry_server.host,
+            registry_port=registry_server.port,
+            heartbeat_ms=10.0,
+            maintenance_ms=10.0,
+            replication_factor=2,
+        ).start()
+        steps = []
+
+        def spy(step, target, attribute):
+            real = getattr(target, attribute)
+
+            def wrapper(*args, **kwargs):
+                if step == "final replication drain":
+                    alive = any(duty.is_alive() for duty in worker._duties)
+                    steps.append("duties running" if alive else "duties joined")
+                steps.append(step)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(target, attribute, wrapper)
+
+        spy("stop accepting", worker._frames, "stop_accepting")
+        spy("drain", worker._frames, "drain")
+        spy("final replication drain", worker, "_final_replication_drain")
+        spy("deregister", registry_server.registry, "deregister")
+        spy("close connections", worker._frames, "close_connections")
+        spy("node.shutdown", node, "shutdown")
+        spy("WAL close", node.durability, "close")
+        try:
+            deadline = time.monotonic() + 10.0
+            while not registry_server.registry.members()["members"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            worker.stop()
+        finally:
+            registry_server.stop()
+        assert worker.shut_down_cleanly
+        assert steps == [
+            "stop accepting",
+            "drain",
+            "duties joined",
+            "final replication drain",
+            "deregister",
+            "close connections",
+            "node.shutdown",
+            "WAL close",
+        ]
 
     def test_acked_write_survives_graceful_stop(self, tmp_path):
         node = build_durable_node("t2", tmp_path)

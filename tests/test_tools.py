@@ -1,4 +1,7 @@
-"""Tests for the operational CLI tools."""
+"""Tests for the operational CLI tools and the repo's lint scripts."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +88,29 @@ class TestInspectProfile:
             engine.add_profile(1, 10**9 - index * 10_000, 1, 0, index, [1])
         text = format_profile(engine.table.get(1), 10**9, limit=5)
         assert "more slices" in text
+
+
+def _load_clock_lint():
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_clock_usage.py"
+    spec = importlib.util.spec_from_file_location("check_clock_usage", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestClockLint:
+    def test_tree_passes(self, capsys):
+        assert _load_clock_lint().main() == 0
+        assert "clock usage OK" in capsys.readouterr().out
+
+    def test_asyncio_fails_even_under_net(self, tmp_path, monkeypatch, capsys):
+        lint = _load_clock_lint()
+        (tmp_path / "net").mkdir()
+        (tmp_path / "net" / "x.py").write_text("import asyncio\n")
+        # x.py is a rostered net/ module, so only the asyncio rule can fail it.
+        monkeypatch.setattr(lint, "SCAN_DIRS", (tmp_path,))
+        monkeypatch.setattr(lint, "ROOT", tmp_path)
+        monkeypatch.setattr(lint, "NET_REAL_TIME", tmp_path / "net")
+        monkeypatch.setattr(lint, "NET_MODULES", frozenset({"x.py"}))
+        assert lint.main() == 1
+        assert "net/x.py:1 (asyncio" in capsys.readouterr().err

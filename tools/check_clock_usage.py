@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Lint: no module outside ``clock.py`` may call ``time.time()`` directly.
+"""Lint: no module outside ``clock.py`` may call ``time.time()`` directly,
+and no module anywhere may import ``asyncio``.
 
 All simulated/modelled time must flow through the active
 :class:`repro.clock.Clock` (``now_ms``), and all real compute measurement
@@ -16,10 +17,12 @@ time``.  They see time only through an injected clock.
 
 A *looser* tier applies to ``src/repro/net/`` (``NET_REAL_TIME``): the
 process-per-node cluster runs real sockets against the real wall clock,
-so direct ``time.time()`` is permitted there — and **only** there.  The
-same boundary holds for ``asyncio``: the event-loop runtime may be
-imported only under ``src/repro/net/``, so the simulated/deterministic
-core can never grow a hidden dependency on real scheduling.
+so direct ``time.time()`` is permitted there — and **only** there.
+
+``asyncio`` is banned in every scanned file, ``net/`` included: the
+servers there are plain threads (one per connection, one per duty), so
+the whole tree has one concurrency model and every duty stays a
+synchronous call a seeded simulation can step tick by tick.
 
 Run from the repo root (``make lint`` does): ``python tools/check_clock_usage.py``.
 """
@@ -37,12 +40,12 @@ SOURCE_DIR = ROOT / "src" / "repro"
 SCAN_DIRS = (SOURCE_DIR, ROOT / "benchmarks", ROOT / "tools")
 #: The one module allowed to touch the wall clock.
 ALLOWED = {SOURCE_DIR / "clock.py"}
-#: The one *package* allowed real wall-clock time and asyncio: the
-#: process-per-node cluster (real sockets, real processes, real time).
+#: The one *package* allowed real wall-clock time: the process-per-node
+#: cluster (real sockets, real processes, real time).
 NET_REAL_TIME = SOURCE_DIR / "net"
 #: The real-time exemption is a *roster*, not a directory wildcard: every
 #: module under ``src/repro/net/`` must be listed here, so adding a file
-#: to the package is a conscious decision to grant it wall-clock/asyncio
+#: to the package is a conscious decision to grant it wall-clock
 #: access (the lint fails on unlisted files — and on stale entries).
 NET_MODULES = frozenset(
     {
@@ -120,7 +123,7 @@ def _wall_clock_offenders_in(path: Path) -> list[tuple[int, str]]:
 
 
 def _asyncio_offenders_in(path: Path) -> list[int]:
-    """Any asyncio import in a file outside the ``net/`` package."""
+    """Any asyncio import, in any scanned file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = []
     for node in ast.walk(tree):
@@ -160,12 +163,11 @@ def main() -> int:
         )
     for scan_dir in SCAN_DIRS:
         for path in sorted(scan_dir.rglob("*.py")):
-            if not _in_net_package(path):
-                for lineno in _asyncio_offenders_in(path):
-                    failures.append(
-                        f"{path.relative_to(ROOT)}:{lineno} (asyncio is "
-                        "allowed only under src/repro/net/)"
-                    )
+            for lineno in _asyncio_offenders_in(path):
+                failures.append(
+                    f"{path.relative_to(ROOT)}:{lineno} (asyncio is not "
+                    "used anywhere; serve with threads)"
+                )
             if path in ALLOWED or _in_net_package(path):
                 continue
             for lineno in _offenders_in(path):
@@ -185,7 +187,7 @@ def main() -> int:
     if failures:
         print(
             "clock/asyncio discipline violations (wall clock only in "
-            "clock.py and src/repro/net/; asyncio only in src/repro/net/):",
+            "clock.py and src/repro/net/; asyncio nowhere):",
             file=sys.stderr,
         )
         for failure in failures:
