@@ -1,17 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check metrics test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
+.PHONY: check metrics test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
 
-## check (16 prerequisites — `make metrics` counts them), in order:
+## check (15 prerequisites — `make metrics` counts them), in order:
 ##   lint                  clock + numpy-isolation AST lints
 ##   test                  tier-1: all of tests/ in the default config
 ##                         (kernel, serialization and result-cache oracles,
 ##                         socket wire/registry/transport suites, docs names)
 ##   kernel-oracle         the kernel oracle in the two other backend configs
 ##   coverage-core         line-coverage floors: core, server, obs
-##   bench-batch, bench-kernels, bench-trace, bench-recovery, bench-server
-##                         the five in-process benchmark smokes
+##   bench-batch, bench-kernels, bench-trace, bench-recovery
+##                         the four in-process benchmark smokes
 ##   chaos                 seeded chaos determinism smoke
 ##   crashcheck            20 seeded crash-point recovery schedules
 ##   slo-check             SLO alert falsification
@@ -19,7 +19,7 @@ export PYTHONPATH := src
 ##   bench-failover-smoke  replicated-shard failover
 ##   bench-e2e-smoke       the BENCHMARK.json contract at smoke scale
 ##   bench-history         perf-history snapshot/regression diff
-check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery bench-server chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
+check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
 
 ## metrics: the three tracked numbers ROADMAP's "Cost of the window"
 ## quotes — lines of src/, lines of src/repro/core, `check:`
@@ -69,12 +69,6 @@ bench-trace:
 ## replay vs tail length, restart at the shipped interval, ack tax.
 bench-recovery:
 	$(PYTHON) benchmarks/bench_recovery.py --smoke
-
-## bench-server: hot-read path A/B under diurnal Zipf load — gates the
-## hot-tier hit ratio (>= 50%) and cached-vs-bare p99, and re-proves the
-## cached node byte-identical to the baseline on the whole trace.
-bench-server:
-	$(PYTHON) benchmarks/bench_server_batching.py --smoke
 
 ## chaos: seeded fault-injection smoke — no unhandled exceptions, and two
 ## same-seed runs must produce byte-identical fault/error counts.

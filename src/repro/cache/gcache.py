@@ -192,10 +192,6 @@ class GCache:
         """Install (or replace) a resident profile, marking it dirty."""
         self._install(profile, dirty=dirty)
 
-    def set_invalidation_hook(self, hook: InvalidationHook | None) -> None:
-        """Attach (or clear) the mutation observer after construction."""
-        self._invalidation_hook = hook
-
     def _notify_invalidation(self, profile_id: int | None) -> None:
         if self._invalidation_hook is not None:
             self._invalidation_hook(profile_id)

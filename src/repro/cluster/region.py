@@ -44,8 +44,7 @@ class Region:
         self.store = store
         self.tracer = tracer
         #: Extra :class:`IPSNode` constructor kwargs applied to every node
-        #: in the region (current and autoscaled) — e.g. ``result_cache``
-        #: and ``coalesce`` for the server-side hot-read path.
+        #: in the region (current and autoscaled).
         self.node_kwargs = dict(node_kwargs) if node_kwargs else {}
         self.ring = ConsistentHashRing(virtual_nodes)
         self.nodes: dict[str, IPSNode] = {}

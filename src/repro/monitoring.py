@@ -117,7 +117,7 @@ class NodeSnapshot:
     The fields are the keys of :meth:`repro.server.node.IPSNode.node_stats`
     — the same dict in process and over a worker's ``node_stats`` admin
     RPC — plus the region the monitor found the node in.  Counters of a
-    layer the node runs without (WAL, result cache, coalescing) are zero.
+    layer the node runs without (the WAL) are zero.
     """
 
     node_id: str
@@ -146,9 +146,6 @@ class NodeSnapshot:
     result_cache_misses: int = 0
     result_cache_entries: int = 0
     result_cache_invalidations: int = 0
-    coalesced_reads: int = 0
-    batch_windows: int = 0
-    batch_window_keys: int = 0
     #: Only a worker process reports these: pid, open / refused client
     #: connections and, when replicated, :meth:`WorkerReplication.stats`.
     pid: int | None = None
@@ -224,16 +221,6 @@ class ClusterSnapshot:
         hits = self.total("result_cache_hits")
         total = hits + self.total("result_cache_misses")
         return hits / total if total else 0.0
-
-    @property
-    def coalesced_reads(self) -> int:
-        return self.total("coalesced_reads")
-
-    @property
-    def batch_window_occupancy(self) -> float:
-        """Mean keys per executed batch window, fleet-wide."""
-        windows = self.total("batch_windows")
-        return self.total("batch_window_keys") / windows if windows else 0.0
 
     @property
     def replication(self) -> dict[str, int]:
@@ -384,19 +371,13 @@ class ClusterMonitor:
             f"quota_rejections={snapshot.quota_rejections}",
         ]
         if any(
-            node.result_cache_hits
-            or node.result_cache_misses
-            or node.coalesced_reads
-            or node.batch_windows
+            node.result_cache_hits or node.result_cache_misses
             for node in snapshot.nodes
         ):
             lines.append(
                 "  hot reads: result_cache_hit_ratio="
                 f"{snapshot.result_cache_hit_ratio:.3f}  "
-                f"invalidations={snapshot.total('result_cache_invalidations')}  "
-                f"coalesced={snapshot.coalesced_reads}  "
-                f"batch_windows={snapshot.total('batch_windows')}  "
-                f"window_occupancy={snapshot.batch_window_occupancy:.1f}"
+                f"invalidations={snapshot.total('result_cache_invalidations')}"
             )
         if any(node.wal_appends or node.recoveries for node in snapshot.nodes):
             lines.append(

@@ -575,8 +575,8 @@ class WorkerReplication:
         else:
             installed = install_blocks(profile, blobs)
         if installed:
+            # mark_dirty fires the node's result-cache invalidation hook.
             self.node.cache.mark_dirty(profile_id)
-            self.node._on_profile_mutation(profile_id)
             self.installs += len(blobs)
             self.install_bytes += installed
         return {"installed": len(blobs), "bytes": installed}

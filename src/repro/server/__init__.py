@@ -8,13 +8,6 @@ cluster client and the latency experiments.
 """
 
 from .batch import BatchKeyResult, BatchReadOutcome
-from .coalesce import (
-    AdaptiveBatcher,
-    BatchWindowStats,
-    CoalesceConfig,
-    SingleFlight,
-    SingleFlightStats,
-)
 from .isolation import WriteTable
 from .maintenance import MaintenancePool, MaintenancePoolStats
 from .node import IPSNode, NodeStats
@@ -31,12 +24,9 @@ from .rpc import LatencyModel, RPCServer, RPCStats
 from .service import IPSService
 
 __all__ = [
-    "AdaptiveBatcher",
     "BatchKeyResult",
     "BatchReadOutcome",
-    "BatchWindowStats",
     "CheckpointReport",
-    "CoalesceConfig",
     "IPSNode",
     "IPSService",
     "LatencyModel",
@@ -51,8 +41,6 @@ __all__ = [
     "RPCStats",
     "RecoveryReport",
     "ResultCacheStats",
-    "SingleFlight",
-    "SingleFlightStats",
     "TokenBucket",
     "WriteTable",
     "attach_memory_durability",

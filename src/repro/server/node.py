@@ -7,7 +7,9 @@ One node owns a shard of the profile population and wires together:
 * :class:`~repro.cache.GCache` for residency, swap-out and write-back;
 * a persistence manager (bulk or fine-grained) over the KV store;
 * the write-table read-write isolation with its hot switch (§III-F);
-* per-caller QPS quotas (§V-b).
+* per-caller QPS quotas (§V-b);
+* a query-result cache in front of point reads, invalidated on every
+  mutation path (not a paper component; see docs/internals.md §14).
 
 Writes go through the write table when isolation is on, else straight to
 the engine.  Reads miss-through GCache: a non-resident profile is loaded
@@ -45,7 +47,6 @@ from ..storage.persistence import (
     PersistenceManager,
 )
 from .batch import BatchKeyResult, dedup_preserving_order
-from .coalesce import AdaptiveBatcher, CoalesceConfig, SingleFlight
 from .isolation import PendingWrite, WriteTable
 from .quota import QuotaManager
 from .result_cache import QueryResultCache
@@ -83,13 +84,17 @@ class IPSNode:
         quota: QuotaManager | None = None,
         tracer=NULL_TRACER,
         durability=None,
-        result_cache: QueryResultCache | int | None = None,
-        coalesce: CoalesceConfig | None = None,
     ) -> None:
         self.node_id = node_id
         self.clock = clock if clock is not None else SystemClock()
         self.tracer = tracer
         self.engine = ProfileEngine(config, self.clock)
+        #: Query-result cache for point reads.  Entries key on this
+        #: node's profile state; the invalidation seams are GCache's hook
+        #: (node writes, merges, ingest, recovery installs, crash drops)
+        #: and the engine's mutation listener (maintenance, hot reload).
+        self.result_cache = QueryResultCache()
+        self.engine.add_mutation_listener(self._on_profile_mutation)
         self.persistence: PersistenceManager = (
             FineGrainedPersistence(store, config.name, tracer=tracer)
             if config.fine_grained_persistence
@@ -104,6 +109,7 @@ class IPSNode:
             lru_shards=lru_shards,
             dirty_shards=dirty_shards,
             evict_callback=self._on_evict,
+            invalidation_hook=self._on_profile_mutation,
             tracer=tracer,
         )
         self.write_table = WriteTable(write_table_limit_bytes)
@@ -115,44 +121,13 @@ class IPSNode:
         self.stats = NodeStats()
         self._isolation_enabled = isolation_enabled
         self._merge_lock = threading.Lock()
-        # ---- server-side hot-read path (off by default) --------------
-        #: Query-result cache: pass an instance, or an int for a private
-        #: cache of that many entries (each node needs its own — entries
-        #: key on this node's profile state).
-        if isinstance(result_cache, int):
-            result_cache = (
-                QueryResultCache(max_entries=result_cache)
-                if result_cache > 0
-                else None
-            )
-        self.result_cache = result_cache
-        self.coalesce_config = coalesce
-        self.singleflight = SingleFlight() if coalesce is not None else None
-        self.batcher = (
-            AdaptiveBatcher(coalesce)
-            if coalesce is not None and coalesce.batching
-            else None
-        )
-        self._hot_read = (
-            self.result_cache is not None or self.singleflight is not None
-        )
-        if self._hot_read:
-            # Invalidation hooks sit on the existing mutation seams:
-            # GCache observes node writes (direct, merged, ingested),
-            # recovery installs and crash drops; the engine observes
-            # maintenance rewrites and hot reloads.
-            self.cache.set_invalidation_hook(self._on_profile_mutation)
-            self.engine.add_mutation_listener(self._on_profile_mutation)
 
     def _on_profile_mutation(self, profile_id: int | None) -> None:
         """A mutation path touched ``profile_id`` (None = whole node)."""
-        result_cache = self.result_cache
-        if result_cache is None:
-            return
         if profile_id is None:
-            result_cache.invalidate_all()
+            self.result_cache.invalidate_all()
         else:
-            result_cache.invalidate(profile_id)
+            self.result_cache.invalidate(profile_id)
 
     # ------------------------------------------------------------------
     # Residency plumbing
@@ -376,7 +351,7 @@ class IPSNode:
         stats: QueryStats | None,
         deadline,
     ) -> list[FeatureResult]:
-        """Shared hot-read skeleton: cache probe, singleflight, batching.
+        """Point-read skeleton: result-cache probe, else execute and put.
 
         ``execute(profile_id, time_range)`` runs the real engine query;
         ``build_fingerprint(window)`` canonicalizes it.  The window is
@@ -384,9 +359,9 @@ class IPSNode:
         executed query matches the cache key exactly (CURRENT windows
         would otherwise drift between fingerprint and execution).
         Queries carrying a ``stats`` collector want execution telemetry
-        and bypass the hot path entirely.
+        and bypass the cache entirely.
         """
-        if not self._hot_read or stats is not None:
+        if stats is not None:
             with self.tracer.span("engine.execute", profile=profile_id):
                 return execute(profile_id, time_range)
         window = time_range.resolve(
@@ -394,20 +369,15 @@ class IPSNode:
         )
         if window is None:
             # Let the engine resolve (to None) itself so argument
-            # validation errors surface exactly as on the cold path.
+            # validation errors surface exactly as on the uncached path.
             with self.tracer.span("engine.execute", profile=profile_id):
                 return execute(profile_id, time_range)
         frozen = TimeRange.absolute(window.start_ms, window.end_ms)
         fingerprint = build_fingerprint(window)
         result_cache = self.result_cache
         if fingerprint is None:
-            if result_cache is not None:
-                result_cache.stats.uncacheable += 1
-            if deadline is not None:
-                deadline.check("node.read")
-            with self.tracer.span("engine.execute", profile=profile_id):
-                return execute(profile_id, frozen)
-        if result_cache is not None:
+            result_cache.stats.uncacheable += 1
+        else:
             cached = result_cache.get(profile_id, fingerprint)
             if cached is not None:
                 span = self.tracer.current()
@@ -417,68 +387,16 @@ class IPSNode:
                     # at query execution.
                     span.tag(served="result_cache")
                 return cached
-
-        def leader() -> list[FeatureResult]:
-            epoch = (
-                result_cache.epoch(profile_id)
-                if result_cache is not None
-                else None
-            )
-            if self.batcher is not None:
-                value = self.batcher.submit(
-                    fingerprint,
-                    profile_id,
-                    lambda members: self._execute_batch_window(
-                        members, frozen, execute
-                    ),
-                    deadline=deadline,
-                )
-            else:
-                if deadline is not None:
-                    deadline.check("node.read")
-                with self.tracer.span("engine.execute", profile=profile_id):
-                    value = execute(profile_id, frozen)
-            if result_cache is not None:
-                result_cache.put(profile_id, fingerprint, value, epoch)
-            return value
-
-        if self.singleflight is not None:
-            value, was_leader = self.singleflight.execute(
-                (profile_id, fingerprint), leader, deadline=deadline
-            )
-            span = self.tracer.current()
-            if span is not None:
-                # Distinguish the leader that actually executed from
-                # waiters parked on its flight: a slow waiter was blocked,
-                # not computing.
-                span.tag(
-                    served=(
-                        "singleflight_leader"
-                        if was_leader
-                        else "coalesced_waiter"
-                    )
-                )
-            # Coalesced waiters share the leader's list: hand out copies.
-            return value if was_leader else list(value)
-        return leader()
-
-    def _execute_batch_window(
-        self, profile_ids: Sequence[int], frozen: TimeRange, execute
-    ) -> dict[int, list[FeatureResult] | IPSError]:
-        """One multi-get pass for a closed batch window (same query shape).
-
-        Per-profile failures degrade that profile only, exactly like
-        :meth:`_multi_get`; the batcher re-raises them for the owning
-        waiter.
-        """
-        with self.tracer.span("node.batch_window", keys=len(profile_ids)):
-            out: dict[int, list[FeatureResult] | IPSError] = {}
-            for member in profile_ids:
-                try:
-                    out[member] = execute(member, frozen)
-                except IPSError as exc:
-                    out[member] = exc
-            return out
+            # Captured before executing: a write landing mid-query bumps
+            # the epoch and the put below is discarded as possibly stale.
+            epoch = result_cache.epoch(profile_id)
+        if deadline is not None:
+            deadline.check("node.read")
+        with self.tracer.span("engine.execute", profile=profile_id):
+            value = execute(profile_id, frozen)
+        if fingerprint is not None:
+            result_cache.put(profile_id, fingerprint, value, epoch)
+        return value
 
     def get_profile_topk(
         self,
@@ -877,8 +795,8 @@ class IPSNode:
         The single node snapshot: :class:`~repro.monitoring.NodeSnapshot`
         takes these keys as its fields, and a worker's ``node_stats``
         admin RPC returns the same dict (plus ``pid`` and
-        ``replication``).  A layer the node runs without contributes no
-        keys; the snapshot reads those as zero.
+        ``replication``).  A layer the node runs without (durability)
+        contributes no keys; the snapshot reads those as zero.
         """
         metrics = self.cache.metrics
         stats = {
@@ -898,6 +816,10 @@ class IPSNode:
             "flush_failures": metrics.flush_failures,
             "write_table_pending": self.write_table.pending_count,
             "quota_rejections": self.quota.rejected,
+            "result_cache_hits": self.result_cache.stats.hits,
+            "result_cache_misses": self.result_cache.stats.misses,
+            "result_cache_entries": len(self.result_cache),
+            "result_cache_invalidations": self.result_cache.stats.invalidations,
         }
         durability = self.durability
         if durability is not None:
@@ -906,17 +828,6 @@ class IPSNode:
             stats["wal_replay_lag"] = durability.replay_lag_records()
             stats["checkpoints"] = durability.stats.checkpoints
             stats["recoveries"] = durability.stats.recoveries
-        if self.result_cache is not None:
-            cached = self.result_cache.stats
-            stats["result_cache_hits"] = cached.hits
-            stats["result_cache_misses"] = cached.misses
-            stats["result_cache_entries"] = len(self.result_cache)
-            stats["result_cache_invalidations"] = cached.invalidations
-        if self.singleflight is not None:
-            stats["coalesced_reads"] = self.singleflight.stats.coalesced
-        if self.batcher is not None:
-            stats["batch_windows"] = self.batcher.stats.batches
-            stats["batch_window_keys"] = self.batcher.stats.batched_keys
         return stats
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Write-invalidated query-result cache for the server-side hot-read path.
+"""Write-invalidated query-result cache in front of every node's point reads.
 
 Under the Zipf-skewed traffic the paper assumes, a few thousand hot
 profiles absorb most reads, and each read re-executes the full
@@ -16,8 +16,8 @@ mutated state becomes readable.  The hooks live next to the existing
 dirty-tracking seams (``GCache.mark_dirty`` / install / ``drop_all`` and
 the engine's maintenance entry point); the differential oracle in
 ``tests/test_result_cache_oracle.py`` proves the set is complete by
-replaying every mutation path against a cached and an uncached node and
-requiring byte-identical reads.
+replaying every mutation path and requiring every node read to be
+byte-identical to the same query run directly on the node's engine.
 
 Installs are epoch-guarded against the read/write race: a reader captures
 the profile's invalidation epoch *before* executing, and the install is
@@ -66,12 +66,7 @@ class QueryResultCache:
     profile O(entries for that profile), not O(cache).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        registry=None,
-        name: str = "result_cache",
-    ) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
@@ -81,14 +76,6 @@ class QueryResultCache:
         self._by_profile: dict[int, set] = {}
         self._profile_epochs: dict[int, int] = {}
         self._global_epoch = 0
-        if registry is not None:
-            self._hits = registry.counter(f"{name}_hits")
-            self._misses = registry.counter(f"{name}_misses")
-            self._invalidations = registry.counter(f"{name}_invalidations")
-            self._entries_gauge = registry.gauge(f"{name}_entries")
-        else:
-            self._hits = self._misses = self._invalidations = None
-            self._entries_gauge = None
 
     # ------------------------------------------------------------------
     # Read side
@@ -106,13 +93,9 @@ class QueryResultCache:
             value = self._entries.get(key)
             if value is None:
                 self.stats.misses += 1
-                if self._misses is not None:
-                    self._misses.inc()
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            if self._hits is not None:
-                self._hits.inc()
             return list(value)
 
     def put(
@@ -150,7 +133,6 @@ class QueryResultCache:
                     if not fps:
                         del self._by_profile[old_pid]
                 self.stats.evictions += 1
-            self._update_gauge()
             return True
 
     # ------------------------------------------------------------------
@@ -164,8 +146,6 @@ class QueryResultCache:
                 self._profile_epochs.get(profile_id, 0) + 1
             )
             self.stats.invalidations += 1
-            if self._invalidations is not None:
-                self._invalidations.inc()
             fingerprints = self._by_profile.pop(profile_id, None)
             if not fingerprints:
                 return 0
@@ -173,7 +153,6 @@ class QueryResultCache:
                 self._entries.pop((profile_id, fingerprint), None)
             dropped = len(fingerprints)
             self.stats.entries_invalidated += dropped
-            self._update_gauge()
             return dropped
 
     def invalidate_all(self) -> int:
@@ -184,17 +163,10 @@ class QueryResultCache:
             self._entries.clear()
             self._by_profile.clear()
             self.stats.invalidations += 1
-            if self._invalidations is not None:
-                self._invalidations.inc()
             self.stats.entries_invalidated += dropped
-            self._update_gauge()
             return dropped
 
     # ------------------------------------------------------------------
-
-    def _update_gauge(self) -> None:
-        if self._entries_gauge is not None:
-            self._entries_gauge.set(float(len(self._entries)))
 
     def __len__(self) -> int:
         with self._lock:

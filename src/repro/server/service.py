@@ -32,7 +32,6 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..storage.kvstore import KVStore
 from .batch import BatchKeyResult
-from .coalesce import CoalesceConfig
 from .node import IPSNode
 from .quota import QuotaManager
 
@@ -49,19 +48,12 @@ class IPSService:
         isolation_enabled: bool = True,
         tracer=NULL_TRACER,
         registry: MetricsRegistry | None = None,
-        result_cache_entries: int = 0,
-        coalesce: "CoalesceConfig | None" = None,
     ) -> None:
         self.clock = clock if clock is not None else SystemClock()
         self.node_id = node_id
         self._store = store
         self._cache_capacity = cache_capacity_bytes_per_table
         self._isolation_enabled = isolation_enabled
-        #: Hot-read path knobs applied to every table's node: a per-table
-        #: query-result cache of this many entries (0 disables) and the
-        #: singleflight/batch-window configuration (None disables).
-        self._result_cache_entries = result_cache_entries
-        self._coalesce = coalesce
         self.tracer = tracer
         self.registry = registry
         #: One quota manager shared across tables: multi-tenancy quotas are
@@ -88,8 +80,6 @@ class IPSService:
                 isolation_enabled=self._isolation_enabled,
                 quota=self.quota,
                 tracer=self.tracer,
-                result_cache=self._result_cache_entries or None,
-                coalesce=self._coalesce,
             )
 
     def drop_table(self, table: str) -> None:

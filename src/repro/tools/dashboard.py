@@ -213,14 +213,6 @@ def render_dashboard(
         if item[0].startswith(("wal_", "checkpoint", "recover"))
     ]
     scalars = [item for item in scalars if item not in durability]
-    # Hot-read-path counters (server-side result cache + coalescing): hit
-    # ratio, invalidation churn and window occupancy in one block.
-    hot_reads = [
-        item
-        for item in scalars
-        if item[0].startswith(("result_cache_", "singleflight_", "batch_window_"))
-    ]
-    scalars = [item for item in scalars if item not in hot_reads]
     # SLO judgment: error budgets, burn-rate alert state, and the tail
     # sampler's retention counters in one block — the "are we meeting the
     # paper's SLA" view.
@@ -246,12 +238,6 @@ def render_dashboard(
         lines.append("")
         lines.append("-- durability --")
         for name, kind, entry in durability:
-            label = f"{name}{_fmt_labels(entry['labels'])}"
-            lines.append(f"{label:<52} {entry.get('value', 0.0):>12g} ({kind})")
-    if hot_reads:
-        lines.append("")
-        lines.append("-- hot read path --")
-        for name, kind, entry in hot_reads:
             label = f"{name}{_fmt_labels(entry['labels'])}"
             lines.append(f"{label:<52} {entry.get('value', 0.0):>12g} ({kind})")
     if slo:
@@ -341,9 +327,6 @@ def _run_demo():
         clock,
         registry=registry,
     )
-    from ..server.coalesce import CoalesceConfig
-    from ..server.result_cache import QueryResultCache
-
     config = TableConfig(name="demo", attributes=("click", "like"))
     cluster = IPSCluster(
         config,
@@ -351,13 +334,7 @@ def _run_demo():
         clock=clock,
         tracer=tracer,
         registry=registry,
-        node_kwargs={"coalesce": CoalesceConfig(window_ms=0.0)},
     )
-    # Each node needs a private result cache (entries key on that node's
-    # profile state) but they share the registry, so the dashboard's hot
-    # read block shows fleet-wide counters.
-    for node in cluster.region.nodes.values():
-        node.result_cache = QueryResultCache(max_entries=512, registry=registry)
     for node in cluster.region.nodes.values():
         attach_memory_durability(
             node, checkpoint_interval_records=64, registry=registry

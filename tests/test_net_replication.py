@@ -305,6 +305,30 @@ class TestWorkerReplication:
         assert second["bytes"] == 0
         assert pair["a0"].repair_blocks_matched > 0
 
+    def test_repair_install_invalidates_the_cached_read_once(self, pair):
+        a0, b0 = pair["a0"].node, pair["b0"].node
+        b0.add_profile(1, NOW, 0, 1, 100, (1, 0, 0))
+        b0.merge_write_table()
+        before = b0.get_profile_topk(1, 0, 1, WINDOW, SortType.TOTAL, 10)
+        assert [row.fid for row in before] == [100]
+        assert b0.get_profile_topk(1, 0, 1, WINDOW, SortType.TOTAL, 10) == before
+        assert b0.result_cache.stats.hits == 1
+
+        a0.add_profile(1, NOW + 1, 0, 1, 101, (5, 0, 0))
+        a0.merge_write_table()
+        blobs, _, _ = diff_blocks(
+            a0._resident_profile(1), pair["b0"].repair_digests([1])[1]
+        )
+        assert blobs
+        invalidations = b0.result_cache.stats.invalidations
+        pair["b0"].repair_install(1, blobs)
+        assert b0.result_cache.stats.invalidations == invalidations + 1
+        after = b0.get_profile_topk(1, 0, 1, WINDOW, SortType.TOTAL, 10)
+        assert 101 in {row.fid for row in after}
+        assert after == b0.engine.get_profile_topk(
+            1, 0, 1, WINDOW, SortType.TOTAL, 10
+        )
+
     def test_stats_shape_matches_fleet_rollup(self, pair):
         from repro.monitoring import ClusterSnapshot, NodeSnapshot
 

@@ -168,6 +168,31 @@ class TestAdminSurface:
         reply = remote.checkpoint_now()
         assert reply["wal_last_sequence"] >= 1
 
+    def test_result_cache_serves_repeats_and_drops_stale_after_write(
+        self, server, remote
+    ):
+        """The served path caches point reads and never serves a stale one.
+
+        A repeated read is a result-cache hit, visible over the admin
+        RPC; an acked write made visible by a checkpoint (which drains
+        the write table) replaces the cached answer with the engine's.
+        """
+        _seed(server.node)
+        first = remote.get_profile_topk(2, 0, 1, WINDOW, SortType.TOTAL, 3)
+        hits = remote.node_stats()["result_cache_hits"]
+        again = remote.get_profile_topk(2, 0, 1, WINDOW, SortType.TOTAL, 3)
+        assert again == first
+        assert remote.node_stats()["result_cache_hits"] == hits + 1
+
+        remote.add_profiles(2, NOW, 0, 1, [900], [(50, 0, 0)])
+        assert remote.checkpoint_now()["checkpointed"]
+        after = remote.get_profile_topk(2, 0, 1, WINDOW, SortType.TOTAL, 3)
+        assert after[0].fid == 900
+        assert after != first
+        assert after == server.node.engine.get_profile_topk(
+            2, 0, 1, WINDOW, SortType.TOTAL, 3
+        )
+
     def test_stats_observe_server_time(self, server, remote):
         _seed(server.node)
         remote.get_profile_topk(1, 0, 1, WINDOW)

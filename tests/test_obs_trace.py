@@ -258,12 +258,13 @@ class TestExemplarToTraceLink:
 
 class TestServedTags:
     def test_slow_log_distinguishes_cache_hit_from_leader(self):
-        """Hot-path reads tag how they were served, and the tags reach
-        the rendered slow-query log."""
+        """A result-cache hit is tagged ``served=result_cache`` and the
+        tag reaches the rendered slow-query log; the read that led —
+        executed the query and installed the entry — carries no tag."""
         from repro.config import TableConfig
         from repro.core.query import SortType
         from repro.core.timerange import TimeRange
-        from repro.server import CoalesceConfig, IPSNode
+        from repro.server import IPSNode
         from repro.storage import InMemoryKVStore
 
         clock = _PerfSimClock(1_000_000)
@@ -275,8 +276,6 @@ class TestServedTags:
             InMemoryKVStore(),
             clock=clock,
             tracer=tracer,
-            result_cache=32,
-            coalesce=CoalesceConfig(window_ms=0.0),
         )
         node.add_profile(1, 999_000, 1, 0, 7, {"click": 3})
         node.merge_write_table()
@@ -287,7 +286,7 @@ class TestServedTags:
         # Setup (add_profile/merge) also produced roots; the reads are
         # the last two.
         leader, hit = tracer.roots[-2], tracer.roots[-1]
-        assert leader.tags["served"] == "singleflight_leader"
+        assert "served" not in leader.tags
         assert hit.tags["served"] == "result_cache"
-        assert "served=singleflight_leader" in tracer.slow_log[-2]
+        assert "served=" not in tracer.slow_log[-2]
         assert "served=result_cache" in tracer.slow_log[-1]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.server import QueryResultCache
 
 
@@ -108,18 +107,6 @@ class TestEviction:
 
 
 class TestMetrics:
-    def test_registry_counters_exported(self):
-        registry = MetricsRegistry()
-        cache = QueryResultCache(max_entries=4, registry=registry)
-        _install(cache, 1, FP_A, ["a"])
-        cache.get(1, FP_A)
-        cache.get(1, FP_B)
-        cache.invalidate(1)
-        text = registry.render_text()
-        assert "result_cache_hits" in text
-        assert "result_cache_misses" in text
-        assert "result_cache_invalidations" in text
-
     def test_hit_ratio(self):
         cache = QueryResultCache(max_entries=4)
         assert cache.stats.hit_ratio == 0.0

@@ -1,20 +1,22 @@
-"""Differential invalidation oracle for the server-side result cache.
+"""Differential invalidation oracle for the node's result cache.
 
-Two nodes share one simulated clock: one runs the full hot-read path
-(result cache + singleflight + batch windows), the other runs bare.  A
+Every :class:`IPSNode` serves point reads through its result cache; its
+:attr:`~IPSNode.engine` answers the same query with no cache in front.  A
 seeded plan interleaves every write path the node has — direct puts,
 batched puts, ingestion applies, isolation merges, full and partial
 maintenance (compaction / truncation), cache cycles, checkpoints, crash +
 recovery — and after every step a battery of reads (top-K across sort
 types, decay, filter, over CURRENT / RELATIVE / ABSOLUTE windows) must be
-*byte-identical* between the two nodes, with the cached node read twice
-so the second read is served from the cache whenever the query is
+*byte-identical* between the node and its engine.  The node is read
+twice, so the second read is served from the cache whenever the query is
 cacheable.
 
-If any mutation path missed its invalidation hook, the cached node would
-keep serving the pre-mutation result and the oracle trips.  The teeth
-tests prove the oracle has teeth: deliberately unhooking an invalidation
-seam makes it fail.
+If any mutation path missed its invalidation hook, the node would keep
+serving the pre-mutation result and the oracle trips.  The teeth tests
+prove the oracle has teeth: deliberately unhooking an invalidation seam
+makes it fail.  The node-level tests after them pin down what the cache
+does on the served path: repeats execute once, failures and expired
+deadlines are never cached, and every way of building a node has one.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ import random
 import pytest
 
 from repro.clock import MILLIS_PER_DAY, MILLIS_PER_HOUR, SimulatedClock
+from repro.cluster.resilience import Deadline
 from repro.config import TableConfig, TruncateConfig
 from repro.core.query import SortType, cacheable_filter
 from repro.core.timerange import TimeRange
+from repro.errors import DeadlineExceededError, IPSError
 from repro.ingest import IngestionJob, InstanceRecord, Topic, default_extraction
-from repro.server import CoalesceConfig, IPSNode, attach_memory_durability
+from repro.server import IPSNode, IPSService, attach_memory_durability
 from repro.storage import InMemoryKVStore
 
 NOW_MS = 400 * MILLIS_PER_DAY
@@ -56,15 +60,13 @@ def _table_config() -> TableConfig:
     )
 
 
-def _make_node(clock: SimulatedClock, cached: bool, durable: bool) -> IPSNode:
+def _make_node(clock: SimulatedClock, durable: bool) -> IPSNode:
     node = IPSNode(
-        "cached" if cached else "plain",
+        "oracle",
         _table_config(),
         InMemoryKVStore(),
         clock=clock,
         cache_capacity_bytes=4 * 1024 * 1024,
-        result_cache=512 if cached else None,
-        coalesce=CoalesceConfig(window_ms=0.0) if cached else None,
     )
     if durable:
         attach_memory_durability(node, checkpoint_interval_records=64)
@@ -142,7 +144,7 @@ def _make_op(op: str, rng: random.Random, now_ms: int) -> tuple:
 
 
 def _build_plan(rng: random.Random, steps: int) -> list[tuple]:
-    """A concrete op list (no randomness left) applied to both nodes."""
+    """A concrete op list (no randomness left) applied to the node."""
     ops = [
         "put", "put", "put", "put_many", "put_many", "ingest", "merge",
         "merge", "maintain_full", "maintain_partial", "cache_cycle",
@@ -182,10 +184,12 @@ def _apply(node: IPSNode, op: str, arg) -> None:
         job.run_until_drained()
     elif op == "merge":
         node.merge_write_table()
-    elif op == "maintain_full":
-        node.run_maintenance(full=True)
-    elif op == "maintain_partial":
-        node.run_maintenance(full=False)
+    elif op in ("maintain_full", "maintain_partial"):
+        # The write path queues only profiles past the slice threshold,
+        # which this plan's profiles never reach: queue them all, as a
+        # periodic sweep would, so maintenance really rewrites them.
+        node.engine._maintenance_pending.update(PROFILE_IDS)
+        node.run_maintenance(full=op == "maintain_full")
     elif op == "cache_cycle":
         node.run_cache_cycle()
     elif op == "checkpoint":
@@ -205,7 +209,11 @@ def _apply(node: IPSNode, op: str, arg) -> None:
 
 
 def _query_battery():
-    """(name, callable(node, profile_id)) pairs covering the read APIs."""
+    """(name, callable(target, profile_id)) pairs covering the read APIs.
+
+    ``target`` is a node or its engine: both take the same positional
+    query arguments.
+    """
     current_2d = TimeRange.current(2 * MILLIS_PER_DAY)
     current_7d = TimeRange.current(7 * MILLIS_PER_DAY)
     relative_3d = TimeRange.relative(3 * MILLIS_PER_DAY)
@@ -213,72 +221,74 @@ def _query_battery():
     return [
         (
             "topk_total_full",
-            lambda node, pid: node.get_profile_topk(
+            lambda target, pid: target.get_profile_topk(
                 pid, 1, 0, full_window, SortType.TOTAL, 10
             ),
         ),
         (
             "topk_attr_current",
-            lambda node, pid: node.get_profile_topk(
+            lambda target, pid: target.get_profile_topk(
                 pid, 1, 0, current_2d, SortType.ATTRIBUTE, 5,
                 sort_attribute="like",
             ),
         ),
         (
             "topk_weighted_current",
-            lambda node, pid: node.get_profile_topk(
+            lambda target, pid: target.get_profile_topk(
                 pid, 0, None, current_7d, SortType.WEIGHTED, 8,
                 sort_weights={"share": 3, "like": 1},
             ),
         ),
         (
             "topk_explicit_default_aggregate",
-            lambda node, pid: node.get_profile_topk(
+            lambda target, pid: target.get_profile_topk(
                 pid, 1, 0, full_window, SortType.FEATURE_ID, 6, aggregate="sum"
             ),
         ),
         (
             "decay_exponential_relative",
-            lambda node, pid: node.get_profile_decay(
+            lambda target, pid: target.get_profile_decay(
                 pid, 1, 0, relative_3d, "exponential", MILLIS_PER_DAY / 2.0
             ),
         ),
         (
             "decay_linear_attr",
-            lambda node, pid: node.get_profile_decay(
+            lambda target, pid: target.get_profile_decay(
                 pid, 0, None, current_7d, "linear", 5 * MILLIS_PER_DAY,
                 k=5, sort_attribute="comment",
             ),
         ),
         (
             "filter_cacheable",
-            lambda node, pid: node.get_profile_filter(
+            lambda target, pid: target.get_profile_filter(
                 pid, 1, 0, current_7d, _likes_at_least_two
             ),
         ),
         (
             "filter_opaque",
-            lambda node, pid: node.get_profile_filter(
+            lambda target, pid: target.get_profile_filter(
                 pid, 0, None, full_window, _opaque_filter
             ),
         ),
     ]
 
 
-def _assert_reads_identical(cached: IPSNode, plain: IPSNode, step: str) -> None:
-    """Every battery read, byte-identical, cached node read twice."""
+def _assert_reads_identical(node: IPSNode, step: str) -> None:
+    """Every battery read, node byte-identical to engine, node read twice."""
     for name, query in _query_battery():
         for profile_id in PROFILE_IDS:
-            expected = query(plain, profile_id)
-            first = query(cached, profile_id)
-            second = query(cached, profile_id)  # Cache-hit path when cacheable.
+            # The node read comes first: it makes the profile resident in
+            # the engine's table, which the engine-direct read needs.
+            first = query(node, profile_id)
+            expected = query(node.engine, profile_id)
+            second = query(node, profile_id)  # Cache-hit path when cacheable.
             assert repr(first) == repr(expected), (
                 f"{step}: {name}(profile={profile_id}) diverged on first "
-                f"read:\n  cached={first!r}\n  plain ={expected!r}"
+                f"read:\n  node  ={first!r}\n  engine={expected!r}"
             )
             assert repr(second) == repr(expected), (
                 f"{step}: {name}(profile={profile_id}) diverged on cached "
-                f"re-read:\n  cached={second!r}\n  plain ={expected!r}"
+                f"re-read:\n  node  ={second!r}\n  engine={expected!r}"
             )
 
 
@@ -291,8 +301,7 @@ def _assert_reads_identical(cached: IPSNode, plain: IPSNode, step: str) -> None:
 def test_oracle_all_mutation_paths(rng, durable):
     """Seeded interleavings of every write path stay byte-identical."""
     clock = SimulatedClock(start_ms=NOW_MS)
-    cached = _make_node(clock, cached=True, durable=durable)
-    plain = _make_node(clock, cached=False, durable=durable)
+    node = _make_node(clock, durable=durable)
     plan = _build_plan(rng, steps=50)
     exercised = {op for op, _ in plan}
     assert set(_REQUIRED_OPS) <= exercised
@@ -301,13 +310,12 @@ def test_oracle_all_mutation_paths(rng, durable):
         if op == "advance_clock":
             clock.advance(arg)
         else:
-            _apply(cached, op, arg)
-            _apply(plain, op, arg)
-        _assert_reads_identical(cached, plain, step=f"step {index} ({op})")
+            _apply(node, op, arg)
+        _assert_reads_identical(node, step=f"step {index} ({op})")
 
     # The run must have exercised the cache for the comparison to mean
     # anything: hits come from the double reads, invalidations from writes.
-    stats = cached.result_cache.stats
+    stats = node.result_cache.stats
     assert stats.hits > 0
     assert stats.installs > 0
     assert stats.invalidations > 0
@@ -318,18 +326,16 @@ def test_oracle_many_seeds():
     """Shorter interleavings across independent seeds."""
     for seed in range(5):
         clock = SimulatedClock(start_ms=NOW_MS)
-        cached = _make_node(clock, cached=True, durable=True)
-        plain = _make_node(clock, cached=False, durable=True)
+        node = _make_node(clock, durable=True)
         for index, (op, arg) in enumerate(
             _build_plan(random.Random(seed), steps=20)
         ):
             if op == "advance_clock":
                 clock.advance(arg)
             else:
-                _apply(cached, op, arg)
-                _apply(plain, op, arg)
+                _apply(node, op, arg)
             _assert_reads_identical(
-                cached, plain, step=f"seed {seed} step {index} ({op})"
+                node, step=f"seed {seed} step {index} ({op})"
             )
 
 
@@ -341,21 +347,16 @@ def test_oracle_many_seeds():
 def test_oracle_teeth_write_hook_removed():
     """Unhooking GCache's invalidation seam makes the oracle trip."""
     clock = SimulatedClock(start_ms=NOW_MS)
-    cached = _make_node(clock, cached=True, durable=False)
-    plain = _make_node(clock, cached=False, durable=False)
-    write = (1, NOW_MS - MILLIS_PER_HOUR, 1, 0, 5, {"like": 3})
-    for node in (cached, plain):
-        _apply(node, "put", write)
-        _apply(node, "merge", None)
-    _assert_reads_identical(cached, plain, step="warmup")
+    node = _make_node(clock, durable=False)
+    _apply(node, "put", (1, NOW_MS - MILLIS_PER_HOUR, 1, 0, 5, {"like": 3}))
+    _apply(node, "merge", None)
+    _assert_reads_identical(node, step="warmup")
 
-    cached.cache.set_invalidation_hook(None)  # The deliberate bug.
-    newer = (1, NOW_MS, 1, 0, 5, {"like": 40, "share": 7})
-    for node in (cached, plain):
-        _apply(node, "put", newer)
-        _apply(node, "merge", None)
+    node.cache._invalidation_hook = None  # The deliberate bug.
+    _apply(node, "put", (1, NOW_MS, 1, 0, 5, {"like": 40, "share": 7}))
+    _apply(node, "merge", None)
     with pytest.raises(AssertionError, match="diverged"):
-        _assert_reads_identical(cached, plain, step="unhooked write")
+        _assert_reads_identical(node, step="unhooked write")
 
 
 def test_oracle_teeth_maintenance_hook_removed():
@@ -365,20 +366,112 @@ def test_oracle_teeth_maintenance_hook_removed():
     cached wide-window read that survives maintenance is provably stale.
     """
     clock = SimulatedClock(start_ms=NOW_MS)
-    cached = _make_node(clock, cached=True, durable=False)
-    plain = _make_node(clock, cached=False, durable=False)
-    old = (2, NOW_MS - 9 * MILLIS_PER_DAY, 1, 0, 7, {"comment": 9})
-    fresh = (2, NOW_MS - MILLIS_PER_HOUR, 1, 0, 8, {"like": 1})
-    for node in (cached, plain):
-        _apply(node, "put", old)
-        _apply(node, "put", fresh)
-        _apply(node, "merge", None)
-    _assert_reads_identical(cached, plain, step="warmup")
+    node = _make_node(clock, durable=False)
+    _apply(node, "put", (2, NOW_MS - 9 * MILLIS_PER_DAY, 1, 0, 7, {"comment": 9}))
+    _apply(node, "put", (2, NOW_MS - MILLIS_PER_HOUR, 1, 0, 8, {"like": 1}))
+    _apply(node, "merge", None)
+    _assert_reads_identical(node, step="warmup")
 
-    cached.engine._mutation_listeners.clear()  # The deliberate bug.
+    node.engine._mutation_listeners.clear()  # The deliberate bug.
     clock.advance(2 * MILLIS_PER_DAY)  # The old write leaves retention.
-    for node in (cached, plain):
-        node.engine._maintenance_pending.add(2)
-        _apply(node, "maintain_full", None)
+    node.engine._maintenance_pending.add(2)
+    _apply(node, "maintain_full", None)
     with pytest.raises(AssertionError, match="diverged"):
-        _assert_reads_identical(cached, plain, step="unhooked maintenance")
+        _assert_reads_identical(node, step="unhooked maintenance")
+
+
+# ----------------------------------------------------------------------
+# The served path: what the cache does for a caller
+# ----------------------------------------------------------------------
+
+WINDOW = TimeRange.absolute(0, NOW_MS + 1)
+
+
+def _seeded_node() -> IPSNode:
+    node = _make_node(SimulatedClock(start_ms=NOW_MS), durable=False)
+    for fid in range(10):
+        node.add_profile(1, NOW_MS - fid * 1000, 1, 0, fid, {"like": fid + 1})
+    node.merge_write_table()
+    return node
+
+
+def _counting(node: IPSNode, fail: bool = False) -> list:
+    """Route the node's top-K executions through a counter."""
+    calls = []
+    real_topk = node.engine.get_profile_topk
+
+    def topk(*args, **kwargs):
+        calls.append(args[0])
+        if fail:
+            raise IPSError("storage fault mid-read")
+        return real_topk(*args, **kwargs)
+
+    node.engine.get_profile_topk = topk
+    return calls
+
+
+def test_repeated_point_read_executes_once():
+    node = _seeded_node()
+    calls = _counting(node)
+    reads = [
+        node.get_profile_topk(1, 1, 0, WINDOW, SortType.TOTAL, 5)
+        for _ in range(4)
+    ]
+    assert calls == [1]
+    assert node.result_cache.stats.hits == 3
+    assert all(repr(read) == repr(reads[0]) for read in reads)
+    # Every caller gets its own list: mutating one corrupts no other.
+    assert len({id(read) for read in reads}) == 4
+    reads[1].clear()
+    assert node.get_profile_topk(1, 1, 0, WINDOW, SortType.TOTAL, 5) == reads[0]
+
+
+def test_failed_read_is_not_cached():
+    node = _seeded_node()
+    calls = _counting(node, fail=True)
+    for _ in range(2):
+        with pytest.raises(IPSError, match="storage fault"):
+            node.get_profile_topk(1, 1, 0, WINDOW, SortType.TOTAL, 5)
+    # Each caller's read executed and saw its own failure.
+    assert calls == [1, 1]
+    assert node.result_cache.stats.installs == 0
+    assert len(node.result_cache) == 0
+
+
+def test_expired_deadline_fails_a_miss_before_executing():
+    node = _seeded_node()
+    calls = _counting(node)
+    clock = node.clock
+    deadline = Deadline(clock, 1.0)
+    clock.advance(2)
+    with pytest.raises(DeadlineExceededError):
+        node.get_profile_topk(
+            1, 1, 0, WINDOW, SortType.TOTAL, 5, deadline=deadline
+        )
+    assert calls == []
+    assert len(node.result_cache) == 0
+
+
+def test_every_node_has_a_result_cache(tmp_path):
+    from repro.cluster.cluster import IPSCluster
+    from repro.net.worker import build_durable_node
+
+    clock = SimulatedClock(start_ms=NOW_MS)
+    service = IPSService(InMemoryKVStore(), clock=clock)
+    service.create_table(_table_config())
+    cluster = IPSCluster(_table_config(), num_nodes=2, clock=clock)
+    worker_node = build_durable_node("w0", tmp_path)
+    nodes = [
+        _make_node(clock, durable=False),
+        service.table_node("oracle"),
+        *cluster.region.nodes.values(),
+        worker_node,
+    ]
+    try:
+        for node in nodes:
+            assert node.result_cache is not None
+            assert "result_cache_hits" in node.node_stats()
+        # Private per node: entries key on that node's profile state.
+        assert len({id(node.result_cache) for node in nodes}) == len(nodes)
+    finally:
+        worker_node.shutdown()

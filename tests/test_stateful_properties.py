@@ -158,13 +158,13 @@ TestFileKVStoreStateful.settings = settings(
 
 
 class ResultCacheNodeMachine(RuleBasedStateMachine):
-    """A hot-read node against a dict model of its merged writes.
+    """A node and its result cache against a dict model of merged writes.
 
     Model: ``profile_id -> fid -> [per-attribute sums]`` of every write
     *visible* to reads (merged or recovered; buffered writes stay in a
-    separate pending list until a merge makes them visible).  The node
-    runs the full hot-read path — result cache (tiny, so LRU eviction is
-    constant), singleflight, invalidation hooks — and every read must
+    separate pending list until a merge makes them visible).  The node's
+    result cache is swapped for a tiny one, so LRU eviction is constant,
+    and every read must
     match the model exactly: a read served from the result cache that
     survived a write, merge, maintenance pass, cache cycle or crash
     recovery would diverge immediately.
@@ -183,8 +183,8 @@ class ResultCacheNodeMachine(RuleBasedStateMachine):
         from repro.core.query import SortType
         from repro.core.timerange import TimeRange
         from repro.server import (
-            CoalesceConfig,
             IPSNode,
+            QueryResultCache,
             attach_memory_durability,
         )
         from repro.storage import InMemoryKVStore
@@ -199,9 +199,9 @@ class ResultCacheNodeMachine(RuleBasedStateMachine):
             InMemoryKVStore(),
             clock=SimulatedClock(start_ms=self.now_ms),
             cache_capacity_bytes=64 * 1024,  # Small: GCache churns.
-            result_cache=8,  # Tiny: result-cache eviction is constant.
-            coalesce=CoalesceConfig(window_ms=0.0),
         )
+        # Tiny: result-cache eviction is constant.
+        self.node.result_cache = QueryResultCache(max_entries=8)
         attach_memory_durability(self.node, checkpoint_interval_records=32)
         #: Visible state: profile -> fid -> [sum per attribute].
         self.model: dict[int, dict[int, list[int]]] = {}

@@ -2,7 +2,7 @@
 """Perf history: snapshot the gated benches, diff against prior snapshots.
 
 The bench suite gates individual claims (kernel speedup, trace overhead,
-hot-tier hit ratio) but until now nothing *persisted* machine-readable
+failover error rate) but until now nothing *persisted* machine-readable
 results, so a PR could quietly halve a number that still clears its gate.
 This harness runs the same benches at smoke size, extracts the headline
 metrics into a schema-versioned snapshot (``benchmarks/history/
@@ -100,26 +100,6 @@ def collect_kernels() -> dict[str, dict]:
             multiget["speedup_vs_singles"], "x", "higher", rel_tol=0.4
         )
     return out
-
-
-def collect_server() -> dict[str, dict]:
-    import bench_server_batching
-
-    result = bench_server_batching.run_bench(**bench_server_batching._SMOKE)
-    return {
-        "server.hot_hit_ratio": metric(
-            result["hot_hit_ratio"], "ratio", "higher", abs_tol=0.08
-        ),
-        "server.overall_hit_ratio": metric(
-            result["overall_hit_ratio"], "ratio", "higher", abs_tol=0.08
-        ),
-        "server.cached_p99_us": metric(
-            result["cached_p99_us"], "us", "lower", rel_tol=0.6
-        ),
-        "server.plain_p99_us": metric(
-            result["plain_p99_us"], "us", "lower", rel_tol=0.6
-        ),
-    }
 
 
 def collect_recovery() -> dict[str, dict]:
@@ -237,7 +217,6 @@ def collect_failover() -> dict[str, dict]:
 
 COLLECTORS = (
     ("kernels", collect_kernels),
-    ("server", collect_server),
     ("recovery", collect_recovery),
     ("trace", collect_trace),
     ("availability", collect_availability),

@@ -13,9 +13,9 @@ Each target carries its own floor:
 * ``src/repro/core`` — the query/profile engine the kernels tentpole
   doubled the implementations of; the differential suites must keep
   reaching both.
-* ``src/repro/server`` — the node read/write paths plus the hot-read
-  layer (result cache, singleflight, batch windows, durability), kept
-  honest by the invalidation oracle and the coalescing suite.
+* ``src/repro/server`` — the node read/write paths plus the result
+  cache and durability, kept honest by the invalidation oracle and the
+  served-path tests beside it.
 * ``src/repro/obs`` — the judgment layer itself (metrics registry,
   tracer, tail sampler, SLO engine); an observability stack nobody
   tests is exactly the code that lies during an incident.
@@ -82,8 +82,8 @@ TRACED_TEST_FILES = (
     "tests/test_server_proxy.py",
     "tests/test_server_service.py",
     "tests/test_server_maintenance_pool.py",
-    "tests/test_server_coalesce.py",
     "tests/test_result_cache.py",
+    # result-cache oracle + the served-path tests moved beside it
     "tests/test_result_cache_oracle.py",
     "tests/test_recovery.py",
     "tests/test_crashpoints.py",
