@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check metrics test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-history bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
+.PHONY: check metrics test lint kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-cluster bench-cluster-smoke bench-failover bench-failover-smoke bench-e2e-smoke dash
 
-## check (15 prerequisites — `make metrics` counts them), in order:
+## check (14 prerequisites — `make metrics` counts them), in order:
 ##   lint                  clock + numpy-isolation AST lints
 ##   test                  tier-1: all of tests/ in the default config
 ##                         (kernel, serialization and result-cache oracles,
@@ -18,8 +18,7 @@ export PYTHONPATH := src
 ##   bench-cluster-smoke   process cluster over sockets, real SIGKILL failover
 ##   bench-failover-smoke  replicated-shard failover
 ##   bench-e2e-smoke       the BENCHMARK.json contract at smoke scale
-##   bench-history         perf-history snapshot/regression diff
-check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke bench-history
+check: lint test kernel-oracle coverage-core bench-batch bench-kernels bench-trace bench-recovery chaos crashcheck slo-check bench-cluster-smoke bench-failover-smoke bench-e2e-smoke
 
 ## metrics: the three tracked numbers ROADMAP's "Cost of the window"
 ## quotes — lines of src/, lines of src/repro/core, `check:`
@@ -117,12 +116,6 @@ bench-failover-smoke:
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
-
-## bench-history: run the gated benches, record a schema-versioned
-## BENCH_<n>.json snapshot, and diff against the committed baseline with
-## per-metric tolerance bands (exit 1 on regression).
-bench-history:
-	$(PYTHON) tools/bench_history.py
 
 ## dash: one-screen ASCII observability dashboard over a demo workload.
 dash:

@@ -207,16 +207,6 @@ def test_trace_overhead_smoke():
     )
     report(result)
     _check(result)
-    from conftest import record_metric
-
-    record_metric(
-        "trace.overhead_frac", result["overhead"], unit="frac",
-        better="lower", abs_tol=0.10,
-    )
-    record_metric(
-        "trace.noop_span_ns", result["noop_span_ns"], unit="ns",
-        better="lower", rel_tol=1.0,
-    )
 
 
 def main() -> None:

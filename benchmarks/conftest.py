@@ -9,9 +9,6 @@ implementation.
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.clock import MILLIS_PER_DAY, SimulatedClock
@@ -20,45 +17,6 @@ from repro.workload import spring_festival_curve
 
 #: Shared simulated "now".
 NOW_MS = 400 * MILLIS_PER_DAY
-
-#: Metrics recorded by benches during a pytest run (perf-history hook).
-_RECORDED: dict[str, dict] = {}
-
-
-def record_metric(
-    name: str,
-    value: float,
-    unit: str = "",
-    better: str = "lower",
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
-) -> None:
-    """Record one headline number for the perf-history harness.
-
-    When the run was started with ``IPS_BENCH_RECORD=<path>``, everything
-    recorded is dumped there at session end in the same metric shape
-    ``tools/bench_history.py`` snapshots (``--ingest`` merges it).
-    """
-    if better not in ("lower", "higher"):
-        raise ValueError(f"better must be lower|higher, got {better!r}")
-    _RECORDED[name] = {
-        "value": round(float(value), 6),
-        "unit": unit,
-        "better": better,
-        "rel_tol": rel_tol,
-        "abs_tol": abs_tol,
-    }
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    path = os.environ.get("IPS_BENCH_RECORD")
-    if not path or not _RECORDED:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dict(sorted(_RECORDED.items())), handle, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
-
 
 @pytest.fixture(scope="session")
 def simulator() -> ClusterSimulator:

@@ -166,9 +166,14 @@ class ProfileEngine:
     # ``{profile_id: results}``; ids with no resident profile map to
     # ``[]`` exactly like the point reads.
 
-    def _read(self, profile_ids: Sequence[int], stats_map, query):
+    def _read(self, profile_ids: Sequence[int], stats_map, query, now_ms=None):
         """Run ``query(profiles, now_ms, stats_list)`` — a ``QueryEngine``
-        batch entry bound to its arguments — over the resident ids."""
+        batch entry bound to its arguments — over the resident ids.
+
+        ``now_ms`` defaults to the engine clock; a caller that resolved
+        windows itself (the node, for its cache keys) passes the instant
+        it resolved them at, so CURRENT / RELATIVE windows run as keyed.
+        """
         out: dict[int, list[FeatureResult]] = {}
         ids: list[int] = []
         profiles: list[ProfileData] = []
@@ -184,7 +189,11 @@ class ProfileEngine:
                 [stats_map.get(pid) for pid in ids] if stats_map else None
             )
             out.update(
-                zip(ids, query(profiles, self.clock.now_ms(), stats_list))
+                zip(ids, query(
+                    profiles,
+                    self.clock.now_ms() if now_ms is None else now_ms,
+                    stats_list,
+                ))
             )
         return out
 
@@ -227,16 +236,17 @@ class ProfileEngine:
         descending: bool = True,
         aggregate: str | None = None,
         stats_map: "dict[int, QueryStats] | None" = None,
+        now_ms: int | None = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_topK``: one batched kernel pass over many ids."""
         return self._topk(
             profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
-            sort_attribute, sort_weights, descending, aggregate,
+            sort_attribute, sort_weights, descending, aggregate, now_ms,
         )
 
     def _topk(
         self, profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
-        sort_attribute, sort_weights, descending, aggregate,
+        sort_attribute, sort_weights, descending, aggregate, now_ms=None,
     ):
         return self._read(
             profile_ids, stats_map,
@@ -246,6 +256,7 @@ class ProfileEngine:
                 get_aggregate(aggregate) if aggregate is not None else None,
                 stats_list,
             ),
+            now_ms,
         )
 
     def get_profile_filter(
@@ -271,19 +282,25 @@ class ProfileEngine:
         time_range: TimeRange,
         predicate: FilterFn,
         stats_map: "dict[int, QueryStats] | None" = None,
+        now_ms: int | None = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_filter``: batched predicate reads."""
         return self._filter(
-            profile_ids, stats_map, slot, type_id, time_range, predicate
+            profile_ids, stats_map, slot, type_id, time_range, predicate,
+            now_ms,
         )
 
-    def _filter(self, profile_ids, stats_map, slot, type_id, time_range, predicate):
+    def _filter(
+        self, profile_ids, stats_map, slot, type_id, time_range, predicate,
+        now_ms=None,
+    ):
         return self._read(
             profile_ids, stats_map,
             lambda profiles, now_ms, stats_list: self.query_engine.filter_batch(
                 profiles, slot, type_id, time_range, predicate, now_ms,
                 stats_list,
             ),
+            now_ms,
         )
 
     def get_profile_decay(
@@ -315,16 +332,17 @@ class ProfileEngine:
         k: int | None = None,
         sort_attribute: str | None = None,
         stats_map: "dict[int, QueryStats] | None" = None,
+        now_ms: int | None = None,
     ) -> dict[int, list[FeatureResult]]:
         """``get_profiles_decay``: batched time-decayed reads."""
         return self._decay(
             profile_ids, stats_map, slot, type_id, time_range, decay_function,
-            decay_factor, k, sort_attribute,
+            decay_factor, k, sort_attribute, now_ms,
         )
 
     def _decay(
         self, profile_ids, stats_map, slot, type_id, time_range,
-        decay_function, decay_factor, k, sort_attribute,
+        decay_function, decay_factor, k, sort_attribute, now_ms=None,
     ):
         return self._read(
             profile_ids, stats_map,
@@ -335,6 +353,7 @@ class ProfileEngine:
                 else decay_function,
                 decay_factor, now_ms, k, sort_attribute, stats_list,
             ),
+            now_ms,
         )
 
     # ------------------------------------------------------------------

@@ -144,6 +144,22 @@ def query_fingerprint(
     slot: int,
     type_id: int | None,
     window: ResolvedWindow,
+    **spec,
+) -> tuple | None:
+    """Canonical cache key for one read, or ``None`` when uncacheable.
+
+    The :func:`query_spec` of the read (keyword arguments as there)
+    followed by the resolved window's bounds.
+    """
+    key = query_spec(config, method, slot, type_id, **spec)
+    return None if key is None else key + (window.start_ms, window.end_ms)
+
+
+def query_spec(
+    config: TableConfig,
+    method: str,
+    slot: int,
+    type_id: int | None,
     sort_type: SortType | None = None,
     k: int | None = None,
     sort_attribute: str | None = None,
@@ -153,10 +169,12 @@ def query_fingerprint(
     decay_factor: float | None = None,
     predicate: FilterFn | None = None,
 ) -> tuple | None:
-    """Canonical cache key for one read, or ``None`` when uncacheable.
+    """Window-free part of a read's cache key, or ``None`` when uncacheable.
 
-    Semantically identical queries must share a fingerprint, and queries
-    that can return different bytes must not.  The normalization rules:
+    A node builds it once per request and appends each key's resolved
+    window (:func:`query_fingerprint`).  Semantically identical queries
+    must share a fingerprint, and queries that can return different bytes
+    must not.  The normalization rules:
 
     * the time range is keyed by its *resolved* half-open window, so a
       CURRENT range naturally changes key as the clock advances and an
@@ -180,7 +198,7 @@ def query_fingerprint(
     caller executes them directly and raises the real validation error.
     """
     try:
-        base = (method, slot, type_id, window.start_ms, window.end_ms)
+        base = (method, slot, type_id)
         if method == "topk":
             if sort_type is None or k is None or int(k) < 1:
                 return None

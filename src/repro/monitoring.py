@@ -146,6 +146,11 @@ class NodeSnapshot:
     result_cache_misses: int = 0
     result_cache_entries: int = 0
     result_cache_invalidations: int = 0
+    #: Installs dropped because a write raced the read that computed them.
+    result_cache_install_races: int = 0
+    result_cache_evictions: int = 0
+    #: Reads with no cache key (opaque predicate, invalid arguments).
+    result_cache_uncacheable: int = 0
     #: Only a worker process reports these: pid, open / refused client
     #: connections and, when replicated, :meth:`WorkerReplication.stats`.
     pid: int | None = None
@@ -377,7 +382,8 @@ class ClusterMonitor:
             lines.append(
                 "  hot reads: result_cache_hit_ratio="
                 f"{snapshot.result_cache_hit_ratio:.3f}  "
-                f"invalidations={snapshot.total('result_cache_invalidations')}"
+                f"invalidations={snapshot.total('result_cache_invalidations')}  "
+                f"install_races={snapshot.total('result_cache_install_races')}"
             )
         if any(node.wal_appends or node.recoveries for node in snapshot.nodes):
             lines.append(

@@ -8,7 +8,7 @@ One node owns a shard of the profile population and wires together:
 * a persistence manager (bulk or fine-grained) over the KV store;
 * the write-table read-write isolation with its hot switch (§III-F);
 * per-caller QPS quotas (§V-b);
-* a query-result cache in front of point reads, invalidated on every
+* a query-result cache in front of every read, invalidated on every
   mutation path (not a paper component; see docs/internals.md §14).
 
 Writes go through the write table when isolation is on, else straight to
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import TableConfig
@@ -34,7 +34,7 @@ from ..core.query import (
     FilterFn,
     QueryStats,
     SortType,
-    query_fingerprint,
+    query_spec,
 )
 from ..core.timerange import TimeRange
 from ..cache import GCache
@@ -65,6 +65,21 @@ class NodeStats:
     batch_keys: int = 0
 
 
+class _Query(NamedTuple):
+    """One read request as :meth:`IPSNode._read` serves it.
+
+    ``args`` are the kind's keyword arguments, spelled as both
+    :func:`~repro.core.query.query_spec` and the engine's
+    ``get_profiles_<kind>`` batch entry take them.
+    """
+
+    kind: str  # "topk" / "filter" / "decay"
+    slot: int
+    type_id: int | None
+    time_range: TimeRange
+    args: dict
+
+
 class IPSNode:
     """One IPS instance serving a shard of profiles for one table."""
 
@@ -89,7 +104,7 @@ class IPSNode:
         self.clock = clock if clock is not None else SystemClock()
         self.tracer = tracer
         self.engine = ProfileEngine(config, self.clock)
-        #: Query-result cache for point reads.  Entries key on this
+        #: Query-result cache for every read.  Entries key on this
         #: node's profile state; the invalidation seams are GCache's hook
         #: (node writes, merges, ingest, recovery installs, crash drops)
         #: and the engine's mutation listener (maintenance, hot reload).
@@ -134,8 +149,13 @@ class IPSNode:
     # ------------------------------------------------------------------
 
     def _on_evict(self, profile: ProfileData) -> None:
-        """GCache evicted a profile: drop it from the engine's table too."""
+        """GCache evicted a profile: drop it from the engine's table too.
+
+        A read that found it resident and runs after this would answer
+        ``[]``; the invalidation makes that read's install a race.
+        """
         self.engine.table.evict(profile.profile_id)
+        self.result_cache.invalidate(profile.profile_id)
 
     def _resident_profile(self, profile_id: int) -> ProfileData | None:
         """Fetch through the cache, installing loads into the engine table."""
@@ -147,7 +167,17 @@ class IPSNode:
     def _resident_profiles(
         self, profile_ids: Sequence[int]
     ) -> tuple[dict[int, ProfileData | None], dict[int, Exception]]:
-        """Batched cache fetch: one probe pass, loads installed in the table."""
+        """Batched cache fetch: one probe pass, loads installed in the table.
+
+        A load failure comes back as that key's error.  One id takes
+        ``GCache.get`` (and its ``cache.get`` span): no batch bookkeeping.
+        """
+        if len(profile_ids) == 1:
+            profile_id = profile_ids[0]
+            try:
+                return {profile_id: self._resident_profile(profile_id)}, {}
+            except Exception as exc:
+                return {}, {profile_id: exc}
         profiles, errors = self.cache.get_many(profile_ids)
         for profile_id, profile in profiles.items():
             if profile is not None and self.engine.table.get(profile_id) is None:
@@ -338,65 +368,129 @@ class IPSNode:
         return self._isolation_enabled
 
     # ------------------------------------------------------------------
-    # Read APIs
+    # Read APIs: six short entries over one read path
     # ------------------------------------------------------------------
 
-    def _serve_read(
+    def _read(
         self,
-        profile_id: int,
-        profile: ProfileData,
-        time_range: TimeRange,
-        build_fingerprint,
-        execute,
-        stats: QueryStats | None,
-        deadline,
-    ) -> list[FeatureResult]:
-        """Point-read skeleton: result-cache probe, else execute and put.
+        profile_ids: Sequence[int],
+        query: _Query,
+        caller: str,
+        stats: QueryStats | None = None,
+        deadline=None,
+    ) -> tuple[dict[int, list[FeatureResult] | Exception], int]:
+        """The one read path; returns ``({id: results or error}, hits)``.
 
-        ``execute(profile_id, time_range)`` runs the real engine query;
-        ``build_fingerprint(window)`` canonicalizes it.  The window is
-        resolved *once* here and frozen to an ABSOLUTE range so the
-        executed query matches the cache key exactly (CURRENT windows
-        would otherwise drift between fingerprint and execution).
-        Queries carrying a ``stats`` collector want execution telemetry
-        and bypass the cache entirely.
+        One quota admit, one dedup, one GCache pass (a load error fails
+        its key only; a non-resident id reads ``[]``).  ``now_ms`` is read
+        once; each live key's window is resolved at it and probed in the
+        result cache under the query's spec plus the window bounds.  The
+        misses run as **one** engine batch at that same ``now_ms``, so a
+        CURRENT or RELATIVE window executes exactly the window it is keyed
+        under, and each is installed under the epoch captured before the
+        batch (a write landing mid-execution drops that install).  A query
+        error is batch-wide (one spec) and fails every miss.  A ``stats``
+        collector bypasses the cache; a ``deadline`` is checked once,
+        before the misses run.
         """
-        if stats is not None:
-            with self.tracer.span("engine.execute", profile=profile_id):
-                return execute(profile_id, time_range)
-        window = time_range.resolve(
-            self.clock.now_ms(), profile.newest_timestamp_ms()
-        )
-        if window is None:
-            # Let the engine resolve (to None) itself so argument
-            # validation errors surface exactly as on the uncached path.
-            with self.tracer.span("engine.execute", profile=profile_id):
-                return execute(profile_id, time_range)
-        frozen = TimeRange.absolute(window.start_ms, window.end_ms)
-        fingerprint = build_fingerprint(window)
+        self.quota.admit(caller)
+        unique = dedup_preserving_order(profile_ids)
+        self.stats.reads += len(unique)
+        profiles, errors = self._resident_profiles(unique)
+        now_ms = self.clock.now_ms()
         result_cache = self.result_cache
-        if fingerprint is None:
-            result_cache.stats.uncacheable += 1
-        else:
-            cached = result_cache.get(profile_id, fingerprint)
-            if cached is not None:
-                span = self.tracer.current()
-                if span is not None:
-                    # Slow-log forensics: a "slow" cached read points at
-                    # whatever held the request *around* the probe, not
-                    # at query execution.
-                    span.tag(served="result_cache")
-                return cached
-            # Captured before executing: a write landing mid-query bumps
-            # the epoch and the put below is discarded as possibly stale.
-            epoch = result_cache.epoch(profile_id)
-        if deadline is not None:
-            deadline.check("node.read")
-        with self.tracer.span("engine.execute", profile=profile_id):
-            value = execute(profile_id, frozen)
-        if fingerprint is not None:
-            result_cache.put(profile_id, fingerprint, value, epoch)
-        return value
+        spec = None if stats is not None else query_spec(
+            self.engine.config, query.kind, query.slot, query.type_id,
+            **query.args,
+        )
+        out: dict[int, list[FeatureResult] | Exception] = {}
+        shared: dict[tuple[int, int], tuple] = {}  # One key per window.
+        misses: list[tuple[int, tuple | None, tuple[int, int] | None]] = []
+        hits = 0
+        for profile_id in unique:
+            profile = profiles.get(profile_id)
+            if profile is None:
+                out[profile_id] = errors.get(profile_id, [])
+                continue
+            fingerprint = epoch = None
+            if spec is not None:
+                window = query.time_range.resolve(
+                    now_ms, profile.newest_timestamp_ms()
+                )
+                # No window (RELATIVE over an empty profile): the engine
+                # resolves it to [] itself, uncached.
+                if window is not None:
+                    bounds = (window.start_ms, window.end_ms)
+                    fingerprint = shared.get(bounds)
+                    if fingerprint is None:
+                        fingerprint = shared[bounds] = spec + bounds
+                    cached, epoch = result_cache.probe(profile_id, fingerprint)
+                    if cached is not None:
+                        out[profile_id] = cached
+                        hits += 1
+                        continue
+            elif stats is None:
+                result_cache.stats.uncacheable += 1
+            out[profile_id] = []  # Holds the key's place in request order.
+            misses.append((profile_id, fingerprint, epoch))
+        if misses:
+            if deadline is not None:
+                deadline.check("node.read")
+            ids = [profile_id for profile_id, _, _ in misses]
+            try:
+                with self.tracer.span("engine.execute", keys=len(ids)):
+                    batch = getattr(self.engine, f"get_profiles_{query.kind}")
+                    values = batch(
+                        ids, query.slot, query.type_id, query.time_range,
+                        now_ms=now_ms,
+                        stats_map=None if stats is None else {ids[0]: stats},
+                        **query.args,
+                    )
+            except IPSError as exc:
+                out.update(dict.fromkeys(ids, exc))
+            else:
+                for profile_id, fingerprint, epoch in misses:
+                    value = out[profile_id] = values[profile_id]
+                    if fingerprint is not None:
+                        result_cache.put(profile_id, fingerprint, value, epoch)
+        return out, hits
+
+    def _get(
+        self, profile_id: int, query: _Query, caller: str, stats, deadline
+    ) -> list[FeatureResult]:
+        """A point read: the one-id :meth:`_read`; its error is raised."""
+        with self.tracer.span(
+            f"node.get_profile_{query.kind}", profile=profile_id
+        ) as span:
+            out, hits = self._read(
+                [profile_id], query, caller, stats, deadline
+            )
+            if hits:
+                # Slow-log forensics: a "slow" cached read points at
+                # whatever held the request *around* the probe.
+                span.tag(served="result_cache")
+            value = out[profile_id]
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+    def _get_many(
+        self, profile_ids: Sequence[int], query: _Query, caller: str
+    ) -> dict[int, BatchKeyResult]:
+        """A multi-get: :meth:`_read` with each key's outcome wrapped."""
+        with self.tracer.span(
+            f"node.multi_get_{query.kind}", keys=len(profile_ids)
+        ) as span:
+            out, hits = self._read(profile_ids, query, caller)
+            span.tag(unique=len(out), hits=hits)
+            self.stats.batch_reads += 1
+            self.stats.batch_keys += len(out)
+            return {
+                profile_id: BatchKeyResult.failure(profile_id, value)
+                if isinstance(value, Exception)
+                else BatchKeyResult.success(profile_id, value)
+                for profile_id, value in out.items()
+            }
 
     def get_profile_topk(
         self,
@@ -413,43 +507,11 @@ class IPSNode:
         stats: QueryStats | None = None,
         deadline=None,
     ) -> list[FeatureResult]:
-        with self.tracer.span("node.get_profile_topk", profile=profile_id):
-            self.quota.admit(caller)
-            self.stats.reads += 1
-            profile = self._resident_profile(profile_id)
-            if profile is None:
-                return []
-            return self._serve_read(
-                profile_id,
-                profile,
-                time_range,
-                lambda window: query_fingerprint(
-                    self.engine.config,
-                    "topk",
-                    slot,
-                    type_id,
-                    window,
-                    sort_type=sort_type,
-                    k=k,
-                    sort_attribute=sort_attribute,
-                    sort_weights=sort_weights,
-                    aggregate=aggregate,
-                ),
-                lambda member, window: self.engine.get_profile_topk(
-                    member,
-                    slot,
-                    type_id,
-                    window,
-                    sort_type,
-                    k,
-                    sort_attribute=sort_attribute,
-                    sort_weights=sort_weights,
-                    aggregate=aggregate,
-                    stats=stats,
-                ),
-                stats,
-                deadline,
-            )
+        query = _Query("topk", slot, type_id, time_range, dict(
+            sort_type=sort_type, k=k, sort_attribute=sort_attribute,
+            sort_weights=sort_weights, aggregate=aggregate,
+        ))
+        return self._get(profile_id, query, caller, stats, deadline)
 
     def get_profile_filter(
         self,
@@ -462,30 +524,10 @@ class IPSNode:
         stats: QueryStats | None = None,
         deadline=None,
     ) -> list[FeatureResult]:
-        with self.tracer.span("node.get_profile_filter", profile=profile_id):
-            self.quota.admit(caller)
-            self.stats.reads += 1
-            profile = self._resident_profile(profile_id)
-            if profile is None:
-                return []
-            return self._serve_read(
-                profile_id,
-                profile,
-                time_range,
-                lambda window: query_fingerprint(
-                    self.engine.config,
-                    "filter",
-                    slot,
-                    type_id,
-                    window,
-                    predicate=predicate,
-                ),
-                lambda member, window: self.engine.get_profile_filter(
-                    member, slot, type_id, window, predicate, stats=stats
-                ),
-                stats,
-                deadline,
-            )
+        query = _Query(
+            "filter", slot, type_id, time_range, dict(predicate=predicate)
+        )
+        return self._get(profile_id, query, caller, stats, deadline)
 
     def get_profile_decay(
         self,
@@ -501,105 +543,11 @@ class IPSNode:
         stats: QueryStats | None = None,
         deadline=None,
     ) -> list[FeatureResult]:
-        with self.tracer.span("node.get_profile_decay", profile=profile_id):
-            self.quota.admit(caller)
-            self.stats.reads += 1
-            profile = self._resident_profile(profile_id)
-            if profile is None:
-                return []
-            return self._serve_read(
-                profile_id,
-                profile,
-                time_range,
-                lambda window: query_fingerprint(
-                    self.engine.config,
-                    "decay",
-                    slot,
-                    type_id,
-                    window,
-                    decay_function=decay_function,
-                    decay_factor=decay_factor,
-                    k=k,
-                    sort_attribute=sort_attribute,
-                ),
-                lambda member, window: self.engine.get_profile_decay(
-                    member,
-                    slot,
-                    type_id,
-                    window,
-                    decay_function,
-                    decay_factor,
-                    k=k,
-                    sort_attribute=sort_attribute,
-                    stats=stats,
-                ),
-                stats,
-                deadline,
-            )
-
-    # ------------------------------------------------------------------
-    # Batched read APIs (multi-get)
-    # ------------------------------------------------------------------
-
-    def _multi_get(
-        self,
-        profile_ids: Sequence[int],
-        caller: str,
-        query_batch,
-        method: str = "multi_get",
-    ) -> dict[int, BatchKeyResult]:
-        """Shared batched-read skeleton.
-
-        One quota admission covers the whole batch, duplicated keys are
-        resolved once, residency is established with a single GCache probe
-        pass (grouped miss-fill), and every resident profile is served by
-        **one** batch kernel invocation (``query_batch`` over the live
-        ids).  Failures are still captured per key: a storage error on the
-        miss-fill fails only that key, non-resident ids succeed with
-        ``[]``, and a query validation error — which is batch-wide by
-        construction (same spec for every key) — fails the live keys
-        while leaving the rest of the batch served.
-        """
-        with self.tracer.span(f"node.{method}", keys=len(profile_ids)) as span:
-            self.quota.admit(caller)
-            unique = dedup_preserving_order(profile_ids)
-            span.tag(unique=len(unique))
-            self.stats.batch_reads += 1
-            self.stats.batch_keys += len(unique)
-            self.stats.reads += len(unique)
-            profiles, load_errors = self._resident_profiles(unique)
-            live = [
-                profile_id
-                for profile_id in unique
-                if load_errors.get(profile_id) is None
-                and profiles.get(profile_id) is not None
-            ]
-            values: dict[int, list[FeatureResult]] = {}
-            batch_error: IPSError | None = None
-            if live:
-                try:
-                    # No per-key engine.execute span here: a batch would pay
-                    # for hundreds of them; the node span's keys/unique tags
-                    # carry the same information at O(1) cost.
-                    values = query_batch(live)
-                except IPSError as exc:
-                    batch_error = exc
-            out: dict[int, BatchKeyResult] = {}
-            for profile_id in unique:
-                error = load_errors.get(profile_id)
-                if error is not None:
-                    out[profile_id] = BatchKeyResult.failure(profile_id, error)
-                elif profiles.get(profile_id) is None:
-                    out[profile_id] = BatchKeyResult.success(profile_id, [])
-                elif batch_error is not None:
-                    out[profile_id] = BatchKeyResult.failure(
-                        profile_id, batch_error
-                    )
-                else:
-                    out[profile_id] = BatchKeyResult.success(
-                        profile_id, values.get(profile_id, [])
-                    )
-            return out
+        query = _Query("decay", slot, type_id, time_range, dict(
+            decay_function=decay_function, decay_factor=decay_factor, k=k,
+            sort_attribute=sort_attribute,
+        ))
+        return self._get(profile_id, query, caller, stats, deadline)
 
     def multi_get_topk(
         self,
@@ -615,22 +563,11 @@ class IPSNode:
         caller: str = "default",
     ) -> dict[int, BatchKeyResult]:
         """Batched ``get_profile_topk`` over deduplicated profile ids."""
-        return self._multi_get(
-            profile_ids,
-            caller,
-            lambda live_ids: self.engine.get_profiles_topk(
-                live_ids,
-                slot,
-                type_id,
-                time_range,
-                sort_type,
-                k,
-                sort_attribute=sort_attribute,
-                sort_weights=sort_weights,
-                aggregate=aggregate,
-            ),
-            method="multi_get_topk",
-        )
+        query = _Query("topk", slot, type_id, time_range, dict(
+            sort_type=sort_type, k=k, sort_attribute=sort_attribute,
+            sort_weights=sort_weights, aggregate=aggregate,
+        ))
+        return self._get_many(profile_ids, query, caller)
 
     def multi_get_filter(
         self,
@@ -642,14 +579,10 @@ class IPSNode:
         caller: str = "default",
     ) -> dict[int, BatchKeyResult]:
         """Batched ``get_profile_filter`` over deduplicated profile ids."""
-        return self._multi_get(
-            profile_ids,
-            caller,
-            lambda live_ids: self.engine.get_profiles_filter(
-                live_ids, slot, type_id, time_range, predicate
-            ),
-            method="multi_get_filter",
+        query = _Query(
+            "filter", slot, type_id, time_range, dict(predicate=predicate)
         )
+        return self._get_many(profile_ids, query, caller)
 
     def multi_get_decay(
         self,
@@ -664,21 +597,11 @@ class IPSNode:
         caller: str = "default",
     ) -> dict[int, BatchKeyResult]:
         """Batched ``get_profile_decay`` over deduplicated profile ids."""
-        return self._multi_get(
-            profile_ids,
-            caller,
-            lambda live_ids: self.engine.get_profiles_decay(
-                live_ids,
-                slot,
-                type_id,
-                time_range,
-                decay_function,
-                decay_factor,
-                k=k,
-                sort_attribute=sort_attribute,
-            ),
-            method="multi_get_decay",
-        )
+        query = _Query("decay", slot, type_id, time_range, dict(
+            decay_function=decay_function, decay_factor=decay_factor, k=k,
+            sort_attribute=sort_attribute,
+        ))
+        return self._get_many(profile_ids, query, caller)
 
     # ------------------------------------------------------------------
     # Hot reconfiguration (§V-b)
@@ -799,6 +722,7 @@ class IPSNode:
         contributes no keys; the snapshot reads those as zero.
         """
         metrics = self.cache.metrics
+        result_cache = self.result_cache.stats
         stats = {
             "node_id": self.node_id,
             "reads": self.stats.reads,
@@ -816,10 +740,13 @@ class IPSNode:
             "flush_failures": metrics.flush_failures,
             "write_table_pending": self.write_table.pending_count,
             "quota_rejections": self.quota.rejected,
-            "result_cache_hits": self.result_cache.stats.hits,
-            "result_cache_misses": self.result_cache.stats.misses,
+            "result_cache_hits": result_cache.hits,
+            "result_cache_misses": result_cache.misses,
             "result_cache_entries": len(self.result_cache),
-            "result_cache_invalidations": self.result_cache.stats.invalidations,
+            "result_cache_invalidations": result_cache.invalidations,
+            "result_cache_install_races": result_cache.install_races,
+            "result_cache_evictions": result_cache.evictions,
+            "result_cache_uncacheable": result_cache.uncacheable,
         }
         durability = self.durability
         if durability is not None:

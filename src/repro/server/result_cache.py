@@ -1,4 +1,4 @@
-"""Write-invalidated query-result cache in front of every node's point reads.
+"""Write-invalidated query-result cache in front of every read of a node.
 
 Under the Zipf-skewed traffic the paper assumes, a few thousand hot
 profiles absorb most reads, and each read re-executes the full
@@ -63,7 +63,12 @@ class QueryResultCache:
     Entries are stored as immutable tuples and returned as fresh lists,
     so callers can mutate what they get back without corrupting the
     cache.  A per-profile fingerprint index makes invalidating one
-    profile O(entries for that profile), not O(cache).
+    profile O(entries for that profile), not O(cache).  The index holds
+    lists, not sets: under LRU churn a set keeps rebuilding its table,
+    and that malloc/free traffic moved the heap top often enough to slow
+    the query kernels' numpy allocations by ~20 % (an all-miss multi-get
+    with the cache full); a list appended at the back and trimmed near
+    the front reallocates only when it grows.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -73,7 +78,7 @@ class QueryResultCache:
         self.stats = ResultCacheStats()
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._by_profile: dict[int, set] = {}
+        self._by_profile: dict[int, list] = {}
         self._profile_epochs: dict[int, int] = {}
         self._global_epoch = 0
 
@@ -88,15 +93,25 @@ class QueryResultCache:
 
     def get(self, profile_id: int, fingerprint: tuple) -> list | None:
         """Cached result as a fresh list, or ``None`` on a miss."""
+        return self.probe(profile_id, fingerprint)[0]
+
+    def probe(
+        self, profile_id: int, fingerprint: tuple
+    ) -> tuple[list | None, tuple[int, int] | None]:
+        """:meth:`get` and, on a miss, :meth:`epoch` under one lock:
+        ``(fresh list, None)`` on a hit, ``(None, epoch)`` on a miss."""
         key = (profile_id, fingerprint)
         with self._lock:
             value = self._entries.get(key)
             if value is None:
                 self.stats.misses += 1
-                return None
+                return None, (
+                    self._global_epoch,
+                    self._profile_epochs.get(profile_id, 0),
+                )
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return list(value)
+            return list(value), None
 
     def put(
         self,
@@ -120,18 +135,18 @@ class QueryResultCache:
                 self.stats.install_races += 1
                 return False
             key = (profile_id, fingerprint)
-            if key not in self._entries:
-                self._by_profile.setdefault(profile_id, set()).add(fingerprint)
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            else:
+                self._by_profile.setdefault(profile_id, []).append(fingerprint)
             self._entries[key] = tuple(value)
-            self._entries.move_to_end(key)
             self.stats.installs += 1
             while len(self._entries) > self.max_entries:
                 old_pid, old_fp = self._entries.popitem(last=False)[0]
-                fps = self._by_profile.get(old_pid)
-                if fps is not None:
-                    fps.discard(old_fp)
-                    if not fps:
-                        del self._by_profile[old_pid]
+                fps = self._by_profile[old_pid]
+                fps.remove(old_fp)
+                if not fps:
+                    del self._by_profile[old_pid]
                 self.stats.evictions += 1
             return True
 

@@ -193,6 +193,24 @@ class TestAdminSurface:
             2, 0, 1, WINDOW, SortType.TOTAL, 3
         )
 
+    def test_repeated_multi_get_counts_hits_over_admin_rpc(
+        self, server, remote
+    ):
+        """A multi-get probes the result cache per key: repeated, each
+        unique key is a hit, and the counters that judge the cache are
+        on the admin surface."""
+        _seed(server.node)
+        ids = [1, 2, 3, 3]
+        first = remote.multi_get_topk(ids, 0, 1, WINDOW, SortType.TOTAL, 3)
+        before = remote.node_stats()
+        again = remote.multi_get_topk(ids, 0, 1, WINDOW, SortType.TOTAL, 3)
+        after = remote.node_stats()
+        assert again == first
+        assert after["result_cache_hits"] == before["result_cache_hits"] + 3
+        assert after["result_cache_misses"] == before["result_cache_misses"]
+        for key in ("install_races", "evictions", "uncacheable"):
+            assert after[f"result_cache_{key}"] == 0
+
     def test_stats_observe_server_time(self, server, remote):
         _seed(server.node)
         remote.get_profile_topk(1, 0, 1, WINDOW)

@@ -1,22 +1,28 @@
 """Differential invalidation oracle for the node's result cache.
 
-Every :class:`IPSNode` serves point reads through its result cache; its
-:attr:`~IPSNode.engine` answers the same query with no cache in front.  A
-seeded plan interleaves every write path the node has — direct puts,
-batched puts, ingestion applies, isolation merges, full and partial
-maintenance (compaction / truncation), cache cycles, checkpoints, crash +
-recovery — and after every step a battery of reads (top-K across sort
-types, decay, filter, over CURRENT / RELATIVE / ABSOLUTE windows) must be
-*byte-identical* between the node and its engine.  The node is read
-twice, so the second read is served from the cache whenever the query is
-cacheable.
+Every :class:`IPSNode` serves every read — point reads and multi-gets —
+through its result cache; its :attr:`~IPSNode.engine` answers the same
+query with no cache in front.  A seeded plan interleaves every write
+path the node has — direct puts, batched puts, ingestion applies,
+isolation merges, full and partial maintenance (compaction /
+truncation), cache cycles, checkpoints, crash + recovery — and after
+every step a battery of reads (top-K across sort types, decay, filter,
+over CURRENT / RELATIVE / ABSOLUTE windows) must be
+*byte-identical* between the node and its engine, as point reads and as
+multi-gets (with a duplicate and a non-resident id) against the engine's
+batch entries.  The node is read twice, so the second read is served
+from the cache whenever the query is cacheable, and the two families
+alternate which goes first, so each is served from the other's entries.
 
 If any mutation path missed its invalidation hook, the node would keep
 serving the pre-mutation result and the oracle trips.  The teeth tests
 prove the oracle has teeth: deliberately unhooking an invalidation seam
 makes it fail.  The node-level tests after them pin down what the cache
 does on the served path: repeats execute once, failures and expired
-deadlines are never cached, and every way of building a node has one.
+deadlines are never cached, a multi-get re-executes only the keys a
+write touched, a write or an eviction racing the miss batch installs
+nothing stale, the batch runs the window its entries are keyed under
+however the clock moves, and every way of building a node has one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import pytest
 from repro.clock import MILLIS_PER_DAY, MILLIS_PER_HOUR, SimulatedClock
 from repro.cluster.resilience import Deadline
 from repro.config import TableConfig, TruncateConfig
-from repro.core.query import SortType, cacheable_filter
+from repro.core.query import SortType, cacheable_filter, query_fingerprint
 from repro.core.timerange import TimeRange
 from repro.errors import DeadlineExceededError, IPSError
 from repro.ingest import IngestionJob, InstanceRecord, Topic, default_extraction
@@ -209,79 +215,65 @@ def _apply(node: IPSNode, op: str, arg) -> None:
 
 
 def _query_battery():
-    """(name, callable(target, profile_id)) pairs covering the read APIs.
+    """(name, kind, args, kwargs) covering the read APIs.
 
-    ``target`` is a node or its engine: both take the same positional
-    query arguments.
+    ``kind`` names the method — ``get_profile_<kind>`` on a node or its
+    engine, ``multi_get_<kind>`` / ``get_profiles_<kind>`` for the batch
+    forms — and ``args`` / ``kwargs`` follow the profile id(s).
     """
     current_2d = TimeRange.current(2 * MILLIS_PER_DAY)
     current_7d = TimeRange.current(7 * MILLIS_PER_DAY)
     relative_3d = TimeRange.relative(3 * MILLIS_PER_DAY)
     full_window = TimeRange.absolute(0, NOW_MS + 400 * MILLIS_PER_DAY)
     return [
+        ("topk_total_full", "topk", (1, 0, full_window, SortType.TOTAL, 10), {}),
         (
-            "topk_total_full",
-            lambda target, pid: target.get_profile_topk(
-                pid, 1, 0, full_window, SortType.TOTAL, 10
-            ),
+            "topk_attr_current", "topk",
+            (1, 0, current_2d, SortType.ATTRIBUTE, 5),
+            {"sort_attribute": "like"},
         ),
         (
-            "topk_attr_current",
-            lambda target, pid: target.get_profile_topk(
-                pid, 1, 0, current_2d, SortType.ATTRIBUTE, 5,
-                sort_attribute="like",
-            ),
+            "topk_weighted_current", "topk",
+            (0, None, current_7d, SortType.WEIGHTED, 8),
+            {"sort_weights": {"share": 3, "like": 1}},
         ),
         (
-            "topk_weighted_current",
-            lambda target, pid: target.get_profile_topk(
-                pid, 0, None, current_7d, SortType.WEIGHTED, 8,
-                sort_weights={"share": 3, "like": 1},
-            ),
+            "topk_explicit_default_aggregate", "topk",
+            (1, 0, full_window, SortType.FEATURE_ID, 6), {"aggregate": "sum"},
         ),
         (
-            "topk_explicit_default_aggregate",
-            lambda target, pid: target.get_profile_topk(
-                pid, 1, 0, full_window, SortType.FEATURE_ID, 6, aggregate="sum"
-            ),
+            "decay_exponential_relative", "decay",
+            (1, 0, relative_3d, "exponential", MILLIS_PER_DAY / 2.0), {},
         ),
         (
-            "decay_exponential_relative",
-            lambda target, pid: target.get_profile_decay(
-                pid, 1, 0, relative_3d, "exponential", MILLIS_PER_DAY / 2.0
-            ),
+            "decay_linear_attr", "decay",
+            (0, None, current_7d, "linear", 5 * MILLIS_PER_DAY),
+            {"k": 5, "sort_attribute": "comment"},
         ),
         (
-            "decay_linear_attr",
-            lambda target, pid: target.get_profile_decay(
-                pid, 0, None, current_7d, "linear", 5 * MILLIS_PER_DAY,
-                k=5, sort_attribute="comment",
-            ),
+            "filter_cacheable", "filter",
+            (1, 0, current_7d, _likes_at_least_two), {},
         ),
-        (
-            "filter_cacheable",
-            lambda target, pid: target.get_profile_filter(
-                pid, 1, 0, current_7d, _likes_at_least_two
-            ),
-        ),
-        (
-            "filter_opaque",
-            lambda target, pid: target.get_profile_filter(
-                pid, 0, None, full_window, _opaque_filter
-            ),
-        ),
+        ("filter_opaque", "filter", (0, None, full_window, _opaque_filter), {}),
     ]
 
 
-def _assert_reads_identical(node: IPSNode, step: str) -> None:
+#: The multi-get key list: every profile, one duplicate, one id that no
+#: write ever touches (non-resident: ``[]``).
+MULTI_GET_IDS = PROFILE_IDS + (PROFILE_IDS[0], 999)
+
+
+def _assert_point_reads_identical(node: IPSNode, step: str) -> None:
     """Every battery read, node byte-identical to engine, node read twice."""
-    for name, query in _query_battery():
+    for name, kind, args, kwargs in _query_battery():
+        node_read = getattr(node, f"get_profile_{kind}")
+        engine_read = getattr(node.engine, f"get_profile_{kind}")
         for profile_id in PROFILE_IDS:
             # The node read comes first: it makes the profile resident in
             # the engine's table, which the engine-direct read needs.
-            first = query(node, profile_id)
-            expected = query(node.engine, profile_id)
-            second = query(node, profile_id)  # Cache-hit path when cacheable.
+            first = node_read(profile_id, *args, **kwargs)
+            expected = engine_read(profile_id, *args, **kwargs)
+            second = node_read(profile_id, *args, **kwargs)  # Cache hit.
             assert repr(first) == repr(expected), (
                 f"{step}: {name}(profile={profile_id}) diverged on first "
                 f"read:\n  node  ={first!r}\n  engine={expected!r}"
@@ -290,6 +282,37 @@ def _assert_reads_identical(node: IPSNode, step: str) -> None:
                 f"{step}: {name}(profile={profile_id}) diverged on cached "
                 f"re-read:\n  node  ={second!r}\n  engine={expected!r}"
             )
+
+
+def _assert_multi_gets_identical(node: IPSNode, step: str) -> None:
+    """Every battery read as a node multi-get, read twice, byte-identical
+    key by key to the engine's batch entry over the same ids."""
+    for name, kind, args, kwargs in _query_battery():
+        multi_get = getattr(node, f"multi_get_{kind}")
+        first = multi_get(MULTI_GET_IDS, *args, **kwargs)
+        expected = getattr(node.engine, f"get_profiles_{kind}")(
+            MULTI_GET_IDS, *args, **kwargs
+        )
+        second = multi_get(MULTI_GET_IDS, *args, **kwargs)
+        assert list(first) == list(second) == list(expected)
+        for read, label in ((first, "first"), (second, "cached")):
+            for profile_id, result in read.items():
+                assert result.ok, f"{step}: {name}({profile_id}) failed"
+                assert repr(result.value) == repr(expected[profile_id]), (
+                    f"{step}: multi-get {name}(profile={profile_id}) "
+                    f"diverged on {label} read:\n  node  ={result.value!r}"
+                    f"\n  engine={expected[profile_id]!r}"
+                )
+
+
+def _assert_reads_identical(
+    node: IPSNode, step: str, multi_first: bool = False
+) -> None:
+    """Point reads and multi-gets against the engine, in either order: the
+    second family then finds the first family's entries (cross-path)."""
+    checks = [_assert_point_reads_identical, _assert_multi_gets_identical]
+    for check in reversed(checks) if multi_first else checks:
+        check(node, step)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +334,9 @@ def test_oracle_all_mutation_paths(rng, durable):
             clock.advance(arg)
         else:
             _apply(node, op, arg)
-        _assert_reads_identical(node, step=f"step {index} ({op})")
+        _assert_reads_identical(
+            node, step=f"step {index} ({op})", multi_first=index % 2 == 1
+        )
 
     # The run must have exercised the cache for the comparison to mean
     # anything: hits come from the double reads, invalidations from writes.
@@ -335,7 +360,8 @@ def test_oracle_many_seeds():
             else:
                 _apply(node, op, arg)
             _assert_reads_identical(
-                node, step=f"seed {seed} step {index} ({op})"
+                node, step=f"seed {seed} step {index} ({op})",
+                multi_first=index % 2 == 1,
             )
 
 
@@ -357,6 +383,21 @@ def test_oracle_teeth_write_hook_removed():
     _apply(node, "merge", None)
     with pytest.raises(AssertionError, match="diverged"):
         _assert_reads_identical(node, step="unhooked write")
+
+
+def test_oracle_teeth_multi_get_after_unhooked_write():
+    """The multi-get half of the oracle trips on its own."""
+    clock = SimulatedClock(start_ms=NOW_MS)
+    node = _make_node(clock, durable=False)
+    _apply(node, "put", (1, NOW_MS - MILLIS_PER_HOUR, 1, 0, 5, {"like": 3}))
+    _apply(node, "merge", None)
+    _assert_multi_gets_identical(node, step="warmup")
+
+    node.cache._invalidation_hook = None  # The deliberate bug.
+    _apply(node, "put", (1, NOW_MS, 1, 0, 5, {"like": 40, "share": 7}))
+    _apply(node, "merge", None)
+    with pytest.raises(AssertionError, match="diverged"):
+        _assert_multi_gets_identical(node, step="unhooked write")
 
 
 def test_oracle_teeth_maintenance_hook_removed():
@@ -387,26 +428,34 @@ def test_oracle_teeth_maintenance_hook_removed():
 WINDOW = TimeRange.absolute(0, NOW_MS + 1)
 
 
-def _seeded_node() -> IPSNode:
+def _seeded_node(profile_ids=(1,)) -> IPSNode:
     node = _make_node(SimulatedClock(start_ms=NOW_MS), durable=False)
-    for fid in range(10):
-        node.add_profile(1, NOW_MS - fid * 1000, 1, 0, fid, {"like": fid + 1})
+    for profile_id in profile_ids:
+        for fid in range(10):
+            node.add_profile(
+                profile_id, NOW_MS - fid * 1000, 1, 0, fid,
+                {"like": fid + profile_id},
+            )
     node.merge_write_table()
     return node
 
 
 def _counting(node: IPSNode, fail: bool = False) -> list:
-    """Route the node's top-K executions through a counter."""
+    """Route the node's top-K executions through a counter.
+
+    Every node read runs its misses through the engine's batch entry; the
+    counter records each profile id that batch executed.
+    """
     calls = []
-    real_topk = node.engine.get_profile_topk
+    real_topk = node.engine.get_profiles_topk
 
     def topk(*args, **kwargs):
-        calls.append(args[0])
+        calls.extend(args[0])
         if fail:
             raise IPSError("storage fault mid-read")
         return real_topk(*args, **kwargs)
 
-    node.engine.get_profile_topk = topk
+    node.engine.get_profiles_topk = topk
     return calls
 
 
@@ -475,3 +524,137 @@ def test_every_node_has_a_result_cache(tmp_path):
         assert len({id(node.result_cache) for node in nodes}) == len(nodes)
     finally:
         worker_node.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Multi-gets: per-key probes, one miss batch
+# ----------------------------------------------------------------------
+
+
+def test_point_and_multi_get_entries_serve_each_other():
+    node = _seeded_node((1, 2, 3))
+    calls = _counting(node)
+    point = node.get_profile_topk(1, 1, 0, WINDOW, SortType.TOTAL, 5)
+    batch = node.multi_get_topk([1, 2], 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert calls == [1, 2]  # Key 1 came from the point read's entry.
+    assert batch[1].value == point
+    again = node.get_profile_topk(2, 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert calls == [1, 2]  # The point read came from the multi-get's.
+    assert again == batch[2].value
+    assert node.result_cache.stats.hits == 2
+
+
+def test_write_to_one_key_re_executes_only_that_key():
+    ids = [1, 2, 3, 4]
+    node = _seeded_node(ids)
+    node.multi_get_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
+    calls = _counting(node)
+    hits = node.result_cache.stats.hits
+
+    node.add_profile(3, NOW_MS, 1, 0, 99, {"like": 500})
+    node.merge_write_table()
+    again = node.multi_get_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert calls == [3]
+    assert node.result_cache.stats.hits == hits + len(ids) - 1
+    assert again[3].value[0].fid == 99
+    assert repr(again[3].value) == repr(
+        node.engine.get_profile_topk(3, 1, 0, WINDOW, SortType.TOTAL, 5)
+    )
+
+
+def test_write_landing_mid_batch_is_not_installed():
+    """A write + merge to one miss key while the batch executes: that
+    key's result predates the write and must not be cached."""
+    ids = [1, 2, 3]
+    node = _seeded_node(ids)
+    real_topk = node.engine.get_profiles_topk
+
+    def racing(*args, **kwargs):
+        values = real_topk(*args, **kwargs)
+        node.add_profile(2, NOW_MS, 1, 0, 99, {"like": 500})
+        node.merge_write_table()
+        return values
+
+    node.engine.get_profiles_topk = racing
+    stale = node.multi_get_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
+    node.engine.get_profiles_topk = real_topk
+    stats = node.result_cache.stats
+    assert stats.install_races == 1
+    assert stats.installs == len(ids) - 1
+    assert node.node_stats()["result_cache_install_races"] == 1
+
+    fresh = node.multi_get_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert stale[2].value[0].fid != 99
+    assert fresh[2].value[0].fid == 99
+    expected = real_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert {pid: repr(r.value) for pid, r in fresh.items()} == {
+        pid: repr(value) for pid, value in expected.items()
+    }
+
+
+def test_eviction_mid_batch_is_not_installed():
+    """A swap-out between residency and execution answers ``[]`` for the
+    evicted key; that answer must not outlive the read."""
+    node = _seeded_node((1, 2))
+    real_topk = node.engine.get_profiles_topk
+
+    def evicting(*args, **kwargs):
+        assert node.cache._evict(2)
+        return real_topk(*args, **kwargs)
+
+    node.engine.get_profiles_topk = evicting
+    node.multi_get_topk([1, 2], 1, 0, WINDOW, SortType.TOTAL, 5)
+    node.engine.get_profiles_topk = real_topk
+    assert node.result_cache.stats.install_races == 1
+
+    again = node.multi_get_topk([1, 2], 1, 0, WINDOW, SortType.TOTAL, 5)
+    assert again[2].value
+    assert repr(again[2].value) == repr(
+        node.engine.get_profile_topk(2, 1, 0, WINDOW, SortType.TOTAL, 5)
+    )
+
+
+def test_clock_moving_mid_batch_keys_the_window_that_ran():
+    """The miss batch runs at the ``now_ms`` its keys were resolved at.
+
+    The clock advances while the batch executes; an engine reading its
+    own clock would compute a later CURRENT window than the one the
+    entries are keyed under.
+    """
+    span = 2 * MILLIS_PER_HOUR
+    current = TimeRange.current(span)
+    node = _make_node(SimulatedClock(start_ms=NOW_MS), durable=False)
+    for profile_id in (1, 2):
+        # Inside the window at NOW_MS, outside it an hour later.
+        node.add_profile(profile_id, NOW_MS - span + 60_000, 1, 0, 7, {"like": 9})
+        node.add_profile(profile_id, NOW_MS - 1000, 1, 0, 8, {"like": 1})
+    node.merge_write_table()
+    clock = node.clock
+    real_topk = node.engine.get_profiles_topk
+
+    def late(*args, **kwargs):
+        clock.advance(MILLIS_PER_HOUR)
+        return real_topk(*args, **kwargs)
+
+    node.engine.get_profiles_topk = late
+    served = node.multi_get_topk([1, 2], 1, 0, current, SortType.TOTAL, 5)
+    node.engine.get_profiles_topk = real_topk
+
+    ran = current.resolve(NOW_MS, None)
+    later = current.resolve(clock.now_ms(), None)
+    expected = real_topk(
+        [1, 2], 1, 0, TimeRange.absolute(ran.start_ms, ran.end_ms),
+        SortType.TOTAL, 5,
+    )
+    moved = real_topk(
+        [1, 2], 1, 0, TimeRange.absolute(later.start_ms, later.end_ms),
+        SortType.TOTAL, 5,
+    )
+    assert repr(expected) != repr(moved)  # The move changes the answer.
+    fingerprint = query_fingerprint(
+        node.engine.config, "topk", 1, 0, ran, sort_type=SortType.TOTAL, k=5
+    )
+    for profile_id in (1, 2):
+        assert repr(served[profile_id].value) == repr(expected[profile_id])
+        cached = node.result_cache.get(profile_id, fingerprint)
+        assert repr(cached) == repr(expected[profile_id])
