@@ -17,7 +17,10 @@ contract from the ISSUE:
   ``max_traces`` no matter how many requests were offered.
 
 Wall times are best-of-``repeats`` with the two configurations
-interleaved, so machine drift hits both equally.
+interleaved, so machine drift hits both equally.  Every repeat asks for a
+different ``k`` (the same one in both arms), so its queries carry a fresh
+result-cache fingerprint: a repeat times the kernel path, not a pass of
+cache hits whose tiny denominator would inflate the tracing share.
 
 Run standalone (``python benchmarks/bench_trace_overhead.py [--smoke]``,
 with ``src`` on ``PYTHONPATH``) or via pytest.
@@ -82,12 +85,12 @@ def make_batches(num_batches: int, batch_size: int, population: int):
     ]
 
 
-def drive(client, batches) -> float:
+def drive(client, batches, k: int = 10) -> float:
     """One measured pass of the batched workload; returns wall ms."""
     start = time.perf_counter()
     for batch in batches:
         outcome = client.multi_get_topk(
-            batch, 1, 1, WINDOW, SortType.TOTAL, k=10
+            batch, 1, 1, WINDOW, SortType.TOTAL, k=k
         )
         assert all(result.ok for result in outcome)
     return (time.perf_counter() - start) * 1000.0
@@ -133,9 +136,10 @@ def run_bench(
 
     off_ms = float("inf")
     on_ms = float("inf")
-    for _ in range(repeats):
-        off_ms = min(off_ms, drive(client_off, batches))
-        on_ms = min(on_ms, drive(client_on, batches))
+    for repeat in range(repeats):
+        k = 11 + repeat  # the warm-up ran k=10
+        off_ms = min(off_ms, drive(client_off, batches, k))
+        on_ms = min(on_ms, drive(client_on, batches, k))
 
     overhead = on_ms / off_ms - 1.0
     sampler_stats = sampler.stats()

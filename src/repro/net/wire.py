@@ -21,6 +21,30 @@ callables, so ``get_profile_filter`` predicates and custom decay
 functions cannot cross a process boundary — raises :class:`WireCodecError`
 at encode time with a message saying so.
 
+Read results and key lists travel as **columns**, not tagged rows::
+
+    column  := code(1) zigzag(min) body          (length implied by context)
+      code 0..3 := n × (value - min) as little-endian uint8/16/32/64
+      code 4    := n × varint(value - min)       (range wider than 64 bits)
+    rows    := n_rows [shape [widths:column] fids:column ts:column
+                       counts:column]            (shape 0 = widths follow,
+                                                  w + 1 = every row is w wide)
+    batch   := n_keys pids:column status:column rows_per_ok_key:column rows
+               (error message)*                  (one pair per failed key)
+
+Each column is frame-of-reference encoded: its minimum, then every value
+minus that minimum in the narrowest of the ``array`` typecodes
+``B``/``H``/``I``/``Q`` that holds the range, so decoding is one
+``frombytes`` + ``tolist`` per column.  Demoted column groups can hold
+fids or timestamps outside int64; a column whose range does not fit in
+64 bits falls back to varints.  A ``list[FeatureResult]`` (every point
+read) is one ``rows`` block; a ``dict[int, BatchKeyResult]`` keyed by
+each value's ``profile_id`` (every multi-get) is one ``batch`` block; a
+list of plain ``int`` (every multi-get's keys) is one column.  A lone
+``FeatureResult`` / ``BatchKeyResult`` is a one-row / one-key block.
+Every length is checked against the bytes left before anything is
+allocated for it.
+
 Errors travel as ``(type_name, message)`` pairs and are reconstructed on
 the client from the :mod:`repro.errors` taxonomy, so retryability
 survives the hop: a worker-side :class:`~repro.errors.QuotaExceededError`
@@ -31,7 +55,10 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Any
 
 from .. import errors as _errors
@@ -40,6 +67,8 @@ from ..core.timerange import TimeRange, TimeRangeKind
 from ..errors import RetryableError, RPCError
 from ..server.batch import BatchKeyResult
 from ..storage.serialization import (
+    _BIG_ENDIAN,
+    _MAX_COUNTS,
     read_varint,
     write_varint,
     zigzag_decode,
@@ -161,6 +190,9 @@ _T_SORTTYPE = 12
 _T_FEATURE_RESULT = 13
 _T_BATCH_KEY_RESULT = 14
 _T_WRITE_DELTA = 15
+_T_INT_COLUMN = 16
+_T_RESULT_ROWS = 17
+_T_BATCH_RESULTS = 18
 
 @dataclass(frozen=True)
 class WriteDelta:
@@ -259,14 +291,24 @@ def encode_value(out: bytearray, value: Any) -> None:
         out.extend(value)
     elif isinstance(value, FeatureResult):
         out.append(_T_FEATURE_RESULT)
-        _encode_feature_result(out, value)
+        _write_rows(out, [value])
     elif isinstance(value, BatchKeyResult):
         out.append(_T_BATCH_KEY_RESULT)
-        _encode_batch_key_result(out, value)
+        _write_batch(out, [value.profile_id], [value])
     elif isinstance(value, WriteDelta):
         out.append(_T_WRITE_DELTA)
         _encode_write_delta(out, value)
     elif isinstance(value, list):
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append(_T_INT_COLUMN)
+            write_varint(out, len(value))
+            _write_column(out, value)
+            return
+        if kinds == {FeatureResult}:
+            out.append(_T_RESULT_ROWS)
+            _write_rows(out, value)
+            return
         out.append(_T_LIST)
         write_varint(out, len(value))
         for item in value:
@@ -277,6 +319,14 @@ def encode_value(out: bytearray, value: Any) -> None:
         for item in value:
             encode_value(out, item)
     elif isinstance(value, dict):
+        if value and all(
+            type(key) is int and type(result) is BatchKeyResult
+            and key == result.profile_id
+            for key, result in value.items()
+        ):
+            out.append(_T_BATCH_RESULTS)
+            _write_batch(out, list(value), list(value.values()))
+            return
         out.append(_T_DICT)
         write_varint(out, len(value))
         for key, item in value.items():
@@ -303,62 +353,186 @@ def encode_value(out: bytearray, value: Any) -> None:
         )
 
 
-def _encode_feature_result(out: bytearray, result: FeatureResult) -> None:
-    write_varint(out, result.fid)
-    write_varint(out, result.last_timestamp_ms)
-    write_varint(out, len(result.counts))
-    for count in result.counts:
-        write_varint(out, zigzag_encode(count))
+# -- column blocks ----------------------------------------------------
+
+#: Frame-of-reference body codes index these typecodes; one past the last
+#: is the varint fallback.
+_COLUMN_TYPECODES = "BHIQ"
+_COLUMN_VARINT = len(_COLUMN_TYPECODES)
+#: Bytes needed for a column's ``max - min`` (0–8) → the narrowest code.
+_CODE_FOR_BYTES = tuple(
+    next(code for code, typecode in enumerate(_COLUMN_TYPECODES)
+         if array(typecode).itemsize >= nbytes)
+    for nbytes in range(9)
+)
+
+#: ``FeatureResult`` from a ready ``(fid, counts, ts)`` triple, built in C
+#: (what ``FeatureResult._make`` does, without the Python frame per row).
+_new_result = partial(tuple.__new__, FeatureResult)
 
 
-def _decode_feature_result(data: bytes, pos: int) -> tuple[FeatureResult, int]:
-    fid, pos = read_varint(data, pos)
-    last_ts, pos = read_varint(data, pos)
-    n_counts, pos = read_varint(data, pos)
-    counts = []
-    for _ in range(n_counts):
-        encoded, pos = read_varint(data, pos)
-        counts.append(zigzag_decode(encoded))
-    return FeatureResult(fid, tuple(counts), last_ts), pos
+def _write_column(out: bytearray, values) -> None:
+    """Append one FOR-encoded int column; its length is the caller's to send."""
+    if not values:
+        return
+    try:
+        low = min(values)
+        nbytes = ((max(values) - low).bit_length() + 7) >> 3
+        code = _CODE_FOR_BYTES[nbytes] if nbytes <= 8 else _COLUMN_VARINT
+        out.append(code)
+        write_varint(out, zigzag_encode(low))
+        if code == _COLUMN_VARINT:
+            for value in values:
+                write_varint(out, value - low)
+            return
+        column = array(
+            _COLUMN_TYPECODES[code],
+            [value - low for value in values] if low else values,
+        )
+    except (TypeError, AttributeError) as exc:  # a float has no bit_length
+        raise WireCodecError(f"column holds a non-integer: {exc}") from None
+    if _BIG_ENDIAN:  # pragma: no cover - exercised only on BE hardware
+        column.byteswap()
+    out += column
 
 
-def _encode_batch_key_result(out: bytearray, result: BatchKeyResult) -> None:
-    write_varint(out, result.profile_id)
-    out.append(1 if result.ok else 0)
-    if result.ok:
-        value = result.value if result.value is not None else []
-        write_varint(out, len(value))
-        for row in value:
-            _encode_feature_result(out, row)
+def _read_column(data: bytes, pos: int, length: int) -> tuple[list[int], int]:
+    if not length:
+        return [], pos
+    if length > len(data) - pos:  # every value takes at least one byte
+        raise WireCodecError(
+            f"column of {length} values is longer than the "
+            f"{len(data) - pos} bytes left"
+        )
+    code = data[pos]
+    low, pos = read_varint(data, pos + 1)
+    low = zigzag_decode(low)
+    if code == _COLUMN_VARINT:
+        values = []
+        for _ in range(length):
+            value, pos = read_varint(data, pos)
+            values.append(value + low)
+        return values, pos
+    if code > _COLUMN_VARINT:
+        raise WireCodecError(f"unknown column typecode index {code}")
+    column = array(_COLUMN_TYPECODES[code])
+    end = pos + length * column.itemsize
+    if end > len(data):
+        raise WireCodecError("truncated column")
+    column.frombytes(memoryview(data)[pos:end])
+    if _BIG_ENDIAN:  # pragma: no cover - exercised only on BE hardware
+        column.byteswap()
+    values = column.tolist()
+    return ([value + low for value in values] if low else values), end
+
+
+def _write_rows(out: bytearray, rows: list[FeatureResult]) -> None:
+    write_varint(out, len(rows))
+    if not rows:
+        return
+    fids, counts, timestamps = zip(*rows)
+    widths = list(map(len, counts))
+    if max(widths) > _MAX_COUNTS:
+        raise WireCodecError(f"a result row has more than {_MAX_COUNTS} counts")
+    if widths.count(widths[0]) == len(widths):
+        write_varint(out, widths[0] + 1)  # uniform: the widths are implicit
     else:
-        encode_value(out, result.error or "")
-        encode_value(out, result.error_message)
+        write_varint(out, 0)
+        _write_column(out, widths)
+    _write_column(out, fids)
+    _write_column(out, timestamps)
+    _write_column(out, list(chain.from_iterable(counts)))
 
 
-def _decode_batch_key_result(data: bytes, pos: int) -> tuple[BatchKeyResult, int]:
-    profile_id, pos = read_varint(data, pos)
-    if pos >= len(data):
-        raise WireCodecError("truncated batch key result")
-    ok = data[pos]
-    pos += 1
-    if ok:
-        n_rows, pos = read_varint(data, pos)
-        rows = []
-        for _ in range(n_rows):
-            row, pos = _decode_feature_result(data, pos)
-            rows.append(row)
-        return BatchKeyResult.success(profile_id, rows), pos
-    error, pos = decode_value(data, pos)
-    message, pos = decode_value(data, pos)
-    return (
-        BatchKeyResult(
-            profile_id=profile_id,
-            ok=False,
-            error=error or None,
-            error_message=message,
-        ),
-        pos,
-    )
+def _read_rows(
+    data: bytes, pos: int, expected: int | None = None
+) -> tuple[list[FeatureResult], int]:
+    n_rows, pos = read_varint(data, pos)
+    if expected is not None and n_rows != expected:
+        raise WireCodecError(
+            f"rows block holds {n_rows} rows, its keys claim {expected}"
+        )
+    if not n_rows:
+        return [], pos
+    shape, pos = read_varint(data, pos)
+    widths = None
+    if shape:
+        width = shape - 1
+        if width > _MAX_COUNTS:
+            raise WireCodecError(f"implausible result row width {width}")
+        n_counts = n_rows * width
+    else:
+        widths, pos = _read_column(data, pos, n_rows)
+        if min(widths) < 0 or max(widths) > _MAX_COUNTS:
+            raise WireCodecError("result row width out of range")
+        n_counts = sum(widths)
+    fids, pos = _read_column(data, pos, n_rows)
+    timestamps, pos = _read_column(data, pos, n_rows)
+    flat, pos = _read_column(data, pos, n_counts)
+    if widths is None:
+        counts = list(zip(*[iter(flat)] * width)) if width else [()] * n_rows
+    else:
+        counts, at = [], 0
+        for row_width in widths:
+            counts.append(tuple(flat[at : at + row_width]))
+            at += row_width
+    return list(map(_new_result, zip(fids, counts, timestamps))), pos
+
+
+def _write_batch(
+    out: bytearray, profile_ids: list[int], results: list[BatchKeyResult]
+) -> None:
+    write_varint(out, len(profile_ids))
+    _write_column(out, profile_ids)
+    _write_column(out, [1 if result.ok else 0 for result in results])
+    ok_rows = [result.value or [] for result in results if result.ok]
+    rows = list(chain.from_iterable(ok_rows))
+    if not set(map(type, rows)) <= {FeatureResult}:
+        raise WireCodecError("a batch key result holds a non-FeatureResult row")
+    _write_column(out, list(map(len, ok_rows)))
+    _write_rows(out, rows)
+    for result in results:
+        if not result.ok:
+            encode_value(out, result.error or "")
+            encode_value(out, result.error_message)
+
+
+def _read_batch(data: bytes, pos: int) -> tuple[dict[int, BatchKeyResult], int]:
+    n_keys, pos = read_varint(data, pos)
+    profile_ids, pos = _read_column(data, pos, n_keys)
+    status, pos = _read_column(data, pos, n_keys)
+    n_ok = status.count(1)
+    if n_ok + status.count(0) != n_keys:
+        raise WireCodecError("batch key status is neither ok nor failed")
+    rows_per_key, pos = _read_column(data, pos, n_ok)
+    if rows_per_key and min(rows_per_key) < 0:
+        raise WireCodecError("negative row count for a batch key")
+    rows, pos = _read_rows(data, pos, expected=sum(rows_per_key))
+    out: dict[int, BatchKeyResult] = {}
+    per_key = iter(rows_per_key)
+    at = 0
+    for profile_id, ok in zip(profile_ids, status):
+        if ok:
+            n_rows = next(per_key)
+            out[profile_id] = BatchKeyResult(
+                profile_id, True, rows[at : at + n_rows]
+            )
+            at += n_rows
+        else:
+            error, pos = decode_value(data, pos)
+            message, pos = decode_value(data, pos)
+            out[profile_id] = BatchKeyResult(
+                profile_id, False, None, error or None, message
+            )
+    if len(out) != n_keys:
+        raise WireCodecError("batch block repeats a profile id")
+    return out, pos
+
+
+def _lone(values, what: str):
+    if len(values) != 1:
+        raise WireCodecError(f"a lone {what} block holds {len(values)} entries")
+    return next(iter(values))
 
 
 def decode_value(data: bytes, pos: int) -> tuple[Any, int]:
@@ -395,7 +569,10 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         length, pos = read_varint(data, pos)
         if pos + length > len(data):
             raise WireCodecError("truncated string value")
-        return data[pos : pos + length].decode("utf-8"), pos + length
+        try:
+            return data[pos : pos + length].decode("utf-8"), pos + length
+        except UnicodeDecodeError as exc:
+            raise WireCodecError(f"string value is not UTF-8: {exc}") from None
     if tag == _T_BYTES:
         length, pos = read_varint(data, pos)
         if pos + length > len(data):
@@ -442,10 +619,19 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         if index >= len(_SORT_TYPES):
             raise WireCodecError(f"unknown sort type index {index}")
         return _SORT_TYPES[index], pos + 1
+    if tag == _T_INT_COLUMN:
+        length, pos = read_varint(data, pos)
+        return _read_column(data, pos, length)
+    if tag == _T_RESULT_ROWS:
+        return _read_rows(data, pos)
+    if tag == _T_BATCH_RESULTS:
+        return _read_batch(data, pos)
     if tag == _T_FEATURE_RESULT:
-        return _decode_feature_result(data, pos)
+        rows, pos = _read_rows(data, pos)
+        return _lone(rows, "feature result"), pos
     if tag == _T_BATCH_KEY_RESULT:
-        return _decode_batch_key_result(data, pos)
+        results, pos = _read_batch(data, pos)
+        return _lone(results.values(), "batch key result"), pos
     if tag == _T_WRITE_DELTA:
         return _decode_write_delta(data, pos)
     raise WireCodecError(f"unknown value tag {tag}")
