@@ -19,7 +19,11 @@ owns validation, window resolution and sort-spec building only.
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from ..config import TableConfig
@@ -63,6 +67,96 @@ class FeatureResult(NamedTuple):
 
     def total(self) -> int:
         return sum(self.counts)
+
+
+#: ``FeatureResult`` from a ready ``(fid, counts, ts)`` triple, built in C
+#: (what ``FeatureResult._make`` does, without the Python frame per row).
+_new_result = partial(tuple.__new__, FeatureResult)
+
+
+def rows_from_columns(
+    fids: list, timestamps: list, flat: list, widths: int | Sequence[int]
+) -> list[FeatureResult]:
+    """Rows from their columns; ``widths`` is every row's width, or one per row."""
+    if isinstance(widths, int):
+        counts = list(zip(*[iter(flat)] * widths)) if widths else [()] * len(fids)
+    else:
+        counts, at = [], 0
+        for width in widths:
+            counts.append(tuple(flat[at : at + width]))
+            at += width
+    return list(map(_new_result, zip(fids, counts, timestamps)))
+
+
+def int64_segment(values) -> bytes | tuple:
+    """``values`` as little-endian int64 bytes, or as a tuple when they do not fit.
+
+    A tuple (a fid past int64, a non-integer count) unpacks exactly in
+    process; the wire sends it through its varint fallback, or refuses it.
+    """
+    try:
+        column = array("q", values)
+    except (OverflowError, TypeError):
+        return tuple(values)
+    if sys.byteorder == "big":  # pragma: no cover - exercised only on BE hardware
+        column.byteswap()
+    return column.tobytes()
+
+
+def segment_values(segment: bytes | tuple) -> list:
+    """The values of an :func:`int64_segment`."""
+    if type(segment) is not bytes:
+        return list(segment)
+    column = array("q")
+    column.frombytes(segment)
+    if sys.byteorder == "big":  # pragma: no cover - exercised only on BE hardware
+        column.byteswap()
+    return column.tolist()
+
+
+@dataclass(frozen=True, slots=True)
+class PackedRows:
+    """A query result in the form the wire sends it.
+
+    The rows' fids, timestamps and flattened counts as three int64
+    segments (:func:`int64_segment`), plus the row count and either the
+    one width every row shares or a tuple of per-row widths.  A node
+    caches this on a miss, so a hit costs no per-value work: the wire
+    joins the segments of a whole batch as they are
+    (:mod:`repro.net.wire`).  Iterating it unpacks the rows, so
+    ``list(packed)`` is the ``list[FeatureResult]`` it was packed from.
+    """
+
+    n_rows: int
+    widths: int | tuple[int, ...]
+    fids: bytes | tuple
+    timestamps: bytes | tuple
+    counts: bytes | tuple
+
+    @classmethod
+    def pack(
+        cls, rows: Sequence[FeatureResult], segment=int64_segment
+    ) -> "PackedRows":
+        """Pack ``rows``; ``segment=tuple`` keeps the columns as values."""
+        if not rows:
+            return EMPTY_ROWS
+        fids, counts, timestamps = zip(*rows)
+        widths = tuple(map(len, counts))
+        if widths.count(widths[0]) == len(widths):
+            widths = widths[0]
+        return cls(
+            len(rows), widths, segment(fids), segment(timestamps),
+            segment(list(chain.from_iterable(counts))),
+        )
+
+    def __iter__(self):
+        return iter(rows_from_columns(
+            segment_values(self.fids), segment_values(self.timestamps),
+            segment_values(self.counts), self.widths,
+        ))
+
+
+EMPTY_ROWS = PackedRows(0, 0, b"", b"", b"")
 
 
 @dataclass

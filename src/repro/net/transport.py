@@ -40,12 +40,9 @@ from ..errors import NodeUnavailableError, RPCTimeoutError
 from ..server.rpc import RPCStats
 from . import wire
 
-#: Methods a remote node serves over the wire: the proxy's RPC surface
-#: plus the admin/ops endpoints the cluster manager uses.
-RPC_METHODS = frozenset(
+#: The six node reads; a worker answers them with packed result rows.
+READ_METHODS = frozenset(
     {
-        "add_profile",
-        "add_profiles",
         "get_profile_topk",
         "get_profile_filter",
         "get_profile_decay",
@@ -54,6 +51,9 @@ RPC_METHODS = frozenset(
         "multi_get_decay",
     }
 )
+#: Methods a remote node serves over the wire: the proxy's RPC surface
+#: plus the admin/ops endpoints the cluster manager uses.
+RPC_METHODS = READ_METHODS | {"add_profile", "add_profiles"}
 
 ADMIN_METHODS = frozenset(
     {

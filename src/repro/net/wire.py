@@ -16,6 +16,8 @@ RPC surface needs: scalars, containers, and the IPS domain types
 (:class:`~repro.core.timerange.TimeRange`,
 :class:`~repro.core.query.SortType`,
 :class:`~repro.core.query.FeatureResult`,
+:class:`~repro.core.query.PackedRows` (encoded only; it decodes as the
+``list[FeatureResult]`` it holds),
 :class:`~repro.server.batch.BatchKeyResult`).  Anything else — notably
 callables, so ``get_profile_filter`` predicates and custom decay
 functions cannot cross a process boundary — raises :class:`WireCodecError`
@@ -23,27 +25,37 @@ at encode time with a message saying so.
 
 Read results and key lists travel as **columns**, not tagged rows::
 
-    column  := code(1) zigzag(min) body          (length implied by context)
-      code 0..3 := n × (value - min) as little-endian uint8/16/32/64
-      code 4    := n × varint(value - min)       (range wider than 64 bits)
+    column  := code(1) zigzag(base) body         (length implied by context)
+      code 0..3 := n × (value - base) as little-endian uint8/16/32/64
+      code 4    := n × value as little-endian int64   (base 0)
+      code 5    := n × varint(value - base)      (range wider than 64 bits)
     rows    := n_rows [shape [widths:column] fids:column ts:column
                        counts:column]            (shape 0 = widths follow,
                                                   w + 1 = every row is w wide)
     batch   := n_keys pids:column status:column rows_per_ok_key:column rows
                (error message)*                  (one pair per failed key)
 
-Each column is frame-of-reference encoded: its minimum, then every value
-minus that minimum in the narrowest of the ``array`` typecodes
-``B``/``H``/``I``/``Q`` that holds the range, so decoding is one
-``frombytes`` + ``tolist`` per column.  Demoted column groups can hold
-fids or timestamps outside int64; a column whose range does not fit in
-64 bits falls back to varints.  A ``list[FeatureResult]`` (every point
-read) is one ``rows`` block; a ``dict[int, BatchKeyResult]`` keyed by
-each value's ``profile_id`` (every multi-get) is one ``batch`` block; a
-list of plain ``int`` (every multi-get's keys) is one column.  A lone
-``FeatureResult`` / ``BatchKeyResult`` is a one-row / one-key block.
+Key, status and length columns, and every list of plain ints, are
+frame-of-reference encoded: their minimum as the base, then every value
+minus it in the narrowest of the ``array`` typecodes ``B``/``H``/``I``/``Q``
+that holds the range.  The fid, timestamp and count columns of a rows
+block built from a node's cached :class:`~repro.core.query.PackedRows`
+are raw int64 (code 4): a batch of cache hits is encoded by one
+``b"".join`` per column, with no per-value work on the worker, for
+≈ 4× the bytes (a 32-key top-10 answer: ≈ 3 KB → ≈ 13 KB, which
+loopback and CRC32 carry in microseconds).  A materialised
+``list[FeatureResult]`` pays per-value work anyway, so its columns take
+FOR.  Decoding is one ``frombytes`` + ``tolist`` per column either way.
+A packed segment holding a value outside int64 (demoted column groups
+can hold such fids or timestamps) stays a tuple, and its column falls
+back to FOR, or to varints past 64 bits.  A ``list[FeatureResult]``
+(every point read) is one ``rows`` block; a ``dict[int,
+BatchKeyResult]`` keyed by each value's ``profile_id`` (every multi-get)
+is one ``batch`` block; a list of plain ``int`` (every multi-get's keys)
+is one column.  A lone ``FeatureResult`` / ``BatchKeyResult`` is a
+one-row / one-key block.
 Every length is checked against the bytes left before anything is
-allocated for it.
+allocated for it, and containers nest at most :data:`MAX_NESTING` deep.
 
 Errors travel as ``(type_name, message)`` pairs and are reconstructed on
 the client from the :mod:`repro.errors` taxonomy, so retryability
@@ -59,10 +71,17 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from .. import errors as _errors
-from ..core.query import FeatureResult, SortType
+from ..core.query import (
+    FeatureResult,
+    PackedRows,
+    SortType,
+    rows_from_columns,
+    segment_values,
+)
 from ..core.timerange import TimeRange, TimeRangeKind
 from ..errors import RetryableError, RPCError
 from ..server.batch import BatchKeyResult
@@ -291,6 +310,9 @@ def encode_value(out: bytearray, value: Any) -> None:
         out.extend(value)
     elif isinstance(value, FeatureResult):
         out.append(_T_FEATURE_RESULT)
+        _write_rows(out, [_packed([value])])
+    elif isinstance(value, PackedRows):
+        out.append(_T_RESULT_ROWS)
         _write_rows(out, [value])
     elif isinstance(value, BatchKeyResult):
         out.append(_T_BATCH_KEY_RESULT)
@@ -307,7 +329,7 @@ def encode_value(out: bytearray, value: Any) -> None:
             return
         if kinds == {FeatureResult}:
             out.append(_T_RESULT_ROWS)
-            _write_rows(out, value)
+            _write_rows(out, [_packed(value)])
             return
         out.append(_T_LIST)
         write_varint(out, len(value))
@@ -319,13 +341,15 @@ def encode_value(out: bytearray, value: Any) -> None:
         for item in value:
             encode_value(out, item)
     elif isinstance(value, dict):
-        if value and all(
-            type(key) is int and type(result) is BatchKeyResult
-            and key == result.profile_id
-            for key, result in value.items()
+        keys, results = list(value), list(value.values())
+        if (
+            keys
+            and set(map(type, keys)) == {int}
+            and set(map(type, results)) == {BatchKeyResult}
+            and list(map(_profile_id, results)) == keys
         ):
             out.append(_T_BATCH_RESULTS)
-            _write_batch(out, list(value), list(value.values()))
+            _write_batch(out, keys, results)
             return
         out.append(_T_DICT)
         write_varint(out, len(value))
@@ -355,9 +379,11 @@ def encode_value(out: bytearray, value: Any) -> None:
 
 # -- column blocks ----------------------------------------------------
 
-#: Frame-of-reference body codes index these typecodes; one past the last
-#: is the varint fallback.
-_COLUMN_TYPECODES = "BHIQ"
+#: Frame-of-reference body codes index these typecodes (``q`` is never
+#: chosen for a range: it carries raw int64 segments, base 0); one past
+#: the last is the varint fallback.
+_COLUMN_TYPECODES = "BHIQq"
+_COLUMN_INT64 = _COLUMN_TYPECODES.index("q")
 _COLUMN_VARINT = len(_COLUMN_TYPECODES)
 #: Bytes needed for a column's ``max - min`` (0–8) → the narrowest code.
 _CODE_FOR_BYTES = tuple(
@@ -365,10 +391,10 @@ _CODE_FOR_BYTES = tuple(
          if array(typecode).itemsize >= nbytes)
     for nbytes in range(9)
 )
-
-#: ``FeatureResult`` from a ready ``(fid, counts, ts)`` triple, built in C
-#: (what ``FeatureResult._make`` does, without the Python frame per row).
-_new_result = partial(tuple.__new__, FeatureResult)
+#: A raw int64 column's header: its code, then ``zigzag(0)`` as its base.
+_INT64_HEADER = bytes([_COLUMN_INT64, 0])
+_n_rows = attrgetter("n_rows")
+_profile_id, _ok = itemgetter(0), itemgetter(1)
 
 
 def _write_column(out: bytearray, values) -> None:
@@ -394,6 +420,21 @@ def _write_column(out: bytearray, values) -> None:
     if _BIG_ENDIAN:  # pragma: no cover - exercised only on BE hardware
         column.byteswap()
     out += column
+
+
+def _write_segments(out: bytearray, segments: list) -> None:
+    """Append one column made of int64 segments: joined as they are when
+    every segment is bytes, else through :func:`_write_column`."""
+    if set(map(type, segments)) == {bytes}:
+        body = b"".join(segments)
+        if body:
+            out += _INT64_HEADER
+            out += body
+        return
+    if len(segments) == 1:  # a materialised list's values, as they are
+        _write_column(out, segments[0])
+    else:
+        _write_column(out, list(chain.from_iterable(map(segment_values, segments))))
 
 
 def _read_column(data: bytes, pos: int, length: int) -> tuple[list[int], int]:
@@ -426,22 +467,46 @@ def _read_column(data: bytes, pos: int, length: int) -> tuple[list[int], int]:
     return ([value + low for value in values] if low else values), end
 
 
-def _write_rows(out: bytearray, rows: list[FeatureResult]) -> None:
-    write_varint(out, len(rows))
-    if not rows:
+def _packed(rows) -> PackedRows:
+    """A key's value as a rows block.
+
+    A cached entry passes through, to be joined as it is.  A
+    materialised list costs per-value work either way, so its columns
+    stay values and take the frame-of-reference codec: 2–4× fewer bytes
+    than raw int64 for the same decode.
+    """
+    if type(rows) is PackedRows:
+        return rows
+    if not set(map(type, rows or ())) <= {FeatureResult}:
+        raise WireCodecError("a batch key result holds a non-FeatureResult row")
+    return PackedRows.pack(rows or (), tuple)
+
+
+def _write_rows(out: bytearray, blocks: list[PackedRows]) -> None:
+    """Append one rows block holding every row of ``blocks``, in order."""
+    n_rows = sum(map(_n_rows, blocks))
+    write_varint(out, n_rows)
+    if not n_rows:
         return
-    fids, counts, timestamps = zip(*rows)
-    widths = list(map(len, counts))
-    if max(widths) > _MAX_COUNTS:
+    shapes = {block.widths for block in blocks if block.n_rows}
+    width = shapes.pop() if len(shapes) == 1 else None
+    widths = None
+    if type(width) is not int:  # ragged: one width per row
+        widths = list(chain.from_iterable(
+            [block.widths] * block.n_rows if type(block.widths) is int
+            else block.widths
+            for block in blocks
+        ))
+        width = max(widths)
+    if width > _MAX_COUNTS:
         raise WireCodecError(f"a result row has more than {_MAX_COUNTS} counts")
-    if widths.count(widths[0]) == len(widths):
-        write_varint(out, widths[0] + 1)  # uniform: the widths are implicit
+    if widths is None:
+        write_varint(out, width + 1)  # uniform: the widths are implicit
     else:
         write_varint(out, 0)
         _write_column(out, widths)
-    _write_column(out, fids)
-    _write_column(out, timestamps)
-    _write_column(out, list(chain.from_iterable(counts)))
+    for column in ("fids", "timestamps", "counts"):
+        _write_segments(out, list(map(attrgetter(column), blocks)))
 
 
 def _read_rows(
@@ -455,12 +520,11 @@ def _read_rows(
     if not n_rows:
         return [], pos
     shape, pos = read_varint(data, pos)
-    widths = None
     if shape:
-        width = shape - 1
-        if width > _MAX_COUNTS:
-            raise WireCodecError(f"implausible result row width {width}")
-        n_counts = n_rows * width
+        widths = shape - 1
+        if widths > _MAX_COUNTS:
+            raise WireCodecError(f"implausible result row width {widths}")
+        n_counts = n_rows * widths
     else:
         widths, pos = _read_column(data, pos, n_rows)
         if min(widths) < 0 or max(widths) > _MAX_COUNTS:
@@ -469,14 +533,7 @@ def _read_rows(
     fids, pos = _read_column(data, pos, n_rows)
     timestamps, pos = _read_column(data, pos, n_rows)
     flat, pos = _read_column(data, pos, n_counts)
-    if widths is None:
-        counts = list(zip(*[iter(flat)] * width)) if width else [()] * n_rows
-    else:
-        counts, at = [], 0
-        for row_width in widths:
-            counts.append(tuple(flat[at : at + row_width]))
-            at += row_width
-    return list(map(_new_result, zip(fids, counts, timestamps))), pos
+    return rows_from_columns(fids, timestamps, flat, widths), pos
 
 
 def _write_batch(
@@ -484,20 +541,30 @@ def _write_batch(
 ) -> None:
     write_varint(out, len(profile_ids))
     _write_column(out, profile_ids)
-    _write_column(out, [1 if result.ok else 0 for result in results])
-    ok_rows = [result.value or [] for result in results if result.ok]
-    rows = list(chain.from_iterable(ok_rows))
-    if not set(map(type, rows)) <= {FeatureResult}:
-        raise WireCodecError("a batch key result holds a non-FeatureResult row")
-    _write_column(out, list(map(len, ok_rows)))
-    _write_rows(out, rows)
+    _write_column(out, list(map(_ok, results)))
+    values = [result.value for result in results if result.ok]
+    kinds = set(map(type, values))
+    if PackedRows in kinds:  # cached answers: one block per key, joined
+        blocks = values if kinds == {PackedRows} else list(map(_packed, values))
+        _write_column(out, list(map(_n_rows, blocks)))
+    else:  # materialised lists: one block for all their rows
+        values = [value or () for value in values]
+        _write_column(out, list(map(len, values)))
+        blocks = [_packed(list(chain.from_iterable(values)))]
+    _write_rows(out, blocks)
     for result in results:
         if not result.ok:
             encode_value(out, result.error or "")
             encode_value(out, result.error_message)
 
 
-def _read_batch(data: bytes, pos: int) -> tuple[dict[int, BatchKeyResult], int]:
+#: ``BatchKeyResult`` from a ready 5-tuple, built in C.
+_new_key_result = partial(tuple.__new__, BatchKeyResult)
+
+
+def _read_batch(
+    data: bytes, pos: int, depth: int
+) -> tuple[dict[int, BatchKeyResult], int]:
     n_keys, pos = read_varint(data, pos)
     profile_ids, pos = _read_column(data, pos, n_keys)
     status, pos = _read_column(data, pos, n_keys)
@@ -514,13 +581,13 @@ def _read_batch(data: bytes, pos: int) -> tuple[dict[int, BatchKeyResult], int]:
     for profile_id, ok in zip(profile_ids, status):
         if ok:
             n_rows = next(per_key)
-            out[profile_id] = BatchKeyResult(
-                profile_id, True, rows[at : at + n_rows]
+            out[profile_id] = _new_key_result(
+                (profile_id, True, rows[at : at + n_rows], None, "")
             )
             at += n_rows
         else:
-            error, pos = decode_value(data, pos)
-            message, pos = decode_value(data, pos)
+            error, pos = decode_value(data, pos, depth + 1)
+            message, pos = decode_value(data, pos, depth + 1)
             out[profile_id] = BatchKeyResult(
                 profile_id, False, None, error or None, message
             )
@@ -535,18 +602,26 @@ def _lone(values, what: str):
     return next(iter(values))
 
 
-def decode_value(data: bytes, pos: int) -> tuple[Any, int]:
+#: Deepest container nesting a decoded value may have.  The RPC surface
+#: needs a few levels (a ``node_stats`` dict of dicts); a frame nesting
+#: deeper is hostile, and would otherwise end in a ``RecursionError``.
+MAX_NESTING = 32
+
+
+def decode_value(data: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
     try:
-        return _decode_value(data, pos)
+        return _decode_value(data, pos, depth)
     except _errors.SerializationError as exc:
         # Varint primitives raise the storage-layer error; at this layer
         # a short varint is stream corruption like any other.
         raise WireCodecError(str(exc)) from exc
 
 
-def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
+def _decode_value(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
     if pos >= len(data):
         raise WireCodecError("truncated value: missing type tag")
+    if depth > MAX_NESTING:
+        raise WireCodecError(f"value nested deeper than {MAX_NESTING} levels")
     tag = data[pos]
     pos += 1
     if tag == _T_NONE:
@@ -582,15 +657,15 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         length, pos = read_varint(data, pos)
         items = []
         for _ in range(length):
-            item, pos = decode_value(data, pos)
+            item, pos = decode_value(data, pos, depth + 1)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_DICT:
         length, pos = read_varint(data, pos)
         out: dict = {}
         for _ in range(length):
-            key, pos = decode_value(data, pos)
-            item, pos = decode_value(data, pos)
+            key, pos = decode_value(data, pos, depth + 1)
+            item, pos = decode_value(data, pos, depth + 1)
             out[key] = item
         return out, pos
     if tag == _T_TIMERANGE:
@@ -600,9 +675,9 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         pos += 1
         if kind_index >= len(_TIMERANGE_KINDS):
             raise WireCodecError(f"unknown time-range kind {kind_index}")
-        span_ms, pos = decode_value(data, pos)
-        start_ms, pos = decode_value(data, pos)
-        end_ms, pos = decode_value(data, pos)
+        span_ms, pos = decode_value(data, pos, depth + 1)
+        start_ms, pos = decode_value(data, pos, depth + 1)
+        end_ms, pos = decode_value(data, pos, depth + 1)
         return (
             TimeRange(
                 _TIMERANGE_KINDS[kind_index],
@@ -625,12 +700,12 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
     if tag == _T_RESULT_ROWS:
         return _read_rows(data, pos)
     if tag == _T_BATCH_RESULTS:
-        return _read_batch(data, pos)
+        return _read_batch(data, pos, depth)
     if tag == _T_FEATURE_RESULT:
         rows, pos = _read_rows(data, pos)
         return _lone(rows, "feature result"), pos
     if tag == _T_BATCH_KEY_RESULT:
-        results, pos = _read_batch(data, pos)
+        results, pos = _read_batch(data, pos, depth)
         return _lone(results.values(), "batch key result"), pos
     if tag == _T_WRITE_DELTA:
         return _decode_write_delta(data, pos)

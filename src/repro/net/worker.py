@@ -70,6 +70,7 @@ from .replication import WorkerReplication
 from .transport import (
     ADMIN_METHODS,
     PEER_CALL_TIMEOUT_MS,
+    READ_METHODS,
     REPLICATION_METHODS,
     RPC_METHODS,
     FrameServer,
@@ -306,6 +307,11 @@ class WorkerServer:
         return respond(payload, self._invoke)
 
     def _invoke(self, method: str, args: tuple, kwargs: dict):
+        if method in READ_METHODS and method not in vars(self.node):
+            # Cached answers go to the wire packed, never unpacked here.
+            # A read replaced on the node instance (a wrapper, a test
+            # double) is still called by name, as every other RPC is.
+            return self.node._wire_read(method, args, kwargs)
         if method in RPC_METHODS:
             result = getattr(self.node, method)(*args, **kwargs)
             if (

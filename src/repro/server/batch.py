@@ -11,12 +11,12 @@ message), mirroring what a real RPC response could carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.query import FeatureResult
 
 
-@dataclass(frozen=True)
-class BatchKeyResult:
+class BatchKeyResult(NamedTuple):
     """Outcome of one key inside a batched read.
 
     Exactly one of the two shapes occurs:
@@ -26,6 +26,13 @@ class BatchKeyResult:
       reads);
     * ``ok=False`` — ``error`` names the exception type and
       ``error_message`` carries its text; ``value`` is ``None``.
+
+    A worker's answers hold the key's cached
+    :class:`~repro.core.query.PackedRows` as ``value``; the wire sends it
+    as rows, and every other caller gets a list.  A ``NamedTuple``, as
+    :class:`~repro.core.query.FeatureResult` is: the client builds one per
+    key of every shard call, and a tuple is several times cheaper to
+    construct than a frozen dataclass.
     """
 
     profile_id: int
@@ -38,16 +45,11 @@ class BatchKeyResult:
     def success(
         cls, profile_id: int, value: list[FeatureResult]
     ) -> "BatchKeyResult":
-        return cls(profile_id=profile_id, ok=True, value=value)
+        return cls(profile_id, True, value)
 
     @classmethod
     def failure(cls, profile_id: int, exc: BaseException) -> "BatchKeyResult":
-        return cls(
-            profile_id=profile_id,
-            ok=False,
-            error=type(exc).__name__,
-            error_message=str(exc),
-        )
+        return cls(profile_id, False, None, type(exc).__name__, str(exc))
 
 
 @dataclass

@@ -19,6 +19,7 @@ truncate / shrink) runs off the serving path via :meth:`run_maintenance`.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -30,13 +31,15 @@ from ..core.decay import DecayFn
 from ..core.engine import ProfileEngine
 from ..core.profile import ProfileData
 from ..core.query import (
+    EMPTY_ROWS,
     FeatureResult,
     FilterFn,
+    PackedRows,
     QueryStats,
     SortType,
     query_spec,
 )
-from ..core.timerange import TimeRange
+from ..core.timerange import TimeRange, TimeRangeKind
 from ..cache import GCache
 from ..errors import IPSError
 from ..obs.trace import NULL_TRACER
@@ -78,6 +81,15 @@ class _Query(NamedTuple):
     type_id: int | None
     time_range: TimeRange
     args: dict
+
+
+def _unpacked(results: dict[int, BatchKeyResult]) -> dict[int, BatchKeyResult]:
+    """A multi-get's packed values as ``FeatureResult`` lists."""
+    return {
+        profile_id: BatchKeyResult(profile_id, True, list(result.value))
+        if result.ok else result
+        for profile_id, result in results.items()
+    }
 
 
 class IPSNode:
@@ -378,20 +390,21 @@ class IPSNode:
         caller: str,
         stats: QueryStats | None = None,
         deadline=None,
-    ) -> tuple[dict[int, list[FeatureResult] | Exception], int]:
-        """The one read path; returns ``({id: results or error}, hits)``.
+    ) -> tuple[dict[int, PackedRows | Exception], int]:
+        """The one read path; returns ``({id: packed rows or error}, hits)``.
 
         One quota admit, one dedup, one GCache pass (a load error fails
-        its key only; a non-resident id reads ``[]``).  ``now_ms`` is read
-        once; each live key's window is resolved at it and probed in the
-        result cache under the query's spec plus the window bounds.  The
-        misses run as **one** engine batch at that same ``now_ms``, so a
-        CURRENT or RELATIVE window executes exactly the window it is keyed
-        under, and each is installed under the epoch captured before the
-        batch (a write landing mid-execution drops that install).  A query
-        error is batch-wide (one spec) and fails every miss.  A ``stats``
-        collector bypasses the cache; a ``deadline`` is checked once,
-        before the misses run.
+        its key only; a non-resident id reads empty).  ``now_ms`` is read
+        once; the window is resolved at it (once, unless RELATIVE, which
+        resolves per key) and each live key is probed in the result cache
+        under the query's spec plus the window bounds.  The misses run as
+        **one** engine batch at that same ``now_ms``, so a CURRENT or
+        RELATIVE window executes exactly the window it is keyed under;
+        each is packed once and installed under the epoch captured before
+        the batch (a write landing mid-execution drops that install).  A
+        query error is batch-wide (one spec) and fails every miss.  A
+        ``stats`` collector bypasses the cache; a ``deadline`` is checked
+        once, before the misses run.
         """
         self.quota.admit(caller)
         unique = dedup_preserving_order(profile_ids)
@@ -399,22 +412,27 @@ class IPSNode:
         profiles, errors = self._resident_profiles(unique)
         now_ms = self.clock.now_ms()
         result_cache = self.result_cache
+        time_range = query.time_range
         spec = None if stats is not None else query_spec(
             self.engine.config, query.kind, query.slot, query.type_id,
             **query.args,
         )
-        out: dict[int, list[FeatureResult] | Exception] = {}
+        # Only a RELATIVE window depends on the profile.
+        fixed = None if time_range.kind is TimeRangeKind.RELATIVE else (
+            time_range.resolve(now_ms, None)
+        )
+        out: dict[int, PackedRows | Exception] = {}
         shared: dict[tuple[int, int], tuple] = {}  # One key per window.
         misses: list[tuple[int, tuple | None, tuple[int, int] | None]] = []
         hits = 0
         for profile_id in unique:
             profile = profiles.get(profile_id)
             if profile is None:
-                out[profile_id] = errors.get(profile_id, [])
+                out[profile_id] = errors.get(profile_id, EMPTY_ROWS)
                 continue
             fingerprint = epoch = None
             if spec is not None:
-                window = query.time_range.resolve(
+                window = fixed or time_range.resolve(
                     now_ms, profile.newest_timestamp_ms()
                 )
                 # No window (RELATIVE over an empty profile): the engine
@@ -431,7 +449,7 @@ class IPSNode:
                         continue
             elif stats is None:
                 result_cache.stats.uncacheable += 1
-            out[profile_id] = []  # Holds the key's place in request order.
+            out[profile_id] = EMPTY_ROWS  # Holds the key's place in request order.
             misses.append((profile_id, fingerprint, epoch))
         if misses:
             if deadline is not None:
@@ -441,7 +459,7 @@ class IPSNode:
                 with self.tracer.span("engine.execute", keys=len(ids)):
                     batch = getattr(self.engine, f"get_profiles_{query.kind}")
                     values = batch(
-                        ids, query.slot, query.type_id, query.time_range,
+                        ids, query.slot, query.type_id, time_range,
                         now_ms=now_ms,
                         stats_map=None if stats is None else {ids[0]: stats},
                         **query.args,
@@ -450,14 +468,14 @@ class IPSNode:
                 out.update(dict.fromkeys(ids, exc))
             else:
                 for profile_id, fingerprint, epoch in misses:
-                    value = out[profile_id] = values[profile_id]
+                    packed = out[profile_id] = PackedRows.pack(values[profile_id])
                     if fingerprint is not None:
-                        result_cache.put(profile_id, fingerprint, value, epoch)
+                        result_cache.put(profile_id, fingerprint, packed, epoch)
         return out, hits
 
     def _get(
         self, profile_id: int, query: _Query, caller: str, stats, deadline
-    ) -> list[FeatureResult]:
+    ) -> PackedRows:
         """A point read: the one-id :meth:`_read`; its error is raised."""
         with self.tracer.span(
             f"node.get_profile_{query.kind}", profile=profile_id
@@ -488,9 +506,32 @@ class IPSNode:
             return {
                 profile_id: BatchKeyResult.failure(profile_id, value)
                 if isinstance(value, Exception)
-                else BatchKeyResult.success(profile_id, value)
+                else BatchKeyResult(profile_id, True, value)
                 for profile_id, value in out.items()
             }
+
+    def _wire_read(self, method: str, args: tuple, kwargs: dict):
+        """One read RPC answered in wire form: the worker's read entry.
+
+        ``method`` is one of the six read names, called as its public
+        entry is; each key's value stays the cached
+        :class:`~repro.core.query.PackedRows`, which the wire sends as it
+        is.
+        """
+        names, defaults = _READ_PARAMS[method]
+        if len(args) > len(names):
+            raise TypeError(f"{method}() got {len(args)} positional arguments")
+        params = {**defaults, **dict(zip(names, args)), **kwargs}
+        ids, caller = params.pop(names[0]), params.pop("caller")
+        for in_process_only in ("stats", "deadline"):
+            params.pop(in_process_only, None)
+        query = _Query(
+            method.rpartition("_")[2], params.pop("slot"),
+            params.pop("type_id"), params.pop("time_range"), params,
+        )
+        if method.startswith("multi_get_"):
+            return self._get_many(ids, query, caller)
+        return self._get(ids, query, caller, None, None)
 
     def get_profile_topk(
         self,
@@ -511,7 +552,7 @@ class IPSNode:
             sort_type=sort_type, k=k, sort_attribute=sort_attribute,
             sort_weights=sort_weights, aggregate=aggregate,
         ))
-        return self._get(profile_id, query, caller, stats, deadline)
+        return list(self._get(profile_id, query, caller, stats, deadline))
 
     def get_profile_filter(
         self,
@@ -527,7 +568,7 @@ class IPSNode:
         query = _Query(
             "filter", slot, type_id, time_range, dict(predicate=predicate)
         )
-        return self._get(profile_id, query, caller, stats, deadline)
+        return list(self._get(profile_id, query, caller, stats, deadline))
 
     def get_profile_decay(
         self,
@@ -547,7 +588,7 @@ class IPSNode:
             decay_function=decay_function, decay_factor=decay_factor, k=k,
             sort_attribute=sort_attribute,
         ))
-        return self._get(profile_id, query, caller, stats, deadline)
+        return list(self._get(profile_id, query, caller, stats, deadline))
 
     def multi_get_topk(
         self,
@@ -567,7 +608,7 @@ class IPSNode:
             sort_type=sort_type, k=k, sort_attribute=sort_attribute,
             sort_weights=sort_weights, aggregate=aggregate,
         ))
-        return self._get_many(profile_ids, query, caller)
+        return _unpacked(self._get_many(profile_ids, query, caller))
 
     def multi_get_filter(
         self,
@@ -582,7 +623,7 @@ class IPSNode:
         query = _Query(
             "filter", slot, type_id, time_range, dict(predicate=predicate)
         )
-        return self._get_many(profile_ids, query, caller)
+        return _unpacked(self._get_many(profile_ids, query, caller))
 
     def multi_get_decay(
         self,
@@ -601,7 +642,7 @@ class IPSNode:
             decay_function=decay_function, decay_factor=decay_factor, k=k,
             sort_attribute=sort_attribute,
         ))
-        return self._get_many(profile_ids, query, caller)
+        return _unpacked(self._get_many(profile_ids, query, caller))
 
     # ------------------------------------------------------------------
     # Hot reconfiguration (§V-b)
@@ -762,3 +803,17 @@ class IPSNode:
             f"IPSNode(id={self.node_id!r}, table={self.engine.config.name!r}, "
             f"resident={self.cache.resident_count()})"
         )
+
+
+#: Each read's parameters after ``self``, with their defaults, from its
+#: public signature: what :meth:`IPSNode._wire_read` parses.
+_READ_PARAMS = {
+    name: (tuple(signature.parameters)[1:], {
+        parameter.name: parameter.default
+        for parameter in signature.parameters.values()
+        if parameter.default is not parameter.empty
+    })
+    for name in ("get_profile_topk", "get_profile_filter", "get_profile_decay",
+                 "multi_get_topk", "multi_get_filter", "multi_get_decay")
+    for signature in [inspect.signature(getattr(IPSNode, name))]
+}

@@ -7,6 +7,9 @@ finished results keyed by ``(profile_id, query fingerprint)`` — the
 fingerprint (:func:`repro.core.query.query_fingerprint`) canonicalizes the
 query and embeds the *resolved* time window, so a CURRENT window rotates
 to a new key as the clock advances and never serves a stale horizon.
+A node's entry is the key's answer in wire form, a
+:class:`~repro.core.query.PackedRows`: a worker sends a hit as it is, and
+an in-process read unpacks it into ``FeatureResult`` rows.
 
 Correctness rests on *precise invalidation*: every mutation path — node
 writes (direct or isolation-merged), ingest applies, maintenance
@@ -60,9 +63,12 @@ class ResultCacheStats:
 class QueryResultCache:
     """LRU of finished query results with per-profile invalidation.
 
-    Entries are stored as immutable tuples and returned as fresh lists,
-    so callers can mutate what they get back without corrupting the
-    cache.  A per-profile fingerprint index makes invalidating one
+    Entries are immutable.  A list put in is stored as a tuple; any other
+    value — a node stores each key's
+    :class:`~repro.core.query.PackedRows` — is stored as given.
+    :meth:`probe` hands back the entry itself, :meth:`get` a fresh list
+    of it, so callers can mutate what they get back without corrupting
+    the cache.  A per-profile fingerprint index makes invalidating one
     profile O(entries for that profile), not O(cache).  The index holds
     lists, not sets: under LRU churn a set keeps rebuilding its table,
     and that malloc/free traffic moved the heap top often enough to slow
@@ -93,13 +99,14 @@ class QueryResultCache:
 
     def get(self, profile_id: int, fingerprint: tuple) -> list | None:
         """Cached result as a fresh list, or ``None`` on a miss."""
-        return self.probe(profile_id, fingerprint)[0]
+        value = self.probe(profile_id, fingerprint)[0]
+        return None if value is None else list(value)
 
     def probe(
         self, profile_id: int, fingerprint: tuple
-    ) -> tuple[list | None, tuple[int, int] | None]:
-        """:meth:`get` and, on a miss, :meth:`epoch` under one lock:
-        ``(fresh list, None)`` on a hit, ``(None, epoch)`` on a miss."""
+    ) -> tuple[object | None, tuple[int, int] | None]:
+        """The entry and, on a miss, :meth:`epoch` under one lock:
+        ``(entry, None)`` on a hit, ``(None, epoch)`` on a miss."""
         key = (profile_id, fingerprint)
         with self._lock:
             value = self._entries.get(key)
@@ -111,7 +118,7 @@ class QueryResultCache:
                 )
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return list(value), None
+            return value, None
 
     def put(
         self,
@@ -139,7 +146,7 @@ class QueryResultCache:
                 self._entries.move_to_end(key)
             else:
                 self._by_profile.setdefault(profile_id, []).append(fingerprint)
-            self._entries[key] = tuple(value)
+            self._entries[key] = tuple(value) if isinstance(value, list) else value
             self.stats.installs += 1
             while len(self._entries) > self.max_entries:
                 old_pid, old_fp = self._entries.popitem(last=False)[0]

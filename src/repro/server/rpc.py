@@ -24,6 +24,7 @@ from typing import Any, Callable
 from ..clock import Clock, SimulatedClock, perf_ms
 from ..errors import NodeUnavailableError
 from ..obs.registry import Histogram
+from .batch import BatchKeyResult
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,10 @@ class RPCServer:
             return 16
         if isinstance(result, (bytes, bytearray)):
             return len(result)
+        if isinstance(result, BatchKeyResult):
+            # A per-key result envelope wrapping a row list.
+            value = result.value
+            return 16 + 48 * len(value) if isinstance(value, (list, tuple)) else 64
         if isinstance(result, (list, tuple)):
             return 16 + 48 * len(result)
         if isinstance(result, dict):
@@ -213,8 +218,4 @@ class RPCServer:
             return 16 + sum(
                 32 + RPCServer._estimate_size(value) for value in result.values()
             )
-        value = getattr(result, "value", None)
-        if isinstance(value, (list, tuple)):
-            # A per-key result envelope wrapping a row list.
-            return 16 + 48 * len(value)
         return 64

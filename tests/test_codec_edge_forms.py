@@ -1,11 +1,12 @@
 """Targeted coverage of codec edge inputs.
 
 The profile codec has the int64 zigzag corners and the catalog its hash
-space.  ``TestLiteralLengthForms`` and ``TestCopyForms`` keep the names
-of an LZ framing that stdlib DEFLATE replaced (the tier-1 floor list pins
-their ids); what they hold is codec-agnostic round-trip inputs —
-incompressible runs of awkward lengths, a repeat 64 KiB back, long
-constant runs — that any stored-value codec must survive.
+space.  ``TestCopyForms`` keeps the name of an LZ framing that stdlib
+DEFLATE replaced (the tier-1 floor list pins its ids); what it holds is
+codec-agnostic round-trip inputs — a repeat 64 KiB back, long constant
+runs — that any stored-value codec must survive.  The incompressible
+runs of awkward lengths that sat beside it are parametrised inputs of
+``test_storage_compression.py::TestRoundTrip`` now.
 """
 
 import pytest
@@ -13,37 +14,7 @@ import pytest
 from repro.core.feature import INT64_MAX, INT64_MIN
 from repro.storage.compression import compress, decompress
 
-
-def incompressible(length: int, seed: int = 1234) -> bytes:
-    """Pseudo-random bytes with no 4-byte repeats (nothing to match)."""
-    out = bytearray()
-    state = seed
-    while len(out) < length:
-        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-        out.extend(state.to_bytes(8, "little"))
-    return bytes(out[:length])
-
-
-class TestLiteralLengthForms:
-    @pytest.mark.parametrize("length", [1, 59, 60, 61])
-    def test_inline_form_boundaries(self, length):
-        data = incompressible(length)
-        assert decompress(compress(data)) == data
-
-    @pytest.mark.parametrize("length", [62, 100, 316])
-    def test_one_byte_extension_form(self, length):
-        data = incompressible(length)
-        assert decompress(compress(data)) == data
-
-    @pytest.mark.parametrize("length", [317, 1000, 0xFFFF + 61])
-    def test_two_byte_extension_form(self, length):
-        data = incompressible(length)
-        assert decompress(compress(data)) == data
-
-    def test_run_longer_than_max_single_literal(self):
-        length = (0xFFFF + 61) * 2 + 17
-        data = incompressible(length)
-        assert decompress(compress(data)) == data
+from .test_storage_compression import incompressible
 
 
 class TestCopyForms:

@@ -32,6 +32,7 @@ from repro.core.query import FeatureResult
 from repro.core.timerange import TimeRange
 from repro.net import wire
 from repro.net.cluster import ProcessCluster
+from repro.net.transport import respond
 from repro.net.worker import build_durable_node
 from repro.server.batch import BatchKeyResult
 from repro.storage.serialization import (
@@ -359,6 +360,31 @@ class TestHostileFrames:
         out += _column([9, 9]) + _column([1, 1]) + _column([0, 0])
         write_varint(out, 0)
         assert_rejected_small(_message(bytes(out)))
+
+    #: 20 000 one-item lists: a 40 KB value far deeper than Python recurses.
+    NESTED = bytes([wire._T_LIST, 1]) * 20_000 + bytes([wire._T_NONE])
+
+    def test_nesting_past_the_cap_in_a_request(self):
+        out = bytearray([wire._MSG_REQUEST])
+        write_varint(out, 1)
+        wire.encode_value(out, "get_profile_topk")
+        out += self.NESTED  # the args
+        wire.encode_value(out, {})
+        payload = _crc_checked(bytes(out))
+        assert_rejected_small(payload)
+        response = respond(payload, lambda method, args, kwargs: None)
+        assert not response.ok and response.error_type == "WireCodecError"
+
+    def test_nesting_past_the_cap_in_a_response(self):
+        assert_rejected_small(_message(self.NESTED))
+
+    def test_nesting_up_to_the_cap_decodes(self):
+        value = None
+        for _ in range(wire.MAX_NESTING):
+            value = [value]
+        assert roundtrip(value) == value
+        assert_rejected_small(_message(bytes([wire._T_LIST, 1]) * (
+            wire.MAX_NESTING + 1) + bytes([wire._T_NONE])))
 
 
 def test_zigzag_minimum_is_written_once_per_column():

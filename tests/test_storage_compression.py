@@ -12,6 +12,16 @@ from repro.storage.compression import compress, compression_ratio, decompress
 from repro.storage.serialization import RAW_COLUMN_MIN_ROWS, ProfileCodec
 
 
+def incompressible(length: int, seed: int = 1234) -> bytes:
+    """Pseudo-random bytes with no 4-byte repeats (nothing to match)."""
+    out = bytearray()
+    state = seed
+    while len(out) < length:
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        out.extend(state.to_bytes(8, "little"))
+    return bytes(out[:length])
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "data",
@@ -27,6 +37,17 @@ class TestRoundTrip:
         ],
     )
     def test_roundtrip_known_inputs(self, data):
+        assert decompress(compress(data)) == data
+
+    @pytest.mark.parametrize(
+        "length",
+        # Incompressible runs of awkward lengths: around 60 and 316, where
+        # a literal-length field might widen, and past 64 KiB twice.
+        [1, 59, 60, 61, 62, 100, 316, 317, 1000, 0xFFFF + 61,
+         (0xFFFF + 61) * 2 + 17],
+    )
+    def test_roundtrip_incompressible(self, length):
+        data = incompressible(length)
         assert decompress(compress(data)) == data
 
     @given(st.binary(min_size=0, max_size=5000))
