@@ -542,7 +542,7 @@ def count_surviving_raw_sections(persistence) -> int:
         for profile_slice in persistence.load(profile_id).slices
         for _, instance_set in profile_slice.slots_items()
         for _, group in instance_set.groups_items()
-        if group.is_columnar and len(group) >= RAW_COLUMN_MIN_ROWS
+        if len(group) >= RAW_COLUMN_MIN_ROWS
     )
 
 

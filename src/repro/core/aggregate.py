@@ -51,6 +51,12 @@ def register_aggregate(name: str, fn: AggregateFn) -> None:
     arbitrary time windows" (§I contributions); a registered UDAF becomes
     available both as a table's pre-configured reduce function and as a
     query-time override.  Built-in names cannot be replaced.
+
+    ``fn`` takes two int counters and returns an int (``AggregateFn``).
+    Wherever counts are folded — the count columns and the reference
+    merge alike — its result is taken through ``int()`` and clamped to
+    int64, so a UDAF returning ``(a + b) / 2`` stores the truncated
+    integer, and no stored count is ever a float.
     """
     key = name.lower()
     if key in ("sum", "max", "min", "last"):

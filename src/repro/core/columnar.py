@@ -1,11 +1,12 @@
-"""Columnar feature storage: flat int64 arrays as the primary representation.
+"""Columnar feature storage: flat 64-bit arrays as the primary representation.
 
 ROADMAP item #2 inverts the PR 5 design: instead of per-stat Python
 objects that kernel backends *gather* into numpy arrays on first touch,
 each ``(slot, type)`` group stores its features directly as parallel
-``array('q')`` (int64) columns:
+``array`` columns:
 
-* ``fids``    — one feature id per row, insertion order;
+* ``fids``    — one feature id per row, insertion order, ``array('Q')``
+  (uint64: the paper's fids are 64-bit hashed literals);
 * ``ts``      — last contributing timestamp per row;
 * ``counts``  — row-major count matrix, each row zero-padded to ``stride``
   (the widest native row);
@@ -13,6 +14,12 @@ each ``(slot, type)`` group stores its features directly as parallel
   ``stride`` wide (the overwhelmingly common case);
 * ``fid_index`` — per-row profile-wide insertion index, or ``None`` when
   every row carries the default ``-1``.
+
+Every column but ``fids`` is ``array('q')`` (int64).  The write path
+(``repro.core.table.check_write``) and the decoder admit only fids in
+[0, 2**64) and timestamps in int64, counts clamp to int64 per position,
+and aggregate results are coerced with ``int()``, so every value a group
+can meet has a column to live in.
 
 Per-feature :class:`~repro.core.feature.FeatureStat` objects are not
 stored: :meth:`iter_stats` / :meth:`stats` / :meth:`get` materialise
@@ -26,15 +33,6 @@ Kernel backends wrap the arrays with zero gather work (one buffer view
 per column), and the serializer dumps them through ``memoryview`` without
 touching a single Python object per feature.
 
-**Legacy fallback.**  int64 columns cannot hold everything the old dict
-representation could: fids or timestamps outside int64, and user-defined
-aggregate functions returning non-integers.  When such a value first
-appears the whole group *demotes* to the old ``{fid: FeatureStat}`` dict
-(``_legacy``) and keeps the original semantics verbatim; kernels treat a
-demoted group as unvectorizable, exactly like the old out-of-int64
-delegation path.  Demotion checks happen before any column mutation, so
-a demoting operation replays cleanly against the materialised dict.
-
 This module is imported by ``core`` proper, so it must stay numpy-free
 (``tools/check_numpy_isolation.py`` enforces the isolation); everything
 is stdlib ``array`` + buffer protocol.
@@ -45,18 +43,13 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, Sequence
 
-from .feature import INT64_MAX, INT64_MIN, FeatureStat, clamp_int64
+from .feature import FeatureStat, clamp_int64
 
-#: Typecode of every column: signed 64-bit (matches the paper's C++ structs).
+#: Typecode of every column but ``fids``: signed 64-bit (matches the
+#: paper's C++ structs).
 INT64_TYPECODE = "q"
-
-
-class _Demote(Exception):
-    """Internal: a value cannot live in int64 columns; retry in dict mode."""
-
-
-def _fits_int64(value: int) -> bool:
-    return INT64_MIN <= value <= INT64_MAX
+#: Typecode of the fid column: unsigned 64-bit.
+FID_TYPECODE = "Q"
 
 
 def new_stat(fid, counts, last_timestamp_ms, fid_index) -> FeatureStat:
@@ -70,50 +63,32 @@ def new_stat(fid, counts, last_timestamp_ms, fid_index) -> FeatureStat:
 
 
 class ColumnGroup:
-    """One ``(slot, type)`` group of features as parallel int64 columns."""
+    """One ``(slot, type)`` group of features as parallel 64-bit columns."""
 
-    __slots__ = (
-        "stride",
-        "fids",
-        "ts",
-        "counts",
-        "widths",
-        "fid_index",
-        "_index",
-        "_legacy",
-    )
+    __slots__ = ("stride", "fids", "ts", "counts", "widths", "fid_index", "_index")
 
     def __init__(self) -> None:
         self.stride = 0
-        self.fids = array(INT64_TYPECODE)
+        self.fids = array(FID_TYPECODE)
         self.ts = array(INT64_TYPECODE)
         self.counts = array(INT64_TYPECODE)
         self.widths: array | None = None
         self.fid_index: array | None = None
-        #: fid -> row position (columnar mode only).
+        #: fid -> row position.
         self._index: dict[int, int] = {}
-        #: ``None`` in columnar mode; the old dict representation after
-        #: demotion.
-        self._legacy: dict[int, FeatureStat] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def is_columnar(self) -> bool:
-        return self._legacy is None
-
     def __len__(self) -> int:
-        if self._legacy is not None:
-            return len(self._legacy)
         return len(self.fids)
 
     def is_empty(self) -> bool:
         return len(self) == 0
 
     def row_width(self, row: int) -> int:
-        """Native (unpadded) width of one columnar row."""
+        """Native (unpadded) width of one row."""
         if self.widths is not None:
             return self.widths[row]
         return self.stride
@@ -128,84 +103,51 @@ class ColumnGroup:
         Returns a freshly materialised stat reflecting the merged state
         (mutating it does not write back — the columns are primary).
         """
-        if self._legacy is not None:
-            return self._legacy_add(fid, counts, timestamp_ms, aggregate)
         # Mirror FeatureStat.__init__ / merge_counts int coercion so bad
         # inputs raise the same errors they always did.
         values = [int(count) for count in counts]
-        try:
-            return self._columnar_add(fid, values, timestamp_ms, aggregate)
-        except _Demote:
-            self._demote()
-            return self._legacy_add(fid, counts, timestamp_ms, aggregate)
-
-    def _columnar_add(
-        self, fid: int, values: list, timestamp_ms: int, aggregate
-    ) -> FeatureStat:
-        if not _fits_int64(fid) or not _fits_int64(timestamp_ms):
-            raise _Demote
         row = self._index.get(fid)
         if row is None:
             clamped = [clamp_int64(value) for value in values]
             self._append_row(fid, clamped, timestamp_ms, -1)
             return new_stat(fid, list(clamped), timestamp_ms, -1)
-        return self._merge_row(row, values, timestamp_ms, aggregate, coerce=False)
-
-    def _legacy_add(self, fid, counts, timestamp_ms, aggregate) -> FeatureStat:
-        assert self._legacy is not None
-        stat = self._legacy.get(fid)
-        if stat is None:
-            stat = FeatureStat(fid, counts, timestamp_ms)
-            self._legacy[fid] = stat
-        else:
-            stat.merge_counts(counts, aggregate, timestamp_ms)
-        return stat
+        return self._merge_row(row, values, timestamp_ms, aggregate)
 
     def _merge_row(
-        self, row: int, values: list, timestamp_ms: int, aggregate, coerce: bool
+        self, row: int, values: list, timestamp_ms: int, aggregate
     ) -> FeatureStat:
         """Positionwise aggregate into one row — ``merge_counts`` exactly.
 
-        ``coerce`` applies ``merge_counts``'s ``int(other)`` conversion
-        (write/merge paths); copied-in rows from another group skip it.
-        Raises :class:`_Demote` before mutating anything if the aggregate
-        produces a value int64 columns cannot hold.
+        Every aggregate result is taken through ``int()`` and clamped
+        before anything is written, so a failing aggregate leaves the row
+        as it was.
         """
-        if not _fits_int64(timestamp_ms):
-            raise _Demote
         width = self.row_width(row)
         incoming = len(values)
         overlap = min(width, incoming)
         base = row * self.stride
         counts = self.counts
         merged = [
-            clamp_int64(
-                aggregate(counts[base + i], int(values[i]) if coerce else values[i])
-            )
+            clamp_int64(int(aggregate(counts[base + i], values[i])))
             for i in range(overlap)
         ]
         if incoming > width:
             merged.extend(
-                clamp_int64(aggregate(0, int(value) if coerce else value))
+                clamp_int64(int(aggregate(0, value)))
                 for value in values[overlap:]
             )
         elif width > overlap:
             merged.extend(
-                clamp_int64(aggregate(counts[base + i], 0))
+                clamp_int64(int(aggregate(counts[base + i], 0)))
                 for i in range(overlap, width)
             )
         new_width = max(width, incoming)
-        try:
-            probe = array(INT64_TYPECODE, merged)
-        except (TypeError, OverflowError):
-            raise _Demote from None  # e.g. a UDAF returned a float
-        # Validation done — commit (no failure paths below).
         if new_width > self.stride:
             self._grow_stride(new_width)
             base = row * self.stride
         if new_width != width:
             self._set_row_width(row, new_width)
-        self.counts[base : base + new_width] = probe
+        self.counts[base : base + new_width] = array(INT64_TYPECODE, merged)
         if timestamp_ms > self.ts[row]:
             self.ts[row] = timestamp_ms
         fid_index = self.fid_index[row] if self.fid_index is not None else -1
@@ -214,14 +156,10 @@ class ColumnGroup:
     def _append_row(
         self, fid: int, values: Sequence[int], timestamp_ms: int, fid_index: int
     ) -> None:
-        """Append one validated row (caller guarantees int64-safe values)."""
+        """Append one row.  The caller guarantees the values fit their
+        columns (``check_write`` on the write path, the decoder's checks)."""
         width = len(values)
-        try:
-            probe = array(INT64_TYPECODE, values)
-        except (TypeError, OverflowError):
-            raise _Demote from None
-        if not _fits_int64(fid) or not _fits_int64(timestamp_ms):
-            raise _Demote
+        probe = array(INT64_TYPECODE, values)
         if width > self.stride:
             self._grow_stride(width)
         row = len(self.fids)
@@ -266,87 +204,31 @@ class ColumnGroup:
             )
         self.widths[row] = width
 
-    def _demote(self) -> None:
-        """Switch to the legacy dict representation, preserving order."""
-        legacy: dict[int, FeatureStat] = {}
-        for stat in self._iter_columnar_stats():
-            legacy[stat.fid] = stat
-        self._legacy = legacy
-        self.stride = 0
-        self.fids = array(INT64_TYPECODE)
-        self.ts = array(INT64_TYPECODE)
-        self.counts = array(INT64_TYPECODE)
-        self.widths = None
-        self.fid_index = None
-        self._index = {}
-
     # ------------------------------------------------------------------
     # Merging (compaction)
     # ------------------------------------------------------------------
 
     def merge_from(self, other: "ColumnGroup", aggregate) -> None:
         """Fold another group into this one, source order, old semantics."""
-        if other._legacy is not None:
-            for stat in other._legacy.values():
-                self.merge_stat(stat, aggregate)
-            return
-        n_rows = len(other.fids)
-        for row in range(n_rows):
+        for row, fid in enumerate(other.fids):
             base = row * other.stride
-            width = other.row_width(row)
-            values = other.counts[base : base + width].tolist()
-            fid_index = (
-                other.fid_index[row] if other.fid_index is not None else -1
-            )
-            self._merge_values(
-                other.fids[row], values, other.ts[row], fid_index, aggregate
-            )
-
-    def merge_stat(self, stat: FeatureStat, aggregate) -> None:
-        """Fold one external stat into this group (``merge_from`` unit)."""
-        self._merge_values(
-            stat.fid, stat.counts, stat.last_timestamp_ms, stat.fid_index,
-            aggregate,
-        )
-
-    def _merge_values(self, fid, values, timestamp_ms, fid_index, aggregate):
-        if self._legacy is not None:
-            self._legacy_merge_values(
-                fid, values, timestamp_ms, fid_index, aggregate
-            )
-            return
-        try:
-            row = self._index.get(fid) if _fits_int64(fid) else None
-            if row is not None:
-                # merge_counts semantics (with its int() coercion).
-                self._merge_row(row, values, timestamp_ms, aggregate, coerce=True)
+            values = other.counts[base : base + other.row_width(row)].tolist()
+            mine = self._index.get(fid)
+            if mine is not None:
+                self._merge_row(mine, values, other.ts[row], aggregate)
             else:
-                if not _fits_int64(fid):
-                    raise _Demote
-                # New fid: a straight copy, exactly like ``stat.copy()`` —
-                # values pass through without re-clamping.
-                self._append_row(fid, list(values), timestamp_ms, fid_index)
-        except _Demote:
-            self._demote()
-            self._legacy_merge_values(
-                fid, values, timestamp_ms, fid_index, aggregate
-            )
-
-    def _legacy_merge_values(self, fid, values, timestamp_ms, fid_index, agg):
-        assert self._legacy is not None
-        existing = self._legacy.get(fid)
-        if existing is None:
-            self._legacy[fid] = new_stat(
-                fid, list(values), timestamp_ms, fid_index
-            )
-        else:
-            existing.merge_counts(values, agg, timestamp_ms)
+                # New fid: a straight copy, exactly like ``stat.copy()``.
+                fid_index = (
+                    other.fid_index[row] if other.fid_index is not None else -1
+                )
+                self._append_row(fid, values, other.ts[row], fid_index)
 
     # ------------------------------------------------------------------
     # FeatureStat views (materialise on demand)
     # ------------------------------------------------------------------
 
-    def _iter_columnar_stats(self) -> Iterator[FeatureStat]:
+    def iter_stats(self) -> Iterator[FeatureStat]:
+        """Yield a fresh :class:`FeatureStat` per feature, insertion order."""
         stride = self.stride
         counts = self.counts
         widths = self.widths
@@ -362,23 +244,10 @@ class ColumnGroup:
                 fid_index[row] if fid_index is not None else -1,
             )
 
-    def iter_stats(self) -> Iterator[FeatureStat]:
-        """Yield a fresh :class:`FeatureStat` per feature, insertion order.
-
-        In legacy mode the *live* stats are yielded (the dict is primary
-        there), matching the old representation's aliasing behaviour.
-        """
-        if self._legacy is not None:
-            yield from self._legacy.values()
-        else:
-            yield from self._iter_columnar_stats()
-
     def stats(self) -> list[FeatureStat]:
         return list(self.iter_stats())
 
     def get(self, fid: int) -> FeatureStat | None:
-        if self._legacy is not None:
-            return self._legacy.get(fid)
         row = self._index.get(fid)
         if row is None:
             return None
@@ -401,21 +270,15 @@ class ColumnGroup:
         by_fid: dict[int, FeatureStat] = {}
         for stat in stats:
             by_fid[stat.fid] = stat
-        self.__init__()  # reset to an empty columnar group
+        self.__init__()  # reset to an empty group
         ordered = list(by_fid.values())
         if not ordered:
             return
-        try:
-            self.stride = max(len(stat.counts) for stat in ordered)
-            for stat in ordered:
-                self._append_row(
-                    stat.fid, stat.counts, stat.last_timestamp_ms,
-                    stat.fid_index,
-                )
-        except _Demote:
-            self.__init__()
-            # Keep the caller's stat objects, like the old dict rebuild.
-            self._legacy = by_fid
+        self.stride = max(len(stat.counts) for stat in ordered)
+        for stat in ordered:
+            self._append_row(
+                stat.fid, stat.counts, stat.last_timestamp_ms, stat.fid_index
+            )
 
     @classmethod
     def from_stats(cls, stats: Iterable[FeatureStat]) -> "ColumnGroup":
@@ -465,15 +328,13 @@ class ColumnGroup:
     # ------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Accounting cost: 48 B group overhead + 8 B per int64 cell.
+        """Accounting cost: 48 B group overhead + 8 B per 64-bit cell.
 
         Computed from the *logical* shape (a ``widths`` array that has
         become all-native no longer costs anything), so two groups with
         identical contents account identically regardless of the
         mutation order that produced them.
         """
-        if self._legacy is not None:
-            return 48 + sum(stat.memory_bytes() for stat in self._legacy.values())
         n_rows = len(self.fids)
         total = 48 + n_rows * 8 * (2 + self.stride)
         if self.widths is not None and any(
@@ -488,13 +349,8 @@ class ColumnGroup:
 
     def copy(self) -> "ColumnGroup":
         duplicate = ColumnGroup()
-        if self._legacy is not None:
-            duplicate._legacy = {
-                fid: stat.copy() for fid, stat in self._legacy.items()
-            }
-            return duplicate
         duplicate.stride = self.stride
-        duplicate.fids = array(INT64_TYPECODE, self.fids)
+        duplicate.fids = array(FID_TYPECODE, self.fids)
         duplicate.ts = array(INT64_TYPECODE, self.ts)
         duplicate.counts = array(INT64_TYPECODE, self.counts)
         duplicate.widths = (
@@ -509,5 +365,4 @@ class ColumnGroup:
         return duplicate
 
     def __repr__(self) -> str:
-        mode = "legacy" if self._legacy is not None else "columnar"
-        return f"ColumnGroup({mode}, rows={len(self)}, stride={self.stride})"
+        return f"ColumnGroup(rows={len(self)}, stride={self.stride})"

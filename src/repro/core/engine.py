@@ -25,7 +25,7 @@ from .decay import DecayFn, get_decay
 from .profile import ProfileData
 from .query import FeatureResult, FilterFn, QueryEngine, QueryStats, SortType
 from .shrink import Shrinker, ShrinkStats
-from .table import ProfileTable
+from .table import ProfileTable, check_write
 from .timerange import TimeRange
 from .truncate import TruncateStats, truncate_profile
 
@@ -100,15 +100,9 @@ class ProfileEngine:
         counts: Sequence[int] | dict[str, int],
     ) -> None:
         """``add_profile``: append one feature observation."""
+        vector = self._check_write(profile_id, timestamp_ms, fid, counts)
         profile = self.table.get_or_create(profile_id)
-        profile.add(
-            timestamp_ms,
-            slot,
-            type_id,
-            fid,
-            self._normalize_counts(counts),
-            self.table.aggregate,
-        )
+        profile.add(timestamp_ms, slot, type_id, fid, vector, self.table.aggregate)
         self._mark_for_maintenance(profile)
         self._notify_mutation(profile_id)
 
@@ -126,18 +120,30 @@ class ProfileEngine:
             raise ValueError(
                 f"fids and counts must align: {len(fids)} vs {len(counts_list)}"
             )
+        vectors = [
+            self._check_write(profile_id, timestamp_ms, fid, counts)
+            for fid, counts in zip(fids, counts_list)
+        ]
         profile = self.table.get_or_create(profile_id)
-        for fid, counts in zip(fids, counts_list):
+        for fid, vector in zip(fids, vectors):
             profile.add(
-                timestamp_ms,
-                slot,
-                type_id,
-                fid,
-                self._normalize_counts(counts),
-                self.table.aggregate,
+                timestamp_ms, slot, type_id, fid, vector, self.table.aggregate
             )
         self._mark_for_maintenance(profile)
         self._notify_mutation(profile_id)
+
+    def _check_write(
+        self,
+        profile_id: int,
+        timestamp_ms: int,
+        fid: int,
+        counts: Sequence[int] | dict[str, int],
+    ) -> Sequence[int]:
+        """The write path's one check (:func:`~repro.core.table.check_write`
+        and the schema), run before anything records the write; returns
+        the schema-aligned count vector."""
+        check_write(profile_id, timestamp_ms, fid)
+        return self._normalize_counts(counts)
 
     def _normalize_counts(
         self, counts: Sequence[int] | dict[str, int]

@@ -28,7 +28,7 @@ class FeatureStat:
     """Count vector and bookkeeping for one feature id.
 
     Attributes:
-        fid: the 64-bit feature id (hashed literal in production).
+        fid: the unsigned 64-bit feature id (hashed literal in production).
         counts: mutable list of int64 counters aligned to the table schema.
         last_timestamp_ms: timestamp of the most recent contributing action,
             used by RELATIVE time ranges, timestamp sorting and the shrink
@@ -67,22 +67,24 @@ class FeatureStat:
         applies on reads.  Under SUM this matches the historical
         keep-the-tail behaviour; under MIN/MAX/LAST the absent side now
         participates as an explicit zero instead of being silently skipped.
-        The merged vector always has ``max(len(self), len(other))`` entries.
+        The merged vector always has ``max(len(self), len(other))`` entries,
+        and every aggregate result is taken through ``int()`` before it is
+        clamped, as the count columns take it.
         """
         overlap = min(len(self.counts), len(other_counts))
         for index in range(overlap):
             self.counts[index] = clamp_int64(
-                aggregate(self.counts[index], int(other_counts[index]))
+                int(aggregate(self.counts[index], int(other_counts[index])))
             )
         if len(other_counts) > len(self.counts):
             self.counts.extend(
-                clamp_int64(aggregate(0, int(count)))
+                clamp_int64(int(aggregate(0, int(count))))
                 for count in other_counts[overlap:]
             )
         elif len(self.counts) > overlap:
             for index in range(overlap, len(self.counts)):
                 self.counts[index] = clamp_int64(
-                    aggregate(self.counts[index], 0)
+                    int(aggregate(self.counts[index], 0))
                 )
         if other_timestamp_ms > self.last_timestamp_ms:
             self.last_timestamp_ms = other_timestamp_ms

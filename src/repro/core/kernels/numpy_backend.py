@@ -1,4 +1,4 @@
-"""Columnar kernel backend: flat int64 arrays instead of per-stat folds.
+"""Columnar kernel backend: flat 64-bit arrays instead of per-stat folds.
 
 The three hot loops become array programs:
 
@@ -30,8 +30,12 @@ whole query to :class:`PythonBackend` instead:
   (``rows * max|count| >= 2**63`` — the reference clamps per fold);
 * decay scaling where counts reach 2**53 (float64 rounding edges);
 * total-based sort keys whose row sums could overflow int64;
-* fids outside int64 (or exactly INT64_MIN, which cannot be negated);
 * user-defined aggregate functions (only SUM/MAX/MIN/LAST vectorise).
+
+Fids are uint64 from the column to the result (``~fids`` is the
+descending tie-break key).  They are only sorted, compared and indexed,
+never mixed into int64 arithmetic, which numpy would carry out in
+float64.
 
 Everything outside ``repro.core.kernels`` must stay numpy-free — a lint
 (``tools/check_numpy_isolation.py``) enforces the isolation.
@@ -46,7 +50,7 @@ import numpy as np
 
 from ..aggregate import AggregateFn
 from ..columnar import new_stat
-from ..feature import INT64_MIN, FeatureStat
+from ..feature import FeatureStat
 from .base import KernelBackend, SortSpec, aggregate_name
 from .python_backend import PythonBackend
 
@@ -55,15 +59,11 @@ _FLOAT_EXACT_BOUND = 2**53
 #: int64 overflow bound for summation guards.
 _INT64_BOUND = 2**63
 
-# C-speed field extractors for the bulk gather (map + list.extend).
+# C-speed field extractors for the compaction gather (map + list.extend).
 _GET_FID = attrgetter("fid")
 _GET_COUNTS = attrgetter("counts")
 _GET_TS = attrgetter("last_timestamp_ms")
 _GET_FID_INDEX = attrgetter("fid_index")
-
-#: ``Slice.kernel_cache`` sentinel: this (slot, type) group cannot be
-#: vectorised (e.g. a fid outside int64) — delegate to the reference.
-_UNVECTORIZABLE = False
 
 
 def _max_abs(matrix: np.ndarray) -> int:
@@ -86,7 +86,7 @@ class _Columns:
     __slots__ = ("fids", "matrix", "ts", "_widths", "_fid_index", "uniform")
 
     def __init__(self, fids, matrix, ts, widths, fid_index, uniform) -> None:
-        self.fids = fids          # (n,) int64
+        self.fids = fids          # (n,) uint64
         self.matrix = matrix      # (n, W) int64, short rows zero-padded
         self.ts = ts              # (n,) int64
         self._widths = widths     # (n,) int64 native row widths, or None
@@ -116,8 +116,8 @@ class _Columns:
         return self.matrix.shape[1]
 
 
-def _snapshot(column) -> np.ndarray:
-    """A private int64 copy of one ``array('q')`` column.
+def _snapshot(column, dtype=np.int64) -> np.ndarray:
+    """A private copy of one ``array`` column (``'q'``, or ``'Q'`` fids).
 
     ``array.tobytes()`` is one C call under the GIL and no buffer export
     outlives it, so a concurrent writer can always resize the column.
@@ -130,23 +130,21 @@ def _snapshot(column) -> np.ndarray:
     every e2e workload and, through the heap layout they leave, a
     256-profile batch 1 ms slower in ``bench_kernels``.
     """
-    return np.frombuffer(column.tobytes(), dtype=np.int64).copy()
+    return np.frombuffer(column.tobytes(), dtype=dtype).copy()
 
 
 def _columns_from_group(group):
-    """Wrap a columnar :class:`~repro.core.columnar.ColumnGroup` directly.
+    """Wrap a :class:`~repro.core.columnar.ColumnGroup` directly.
 
-    The primary representation already is flat int64 — no per-stat gather
-    happens here, just a :func:`_snapshot` of each column, which never
-    blocks a concurrent writer.
+    The primary representation already is flat 64-bit columns — no
+    per-stat gather happens here, just a :func:`_snapshot` of each
+    column, which never blocks a concurrent writer.
     """
     n_rows = len(group)
     if not n_rows:
         return None
     stride = group.stride
-    fid_arr = _snapshot(group.fids)
-    if int(fid_arr.min()) == INT64_MIN:
-        return _UNVECTORIZABLE  # -fid sort key not representable.
+    fid_arr = _snapshot(group.fids, np.uint64)
     matrix = (
         _snapshot(group.counts).reshape(n_rows, stride)
         if stride
@@ -166,45 +164,32 @@ def _columns_from_group(group):
 
 
 def _columns_from_lists(fids, rows, ts, fid_index):
-    """Convert gathered Python lists into :class:`_Columns`.
-
-    Returns ``None`` for an empty block and ``_UNVECTORIZABLE`` when a
-    value does not fit int64 (counts are pre-clamped, so in practice
-    only fids can trip this) or a fid is exactly INT64_MIN (its ``-fid``
-    sort key would not be representable).
-    """
+    """Convert gathered (non-empty) Python lists into :class:`_Columns`."""
     n_rows = len(fids)
-    if not n_rows:
-        return None
-    try:
-        fid_arr = np.fromiter(fids, dtype=np.int64, count=n_rows)
-        width_arr = np.fromiter(map(len, rows), dtype=np.int64, count=n_rows)
-        max_width = int(width_arr.max())
-        uniform = int(width_arr.min()) == max_width
-        if uniform:
-            # Uniform widths: one C pass over a chained iterator beats
-            # np.array's list-of-lists walk by a wide margin.
-            matrix = np.fromiter(
-                chain.from_iterable(rows),
-                dtype=np.int64,
-                count=n_rows * max_width,
-            ).reshape(n_rows, max_width)
-        else:
-            matrix = np.array(
-                [
-                    list(row) + [0] * (max_width - len(row))
-                    if len(row) < max_width
-                    else row
-                    for row in rows
-                ],
-                dtype=np.int64,
-            )
-        ts_arr = np.fromiter(ts, dtype=np.int64, count=n_rows)
-        fid_index_arr = np.fromiter(fid_index, dtype=np.int64, count=n_rows)
-    except (OverflowError, ValueError):
-        return _UNVECTORIZABLE
-    if int(fid_arr.min()) == INT64_MIN:
-        return _UNVECTORIZABLE
+    fid_arr = np.fromiter(fids, dtype=np.uint64, count=n_rows)
+    width_arr = np.fromiter(map(len, rows), dtype=np.int64, count=n_rows)
+    max_width = int(width_arr.max())
+    uniform = int(width_arr.min()) == max_width
+    if uniform:
+        # Uniform widths: one C pass over a chained iterator beats
+        # np.array's list-of-lists walk by a wide margin.
+        matrix = np.fromiter(
+            chain.from_iterable(rows),
+            dtype=np.int64,
+            count=n_rows * max_width,
+        ).reshape(n_rows, max_width)
+    else:
+        matrix = np.array(
+            [
+                list(row) + [0] * (max_width - len(row))
+                if len(row) < max_width
+                else row
+                for row in rows
+            ],
+            dtype=np.int64,
+        )
+    ts_arr = np.fromiter(ts, dtype=np.int64, count=n_rows)
+    fid_index_arr = np.fromiter(fid_index, dtype=np.int64, count=n_rows)
     return _Columns(fid_arr, matrix, ts_arr, width_arr, fid_index_arr, uniform)
 
 
@@ -256,7 +241,7 @@ class _Merged:
     __slots__ = ("fids", "counts", "ts", "widths", "first_row", "pids")
 
     def __init__(self, fids, counts, ts, widths, first_row, pids) -> None:
-        self.fids = fids          # (n,) int64, ascending within a profile
+        self.fids = fids          # (n,) uint64, ascending within a profile
         self.counts = counts      # (n, W) int64
         self.ts = ts              # (n,) int64 max contributor timestamp
         self.widths = widths      # (n,) int64 max width; None = all W wide
@@ -307,30 +292,12 @@ class NumpyBackend(KernelBackend):
             return cache[key]
         except KeyError:
             pass
-        blocks: list[_Columns] = []
-        columns = None
-        for group in profile_slice.column_groups(slot, type_id):
-            if group.is_columnar:
-                block = _columns_from_group(group)
-            else:
-                # Demoted (legacy dict) group: per-stat gather, which also
-                # flags anything that does not fit int64.
-                stats_list = group.stats()
-                block = _columns_from_lists(
-                    list(map(_GET_FID, stats_list)),
-                    list(map(_GET_COUNTS, stats_list)),
-                    list(map(_GET_TS, stats_list)),
-                    list(map(_GET_FID_INDEX, stats_list)),
-                )
-            if block is _UNVECTORIZABLE:
-                blocks = None
-                columns = _UNVECTORIZABLE
-                break
-            if block is not None:
-                blocks.append(block)
-        if blocks is not None:
-            columns = self._combine(blocks)
-        cache[key] = columns
+        blocks = [
+            block
+            for group in profile_slice.column_groups(slot, type_id)
+            if (block := _columns_from_group(group)) is not None
+        ]
+        columns = cache[key] = self._combine(blocks)
         return columns
 
     def _profile_gather(self, profile, slot, type_id, window, keep):
@@ -342,8 +309,7 @@ class NumpyBackend(KernelBackend):
         the window's rows, which a multi-get earns back (its numpy-call
         count stays constant in the batch size) and a profile read alone
         does not — storing on point reads measured +10 KB of RSS per
-        192-row profile.  Returns ``None`` when some row cannot be
-        vectorised.
+        192-row profile.
         """
         key = (slot, type_id, window.start_ms, window.end_ms)
         cache = profile.kernel_cache
@@ -375,8 +341,6 @@ class NumpyBackend(KernelBackend):
             window.start_ms, window.end_ms
         ):
             columns = self._slice_columns(profile_slice, slot, type_id)
-            if columns is _UNVECTORIZABLE:
-                return None
             slice_list.append(profile_slice)
             entry_list.append(columns)
             if columns is not None:
@@ -402,8 +366,6 @@ class NumpyBackend(KernelBackend):
         walks the slices so that each block keeps its weight.
         ``windows[i] is None`` (the range resolved to nothing) scans no
         slice and contributes no row.
-
-        Returns ``None`` when some profile cannot be vectorised.
         """
         blocks: list[_Columns] = []
         block_pids: list[int] = []
@@ -418,8 +380,6 @@ class NumpyBackend(KernelBackend):
                 memo = self._profile_gather(
                     profile, slot, type_id, window, len(profiles) > 1
                 )
-                if memo is None:
-                    return None
                 scanned[index] = len(memo.slices)
                 weighted = ((memo.columns, 1.0),)
             else:
@@ -433,8 +393,6 @@ class NumpyBackend(KernelBackend):
                         weighted.append((columns, weight))
             first = total
             for columns, weight in weighted:
-                if columns is _UNVECTORIZABLE:
-                    return None
                 if columns is None:
                     continue
                 blocks.append(columns)
@@ -610,7 +568,7 @@ class NumpyBackend(KernelBackend):
                 keys = (merged.ts, totals)
         if merged.pids is not None:
             keys += (merged.pids,)
-        return np.lexsort((-merged.fids,) + keys)
+        return np.lexsort((~merged.fids,) + keys)
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -734,7 +692,7 @@ class NumpyBackend(KernelBackend):
                 return self._finish(
                     gathered, merged, ascending, k, descending, stats_list
                 )
-        # A UDAF, an unvectorisable row or a tripped exactness guard.
+        # A UDAF or a tripped exactness guard.
         # Profile by profile, so that one overflow-prone profile does not
         # drag a whole multi-get onto the reference loop; a one-profile
         # batch that still cannot vectorise is the reference's.
@@ -901,9 +859,7 @@ class NumpyBackend(KernelBackend):
             ts.extend(map(_GET_TS, stats_list))
             fid_index.extend(map(_GET_FID_INDEX, stats_list))
         columns = _columns_from_lists(fids, rows, ts, fid_index)
-        merged = None
-        if columns is not _UNVECTORIZABLE:
-            merged = self._reduce(columns, (), None, agg, True)
+        merged = self._reduce(columns, (), None, agg, True)
         if merged is None:
             # Exactness guard: reference per-stat fold for this group only.
             by_fid = {stat.fid: stat for stat in target_stats}

@@ -11,7 +11,7 @@ The merge, decay scaling and top-K cut are the hot path.  They live behind
 the pluggable kernel layer in :mod:`repro.core.kernels`: the ``python``
 reference backend folds per-slice hash maps one stat at a time and cuts
 with ``heapq``; the ``numpy`` backend runs the same three loops column-wise
-over flat int64 arrays.  Both produce byte-identical results (enforced by
+over flat 64-bit arrays.  Both produce byte-identical results (enforced by
 the differential oracle in ``tests/test_kernel_oracle.py``); this module
 owns validation, window resolution and sort-spec building only.
 """
@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 from ..config import TableConfig
 from ..errors import InvalidQueryError
 from .aggregate import AggregateFn
+from .columnar import FID_TYPECODE
 from .decay import DECAYS, DecayFn
 from .feature import FeatureStat
 from .profile import ProfileData
@@ -88,26 +89,19 @@ def rows_from_columns(
     return list(map(_new_result, zip(fids, counts, timestamps)))
 
 
-def int64_segment(values) -> bytes | tuple:
-    """``values`` as little-endian int64 bytes, or as a tuple when they do not fit.
-
-    A tuple (a fid past int64, a non-integer count) unpacks exactly in
-    process; the wire sends it through its varint fallback, or refuses it.
-    """
-    try:
-        column = array("q", values)
-    except (OverflowError, TypeError):
-        return tuple(values)
+def pack_segment(values, typecode: str = "q") -> bytes:
+    """``values`` as little-endian 64-bit bytes: int64, or ``'Q'`` (uint64)."""
+    column = array(typecode, values)
     if sys.byteorder == "big":  # pragma: no cover - exercised only on BE hardware
         column.byteswap()
     return column.tobytes()
 
 
-def segment_values(segment: bytes | tuple) -> list:
-    """The values of an :func:`int64_segment`."""
+def segment_values(segment: bytes | tuple, typecode: str = "q") -> list:
+    """The values of a :func:`pack_segment`, or of a tuple of values."""
     if type(segment) is not bytes:
         return list(segment)
-    column = array("q")
+    column = array(typecode)
     column.frombytes(segment)
     if sys.byteorder == "big":  # pragma: no cover - exercised only on BE hardware
         column.byteswap()
@@ -118,9 +112,9 @@ def segment_values(segment: bytes | tuple) -> list:
 class PackedRows:
     """A query result in the form the wire sends it.
 
-    The rows' fids, timestamps and flattened counts as three int64
-    segments (:func:`int64_segment`), plus the row count and either the
-    one width every row shares or a tuple of per-row widths.  A node
+    The rows' fids (uint64), timestamps and flattened counts (int64) as
+    three segments (:func:`pack_segment`), plus the row count and either
+    the one width every row shares or a tuple of per-row widths.  A node
     caches this on a miss, so a hit costs no per-value work: the wire
     joins the segments of a whole batch as they are
     (:mod:`repro.net.wire`).  Iterating it unpacks the rows, so
@@ -134,25 +128,26 @@ class PackedRows:
     counts: bytes | tuple
 
     @classmethod
-    def pack(
-        cls, rows: Sequence[FeatureResult], segment=int64_segment
-    ) -> "PackedRows":
-        """Pack ``rows``; ``segment=tuple`` keeps the columns as values."""
+    def pack(cls, rows: Sequence[FeatureResult], raw: bool = True) -> "PackedRows":
+        """Pack ``rows``; ``raw=False`` keeps the columns as tuples of values."""
         if not rows:
             return EMPTY_ROWS
         fids, counts, timestamps = zip(*rows)
         widths = tuple(map(len, counts))
         if widths.count(widths[0]) == len(widths):
             widths = widths[0]
-        return cls(
-            len(rows), widths, segment(fids), segment(timestamps),
-            segment(list(chain.from_iterable(counts))),
-        )
+        flat = tuple(chain.from_iterable(counts))
+        if raw:
+            fids = pack_segment(fids, FID_TYPECODE)
+            timestamps = pack_segment(timestamps)
+            flat = pack_segment(flat)
+        return cls(len(rows), widths, fids, timestamps, flat)
 
     def __iter__(self):
         return iter(rows_from_columns(
-            segment_values(self.fids), segment_values(self.timestamps),
-            segment_values(self.counts), self.widths,
+            segment_values(self.fids, FID_TYPECODE),
+            segment_values(self.timestamps), segment_values(self.counts),
+            self.widths,
         ))
 
 

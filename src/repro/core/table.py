@@ -14,6 +14,7 @@ from typing import Iterator
 from ..config import TableConfig
 from ..errors import ProfileNotFoundError
 from .aggregate import AggregateFn, get_aggregate
+from .feature import INT64_MAX, INT64_MIN
 from .profile import ProfileData
 
 UINT64_MASK = 2**64 - 1
@@ -24,6 +25,19 @@ def check_profile_id(profile_id: int) -> int:
     if not 0 <= profile_id <= UINT64_MASK:
         raise ValueError(f"profile id out of uint64 range: {profile_id}")
     return profile_id
+
+
+def check_write(profile_id: int, timestamp_ms: int, fid: int) -> None:
+    """Refuse a write whose ids have no column to live in.
+
+    Run by the engine and the node before anything — the WAL, the write
+    table, a replica — sees the write: fids are uint64, timestamps int64.
+    """
+    check_profile_id(profile_id)
+    if not 0 <= fid <= UINT64_MASK:
+        raise ValueError(f"fid out of uint64 range: {fid}")
+    if not INT64_MIN <= timestamp_ms <= INT64_MAX:
+        raise ValueError(f"timestamp out of int64 range: {timestamp_ms}")
 
 
 class ProfileTable:

@@ -28,7 +28,6 @@ Read results and key lists travel as **columns**, not tagged rows::
     column  := code(1) zigzag(base) body         (length implied by context)
       code 0..3 := n × (value - base) as little-endian uint8/16/32/64
       code 4    := n × value as little-endian int64   (base 0)
-      code 5    := n × varint(value - base)      (range wider than 64 bits)
     rows    := n_rows [shape [widths:column] fids:column ts:column
                        counts:column]            (shape 0 = widths follow,
                                                   w + 1 = every row is w wide)
@@ -38,17 +37,18 @@ Read results and key lists travel as **columns**, not tagged rows::
 Key, status and length columns, and every list of plain ints, are
 frame-of-reference encoded: their minimum as the base, then every value
 minus it in the narrowest of the ``array`` typecodes ``B``/``H``/``I``/``Q``
-that holds the range.  The fid, timestamp and count columns of a rows
-block built from a node's cached :class:`~repro.core.query.PackedRows`
-are raw int64 (code 4): a batch of cache hits is encoded by one
-``b"".join`` per column, with no per-value work on the worker, for
-≈ 4× the bytes (a 32-key top-10 answer: ≈ 3 KB → ≈ 13 KB, which
-loopback and CRC32 carry in microseconds).  A materialised
-``list[FeatureResult]`` pays per-value work anyway, so its columns take
-FOR.  Decoding is one ``frombytes`` + ``tolist`` per column either way.
-A packed segment holding a value outside int64 (demoted column groups
-can hold such fids or timestamps) stays a tuple, and its column falls
-back to FOR, or to varints past 64 bits.  A ``list[FeatureResult]``
+that holds the range.  A column whose range passes 64 bits cannot be
+written: a rows block holding one fails with :class:`WireCodecError`,
+and such a list of plain ints is sent as a generic list instead.  The
+columns of a rows block built from a node's cached
+:class:`~repro.core.query.PackedRows` go out raw, with base 0: the fids
+as uint64 (code 3), the timestamps and counts as int64 (code 4).  A
+batch of cache hits is encoded by one ``b"".join`` per column, with no
+per-value work on the worker, for ≈ 4× the bytes (a 32-key top-10
+answer: ≈ 3 KB → ≈ 13 KB, which loopback and CRC32 carry in
+microseconds).  A materialised ``list[FeatureResult]`` pays per-value
+work anyway, so its columns take FOR.  Decoding is one ``frombytes`` +
+``tolist`` per column either way.  A ``list[FeatureResult]``
 (every point read) is one ``rows`` block; a ``dict[int,
 BatchKeyResult]`` keyed by each value's ``profile_id`` (every multi-get)
 is one ``batch`` block; a list of plain ``int`` (every multi-get's keys)
@@ -75,6 +75,7 @@ from operator import attrgetter, itemgetter
 from typing import Any
 
 from .. import errors as _errors
+from ..core.columnar import FID_TYPECODE
 from ..core.query import (
     FeatureResult,
     PackedRows,
@@ -323,10 +324,14 @@ def encode_value(out: bytearray, value: Any) -> None:
     elif isinstance(value, list):
         kinds = set(map(type, value))
         if kinds == {int}:
+            start = len(out)
             out.append(_T_INT_COLUMN)
             write_varint(out, len(value))
-            _write_column(out, value)
-            return
+            try:
+                _write_column(out, value)
+                return
+            except WireCodecError:  # a range past 64 bits: a plain list
+                del out[start:]
         if kinds == {FeatureResult}:
             out.append(_T_RESULT_ROWS)
             _write_rows(out, [_packed(value)])
@@ -380,19 +385,20 @@ def encode_value(out: bytearray, value: Any) -> None:
 # -- column blocks ----------------------------------------------------
 
 #: Frame-of-reference body codes index these typecodes (``q`` is never
-#: chosen for a range: it carries raw int64 segments, base 0); one past
-#: the last is the varint fallback.
+#: chosen for a range: it carries raw int64 segments, base 0).
 _COLUMN_TYPECODES = "BHIQq"
-_COLUMN_INT64 = _COLUMN_TYPECODES.index("q")
-_COLUMN_VARINT = len(_COLUMN_TYPECODES)
 #: Bytes needed for a column's ``max - min`` (0–8) → the narrowest code.
 _CODE_FOR_BYTES = tuple(
     next(code for code, typecode in enumerate(_COLUMN_TYPECODES)
          if array(typecode).itemsize >= nbytes)
     for nbytes in range(9)
 )
-#: A raw int64 column's header: its code, then ``zigzag(0)`` as its base.
-_INT64_HEADER = bytes([_COLUMN_INT64, 0])
+#: A raw column's header by typecode: its code, then ``zigzag(0)`` as its base.
+_RAW_HEADERS = {
+    typecode: bytes([code, 0]) for code, typecode in enumerate(_COLUMN_TYPECODES)
+}
+#: A rows block's columns, each with the typecode of its raw segments.
+_ROW_COLUMNS = (("fids", FID_TYPECODE), ("timestamps", "q"), ("counts", "q"))
 _n_rows = attrgetter("n_rows")
 _profile_id, _ok = itemgetter(0), itemgetter(1)
 
@@ -404,13 +410,11 @@ def _write_column(out: bytearray, values) -> None:
     try:
         low = min(values)
         nbytes = ((max(values) - low).bit_length() + 7) >> 3
-        code = _CODE_FOR_BYTES[nbytes] if nbytes <= 8 else _COLUMN_VARINT
+        if nbytes > 8:
+            raise WireCodecError("a column's range passes 64 bits")
+        code = _CODE_FOR_BYTES[nbytes]
         out.append(code)
         write_varint(out, zigzag_encode(low))
-        if code == _COLUMN_VARINT:
-            for value in values:
-                write_varint(out, value - low)
-            return
         column = array(
             _COLUMN_TYPECODES[code],
             [value - low for value in values] if low else values,
@@ -422,19 +426,21 @@ def _write_column(out: bytearray, values) -> None:
     out += column
 
 
-def _write_segments(out: bytearray, segments: list) -> None:
-    """Append one column made of int64 segments: joined as they are when
-    every segment is bytes, else through :func:`_write_column`."""
+def _write_segments(out: bytearray, segments: list, typecode: str) -> None:
+    """Append one column made of ``typecode`` segments: joined as they are
+    when every segment is bytes, else through :func:`_write_column`."""
     if set(map(type, segments)) == {bytes}:
         body = b"".join(segments)
         if body:
-            out += _INT64_HEADER
+            out += _RAW_HEADERS[typecode]
             out += body
         return
     if len(segments) == 1:  # a materialised list's values, as they are
         _write_column(out, segments[0])
     else:
-        _write_column(out, list(chain.from_iterable(map(segment_values, segments))))
+        _write_column(out, list(chain.from_iterable(
+            segment_values(segment, typecode) for segment in segments
+        )))
 
 
 def _read_column(data: bytes, pos: int, length: int) -> tuple[list[int], int]:
@@ -448,13 +454,7 @@ def _read_column(data: bytes, pos: int, length: int) -> tuple[list[int], int]:
     code = data[pos]
     low, pos = read_varint(data, pos + 1)
     low = zigzag_decode(low)
-    if code == _COLUMN_VARINT:
-        values = []
-        for _ in range(length):
-            value, pos = read_varint(data, pos)
-            values.append(value + low)
-        return values, pos
-    if code > _COLUMN_VARINT:
+    if code >= len(_COLUMN_TYPECODES):
         raise WireCodecError(f"unknown column typecode index {code}")
     column = array(_COLUMN_TYPECODES[code])
     end = pos + length * column.itemsize
@@ -479,7 +479,7 @@ def _packed(rows) -> PackedRows:
         return rows
     if not set(map(type, rows or ())) <= {FeatureResult}:
         raise WireCodecError("a batch key result holds a non-FeatureResult row")
-    return PackedRows.pack(rows or (), tuple)
+    return PackedRows.pack(rows or (), raw=False)
 
 
 def _write_rows(out: bytearray, blocks: list[PackedRows]) -> None:
@@ -505,8 +505,8 @@ def _write_rows(out: bytearray, blocks: list[PackedRows]) -> None:
     else:
         write_varint(out, 0)
         _write_column(out, widths)
-    for column in ("fids", "timestamps", "counts"):
-        _write_segments(out, list(map(attrgetter(column), blocks)))
+    for column, typecode in _ROW_COLUMNS:
+        _write_segments(out, list(map(attrgetter(column), blocks)), typecode)
 
 
 def _read_rows(

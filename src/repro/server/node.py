@@ -237,9 +237,11 @@ class IPSNode:
         once the record is committed under the WAL's sync mode.
         """
         with self.tracer.span("node.add_profile", profile=profile_id):
+            vector = self.engine._check_write(
+                profile_id, timestamp_ms, fid, counts
+            )
             self.quota.admit(caller)
             self.stats.writes += 1
-            vector = self.engine._normalize_counts(counts)
             if self.durability is not None:
                 self.durability.log_write(
                     profile_id, timestamp_ms, slot, type_id, fid, vector,
@@ -269,14 +271,13 @@ class IPSNode:
         with self.tracer.span(
             "node.add_profiles", profile=profile_id, fids=len(fids)
         ):
+            writes = [
+                (profile_id, timestamp_ms, slot, type_id, fid,
+                 self.engine._check_write(profile_id, timestamp_ms, fid, counts))
+                for fid, counts in zip(fids, counts_list)
+            ]
             self.quota.admit(caller)
-            writes = []
-            for fid, counts in zip(fids, counts_list):
-                vector = self.engine._normalize_counts(counts)
-                self.stats.writes += 1
-                writes.append(
-                    (profile_id, timestamp_ms, slot, type_id, fid, vector)
-                )
+            self.stats.writes += len(writes)
             if self.durability is not None:
                 # Appends buffer under group/manual sync; log_write_many
                 # issues the single ack barrier for the whole batch.

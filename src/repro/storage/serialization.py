@@ -8,8 +8,9 @@ nesting Profile → Slice → Slot → Type → FeatureStat compactly.
 Every slice body is **columnar**: it opens with :data:`SLICE_V2_MAGIC`,
 a varint far above any plausible ``start_ms`` (> 2**62).  Each
 ``(slot, type)`` section carries either zigzag-varint feature rows
-(small or demoted groups) or **raw little-endian int64 column dumps**
-taken straight off the primary arrays through ``memoryview`` — the
+(groups of fewer than :data:`RAW_COLUMN_MIN_ROWS` rows) or **raw
+little-endian 64-bit column dumps** taken straight off the primary
+arrays through ``memoryview`` — the
 zero-copy path: encoding touches no per-feature Python objects, and
 decoding rebuilds the arrays with one ``frombytes`` per column so cold
 reads skip the gather entirely.  The dict-era per-feature body (no
@@ -26,11 +27,13 @@ Wire layout (all integers are unsigned LEB128 varints):
   encoding 0 := n_features (zigzag(fid) zigzag(last_ts) n_counts
                 zigzag(count)*)*
   encoding 1 := n_rows stride flags [widths_raw] fids_raw ts_raw counts_raw
-                (raw = little-endian int64 dump; flags bit0 = has widths)
+                (raw = little-endian 64-bit dump: ``fids_raw`` uint64,
+                the others int64; flags bit0 = has widths)
 
 Counts use zigzag encoding since aggregate functions can in principle
 produce negative values.  The codec is symmetric and bounded: decoding
-validates lengths so corrupt blobs fail with
+validates lengths, and that every varint row's fid is uint64 and its
+timestamp int64, so corrupt blobs fail with
 :class:`~repro.errors.SerializationError` instead of producing garbage.
 """
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from ..core.columnar import INT64_TYPECODE, ColumnGroup
+from ..core.columnar import FID_TYPECODE, INT64_TYPECODE, ColumnGroup
 from ..core.feature import FeatureStat
 from ..core.instance_set import InstanceSet
 from ..core.profile import ProfileData
@@ -54,7 +57,7 @@ FORMAT_VERSION = 1
 #: timestamp, so such a body is recognised and refused, never misread.
 SLICE_V2_MAGIC = 0x4950_5332_434F_4C31  # "IPS2COL1"
 
-#: Column groups with at least this many rows use raw int64 column dumps
+#: Column groups with at least this many rows use raw 64-bit column dumps
 #: (one memcpy per column); smaller groups stay on zigzag varints, which
 #: are more compact for short rows.
 RAW_COLUMN_MIN_ROWS = 16
@@ -124,28 +127,29 @@ def zigzag_decode(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-def _extend_le_int64(out: bytearray, column: array) -> None:
+def _extend_le_column(out: bytearray, column: array) -> None:
     """Append a column's raw bytes little-endian (zero-copy on LE hosts)."""
     if _BIG_ENDIAN:  # pragma: no cover - exercised only on BE hardware
-        swapped = array(INT64_TYPECODE, column)
+        swapped = array(column.typecode, column)
         swapped.byteswap()
         out += memoryview(swapped).cast("B")
     else:
         out += memoryview(column).cast("B")
 
 
-def _read_le_int64(
-    data: memoryview, pos: int, count: int
+def _read_le_column(
+    data: memoryview, pos: int, count: int, typecode: str = INT64_TYPECODE
 ) -> tuple[array, int]:
-    """Read ``count`` little-endian int64s into a fresh column.
+    """Read ``count`` little-endian 64-bit values (``'q'`` or ``'Q'``)
+    into a fresh column.
 
     ``data`` is a view so the only copy is the one ``frombytes`` makes
     (slicing ``bytes`` first copies a large column twice).
     """
     nbytes = count * 8
     if pos + nbytes > len(data):
-        raise SerializationError("truncated raw int64 column")
-    column = array(INT64_TYPECODE)
+        raise SerializationError("truncated raw column")
+    column = array(typecode)
     column.frombytes(data[pos : pos + nbytes])
     if _BIG_ENDIAN:  # pragma: no cover - exercised only on BE hardware
         column.byteswap()
@@ -194,7 +198,7 @@ class ProfileCodec:
 
     @staticmethod
     def _write_group_v2(out: bytearray, group: ColumnGroup) -> None:
-        if group.is_columnar and len(group) >= RAW_COLUMN_MIN_ROWS:
+        if len(group) >= RAW_COLUMN_MIN_ROWS:
             write_varint(out, _ENC_RAW)
             n_rows = len(group)
             write_varint(out, n_rows)
@@ -204,10 +208,10 @@ class ProfileCodec:
                 widths = None  # canonical: uniform widths are implicit
             write_varint(out, 1 if widths is not None else 0)
             if widths is not None:
-                _extend_le_int64(out, widths)
-            _extend_le_int64(out, group.fids)
-            _extend_le_int64(out, group.ts)
-            _extend_le_int64(out, group.counts)
+                _extend_le_column(out, widths)
+            _extend_le_column(out, group.fids)
+            _extend_le_column(out, group.ts)
+            _extend_le_column(out, group.counts)
             return
         write_varint(out, _ENC_VARINT)
         stats = group.stats()
@@ -260,10 +264,10 @@ class ProfileCodec:
             raw = memoryview(data)
             widths = None
             if flags & 1:
-                widths, pos = _read_le_int64(raw, pos, n_rows)
-            fids, pos = _read_le_int64(raw, pos, n_rows)
-            ts, pos = _read_le_int64(raw, pos, n_rows)
-            counts, pos = _read_le_int64(raw, pos, n_rows * stride)
+                widths, pos = _read_le_column(raw, pos, n_rows)
+            fids, pos = _read_le_column(raw, pos, n_rows, FID_TYPECODE)
+            ts, pos = _read_le_column(raw, pos, n_rows)
+            counts, pos = _read_le_column(raw, pos, n_rows * stride)
             try:
                 group = ColumnGroup.from_columns(
                     stride, fids, ts, counts, widths
@@ -292,7 +296,12 @@ class ProfileCodec:
                     zigzag_decode(raw_fid), counts_list, zigzag_decode(raw_ts)
                 )
             )
-        return ColumnGroup.from_stats(features), pos
+        try:
+            return ColumnGroup.from_stats(features), pos
+        except OverflowError:
+            raise SerializationError(
+                "a varint row's fid is not uint64 or its timestamp not int64"
+            ) from None
 
     # -- whole profiles ---------------------------------------------------
 

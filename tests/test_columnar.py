@@ -2,7 +2,7 @@
 
 The differential oracles prove the *query* surface is byte-identical to
 the reference; this file covers the :class:`ColumnGroup` mechanics the
-oracles reach only indirectly — legacy demotion, stride growth, bulk
+oracles reach only indirectly — the uint64 fid domain, stride growth, bulk
 replacement, copy isolation, memory accounting — plus the profile-level
 batch-gather memo, whose identity revalidation must observe mutations
 made between two ``top_k_batch`` calls.
@@ -17,7 +17,7 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.config import TableConfig
 from repro.core.aggregate import get_aggregate
-from repro.core.columnar import INT64_TYPECODE, ColumnGroup
+from repro.core.columnar import FID_TYPECODE, INT64_TYPECODE, ColumnGroup
 from repro.core.engine import ProfileEngine, QueryEngine
 from repro.core.feature import INT64_MAX, FeatureStat
 from repro.core.profile import ProfileData
@@ -40,7 +40,7 @@ class TestColumnarMechanics:
         stat = group.get(7)
         assert stat.counts == [4, 6]
         assert stat.last_timestamp_ms == 100  # max, not last write
-        assert group.is_columnar
+        assert group.fids.typecode == FID_TYPECODE
 
     def test_stride_growth_pads_existing_rows(self):
         group = make_group([(1, [5], 10), (2, [1, 2, 3], 20)])
@@ -66,25 +66,35 @@ class TestColumnarMechanics:
         assert [stat.fid for stat in group.iter_stats()] == [1, 2]
 
 
-class TestDemotion:
-    def test_oversize_fid_demotes_and_preserves_rows(self):
+class TestUint64Domain:
+    def test_fids_past_int64_stay_columnar(self):
         group = make_group([(1, [1, 2], 10)])
         group.add(INT64_MAX + 1, [3], 20, SUM)
-        assert not group.is_columnar
+        group.add(2**64 - 1, [4], 30, SUM)
+        assert group.fids.typecode == FID_TYPECODE
+        assert group.fids.tolist() == [1, INT64_MAX + 1, 2**64 - 1]
         assert group.get(1).counts == [1, 2]
         assert group.get(INT64_MAX + 1).counts == [3]
-        # Further writes keep the old dict semantics.
         group.add(1, [1, 1], 30, SUM)
+        group.add(2**64 - 1, [1], 40, SUM)
         assert group.get(1).counts == [2, 3]
+        assert group.get(2**64 - 1).counts == [5]
+        assert [stat.fid for stat in group.iter_stats()] == [
+            1, INT64_MAX + 1, 2**64 - 1
+        ]
 
-    def test_float_udaf_demotes(self):
+    def test_float_udaf_result_is_coerced(self):
         def mean_ish(a, b):
             return (a + b) / 2
 
-        group = make_group([(5, [4], 10)])
-        group.add(5, [2], 20, mean_ish)
-        assert not group.is_columnar
-        assert group.get(5).counts == [3.0]
+        group = make_group([(5, [4, 1], 10)])
+        group.add(5, [3], 20, mean_ish)
+        reference = FeatureStat(5, [4, 1], 10)
+        reference.merge_counts([3], mean_ish, 20)
+        # (4 + 3) / 2 and (1 + 0) / 2, each through int(): 3 and 0.
+        assert group.get(5).counts == reference.counts == [3, 0]
+        assert all(type(count) is int for count in reference.counts)
+        assert group.counts.typecode == INT64_TYPECODE
 
 
 class TestCopyAndAccounting:
@@ -96,11 +106,13 @@ class TestCopyAndAccounting:
         assert original.get(1).counts == [1, 2]
         assert original.get(2) is None
 
-    def test_copy_isolation_legacy(self):
+    def test_copy_isolation_wide_fid(self):
         original = make_group([(INT64_MAX + 1, [1], 10)])
         duplicate = original.copy()
         duplicate.add(INT64_MAX + 1, [5], 20, SUM)
         assert original.get(INT64_MAX + 1).counts == [1]
+        assert duplicate.get(INT64_MAX + 1).counts == [6]
+        assert duplicate.fids.typecode == FID_TYPECODE
 
     def test_memory_accounting_ignores_mutation_order(self):
         # Same logical contents, one built wide-first, one narrow-first
@@ -111,14 +123,14 @@ class TestCopyAndAccounting:
         assert wide_first.memory_bytes() == narrow_first.memory_bytes()
 
     def test_from_columns_rejects_inconsistent_shapes(self):
-        fids = array(INT64_TYPECODE, [1, 2])
+        fids = array(FID_TYPECODE, [1, 2])
         ts = array(INT64_TYPECODE, [10, 20])
         counts = array(INT64_TYPECODE, [1, 2, 3, 4])
         with pytest.raises(ValueError):
             ColumnGroup.from_columns(2, fids, array(INT64_TYPECODE, [10]), counts, None)
         with pytest.raises(ValueError):
             ColumnGroup.from_columns(
-                2, array(INT64_TYPECODE, [1, 1]), ts, counts, None
+                2, array(FID_TYPECODE, [1, 1]), ts, counts, None
             )
         with pytest.raises(ValueError):
             ColumnGroup.from_columns(

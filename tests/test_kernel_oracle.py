@@ -3,7 +3,8 @@
 The columnar backend's contract is **byte-identical** results — not
 "close", not "same set, different order".  Every test here runs the same
 query against both backends on seeded corpora (zipf-skewed fids,
-schema-length mismatches, negative counts, int64-overflow sums) and
+schema-length mismatches, negative counts, int64-overflow sums,
+catalog-shaped 64-bit fids with tied scores) and
 asserts the full ``FeatureResult`` lists *and* the ``QueryStats`` agree
 exactly.  A teeth test proves the harness actually bites by checking it
 rejects a deliberately broken kernel.
@@ -111,8 +112,32 @@ def overflow_corpus(rng, aggregate, zipf=None):
     )
 
 
-CORPORA = [zipf_corpus, ragged_corpus, negative_corpus, overflow_corpus]
-CORPUS_IDS = ["zipf", "ragged", "negative", "overflow"]
+def wide_fid_corpus(rng, aggregate, zipf=None):
+    """Catalog-shaped fids: a small pool of uniform 64-bit values (about
+    half past int64) plus 0, 2**63 - 1, 2**63 and 2**64 - 1.  Counts and
+    timestamps come from tiny pools, so scores tie and the fid tie-break
+    decides the order."""
+    profile = ProfileData(1, write_granularity_ms=6 * MILLIS_PER_HOUR)
+    pool = [0, 2**63 - 1, 2**63, 2**64 - 1]
+    pool += [rng.getrandbits(64) for _ in range(8)]
+    offsets = [rng.randrange(SPAN) for _ in range(3)]
+    for _ in range(rng.randrange(40, 120)):
+        profile.add(
+            NOW - rng.choice(offsets),
+            rng.choice((1, 2)),
+            rng.choice((1, 2, 3)),
+            rng.choice(pool),
+            [rng.randrange(0, 3) for _ in ATTRIBUTES],
+            aggregate,
+        )
+    return profile
+
+
+CORPORA = [
+    zipf_corpus, ragged_corpus, negative_corpus, overflow_corpus,
+    wide_fid_corpus,
+]
+CORPUS_IDS = ["zipf", "ragged", "negative", "overflow", "wide_fid"]
 
 
 def random_time_range(rng) -> TimeRange:
@@ -271,6 +296,53 @@ class TestUdafDelegation:
                 )
 
             assert_backends_agree(config, clipped_sum, run)
+
+
+@requires_numpy
+class TestWideFidsVectorise:
+    def test_numpy_answers_without_delegating(self, config, rng, monkeypatch):
+        """Catalog-shaped fids run on the numpy kernels end to end: the
+        reference the backend would delegate to must never be called."""
+        backend = get_backend("numpy")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numpy backend delegated to the reference")
+
+        for name in ("run_topk_batch", "run_decay_batch", "run_filter"):
+            monkeypatch.setattr(backend._reference, name, refuse)
+        for aggregate_name in AGGREGATE_NAMES:
+            aggregate = get_aggregate(aggregate_name)
+            profiles = [wide_fid_corpus(rng, aggregate) for _ in range(3)]
+            time_range = TimeRange.current(SPAN)
+            for sort_type, extra in SORT_CASES:
+                def single(engine, i, stats):
+                    return engine.top_k(
+                        profiles[i], 1, None, time_range, sort_type, 20,
+                        now_ms=NOW, stats=stats, **extra,
+                    )
+
+                assert_batch_matches_singles(
+                    config, aggregate, single,
+                    lambda engine, stats_list: engine.top_k_batch(
+                        profiles, 1, None, time_range, sort_type, 20,
+                        now_ms=NOW, stats_list=stats_list, **extra,
+                    ),
+                    len(profiles), candidate="numpy",
+                )
+            assert_backends_agree(
+                config, aggregate,
+                lambda engine, stats: engine.decay(
+                    profiles[0], 2, None, time_range, exponential_decay,
+                    7 * MILLIS_PER_DAY, now_ms=NOW, k=20, stats=stats,
+                ),
+            )
+            assert_backends_agree(
+                config, aggregate,
+                lambda engine, stats: engine.filter(
+                    profiles[0], 1, None, time_range,
+                    lambda stat: stat.total() > 1, now_ms=NOW, stats=stats,
+                ),
+            )
 
 
 @requires_numpy

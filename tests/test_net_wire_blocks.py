@@ -7,8 +7,8 @@ guarantees, hypothesis-driven:
 1. **Round trip** — any ``list[FeatureResult]``, ``dict[int,
    BatchKeyResult]`` or int key list decodes back ``==`` to what was
    encoded, including failed keys, empty row lists, ragged widths,
-   uint64 pids, negative counts and values past int64 (the varint
-   fallback).
+   uint64 pids and fids, and negative counts; a list of ints whose range
+   passes 64 bits travels as a plain list.
 2. **Hostile frames fail typed and small** — a CRC-valid payload whose
    block lies about its own shape (row counts, widths, typecodes,
    lengths past the bytes left, or is cut short anywhere) raises
@@ -54,10 +54,10 @@ counts_st = st.lists(
 ).map(tuple)
 feature_results = st.builds(
     FeatureResult,
-    fid=st.one_of(st.integers(0, 1 << 40), st.integers(INT64, 1 << 70)),
+    fid=st.one_of(st.integers(0, 1 << 40), st.integers(INT64, UINT64 - 1)),
     counts=counts_st,
     last_timestamp_ms=st.one_of(
-        st.integers(0, 1 << 45), st.integers(-INT64, UINT64 - 1)
+        st.integers(0, 1 << 45), st.integers(-INT64, INT64 - 1)
     ),
 )
 row_lists = st.lists(feature_results, max_size=8)
@@ -113,7 +113,7 @@ class TestRoundTrip:
         assert decoded == results
         assert list(decoded) == list(results)
 
-    @given(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=1))
+    @given(st.lists(st.integers(-INT64, 1 << 70), min_size=1))
     def test_int_lists(self, values):
         assert roundtrip(values) == values
 
@@ -125,14 +125,22 @@ class TestRoundTrip:
             wire.encode_response(response)[wire.HEADER_SIZE:]
         ) == response
 
-    def test_values_past_int64_take_the_varint_fallback(self):
-        rows = [FeatureResult(0, (1,), 5), FeatureResult(1 << 70, (2,), 6)]
+    def test_uint64_fids_fit_and_wider_ranges_do_not(self):
+        rows = [FeatureResult(0, (1,), 5), FeatureResult(UINT64 - 1, (2,), 6)]
         out = bytearray()
         wire.encode_value(out, rows)
         # tag, n_rows, shape, then the fid column's code byte.
         assert out[0] == wire._T_RESULT_ROWS
-        assert out[3] == wire._COLUMN_VARINT
+        assert out[3] == wire._COLUMN_TYPECODES.index("Q")
         assert roundtrip(rows) == rows
+        wide = [-1, UINT64 - 1]  # a range of 2**64: no column holds it
+        out = bytearray()
+        wire.encode_value(out, wide)
+        assert out[0] == wire._T_LIST
+        assert roundtrip(wide) == wide
+        with pytest.raises(wire.WireCodecError):
+            roundtrip([FeatureResult(0, (1,), -1),
+                       FeatureResult(1, (1,), UINT64 - 1)])
 
     def test_narrowest_typecode_is_chosen(self):
         for span, itemsize in ((255, 1), (256, 2), (1 << 16, 4), (1 << 40, 8)):
@@ -302,7 +310,7 @@ class TestHostileFrames:
     @given(batches().filter(_with_ok_rows),
            st.sampled_from(["pids", "status", "rows_per_key", "widths",
                             "fids", "ts", "counts"]),
-           st.integers(wire._COLUMN_VARINT + 1, 255))
+           st.integers(len(wire._COLUMN_TYPECODES), 255))
     @settings(max_examples=60)
     def test_unknown_typecode_index(self, results, column, code):
         rows = [row for r in results.values() if r.ok for row in r.value]
@@ -324,7 +332,10 @@ class TestHostileFrames:
 
     @given(st.one_of(batches(max_size=4), st.lists(feature_results, max_size=5),
                      st.lists(profile_ids, min_size=1, max_size=8)))
-    @settings(max_examples=40)
+    # No deadline: every prefix is decoded under tracemalloc, so one
+    # example's run time grows with its payload, and a long one has
+    # overrun hypothesis's default 200 ms as a FlakyFailure.
+    @settings(max_examples=40, deadline=None)
     def test_every_proper_prefix(self, value):
         payload = response_payload(value)
         tracemalloc.start()

@@ -1,12 +1,13 @@
 """A cached answer is its wire form: packed rows in, the same values out.
 
 A node packs each key's result once, on the miss, into a
-:class:`~repro.core.query.PackedRows` (three int64 segments), caches that,
+:class:`~repro.core.query.PackedRows` (a uint64 fid segment and two
+int64 segments), caches that,
 and a worker hands it to the wire as it is.  These tests pin down that
 nothing a client or an in-process caller sees changes:
 
-1. ``list(PackedRows.pack(rows)) == rows`` for any rows, values past
-   int64 and non-integer counts included;
+1. ``list(PackedRows.pack(rows)) == rows`` for any rows whose fids are
+   uint64 and whose timestamps and counts are int64; nothing else packs;
 2. a point or batch response built from packed entries decodes ``==`` to
    the same results encoded from materialised ``FeatureResult`` lists —
    empty results, ragged widths, failed keys, negative counts — and on a
@@ -42,6 +43,7 @@ from repro.server.batch import BatchKeyResult
 from repro.storage import InMemoryKVStore
 
 INT64 = 1 << 63
+UINT64 = 1 << 64
 NOW_MS = 400 * MILLIS_PER_DAY
 
 counts_st = st.lists(
@@ -51,10 +53,10 @@ counts_st = st.lists(
 rows_st = st.lists(
     st.builds(
         FeatureResult,
-        fid=st.one_of(st.integers(0, 1 << 40), st.integers(INT64, 1 << 70)),
+        fid=st.one_of(st.integers(0, 1 << 40), st.integers(INT64, UINT64 - 1)),
         counts=counts_st,
         last_timestamp_ms=st.one_of(
-            st.integers(0, 1 << 45), st.integers(-INT64, (1 << 64) - 1)
+            st.integers(0, 1 << 45), st.integers(-INT64, INT64 - 1)
         ),
     ),
     max_size=6,
@@ -90,34 +92,38 @@ class TestPackedRows:
 
     def test_int64_columns_go_out_raw(self):
         packed = PackedRows.pack(
-            [FeatureResult(5, (1, -2), 7), FeatureResult(-3, (3, 4), 8)]
+            [FeatureResult(5, (1, -2), 7), FeatureResult(3, (3, 4), -8)]
         )
         out = bytearray()
         wire.encode_value(out, packed)
-        # tag, n_rows, shape, then the fid column: code, base 0, raw int64.
-        assert out[3:5] == bytes([wire._COLUMN_INT64, 0])
-        assert out[5:21] == array("q", [5, -3]).tobytes()
+        # tag, n_rows, shape, then the fid column (code, base 0, raw
+        # uint64) and the timestamp column (code, base 0, raw int64).
+        assert out[3:5] == wire._RAW_HEADERS["Q"]
+        assert out[5:21] == array("Q", [5, 3]).tobytes()
+        assert out[21:23] == wire._RAW_HEADERS["q"]
+        assert out[23:39] == array("q", [7, -8]).tobytes()
 
-    def test_values_past_int64_take_the_varint_fallback(self):
-        rows = [FeatureResult(0, (1,), 5), FeatureResult(1 << 70, (2,), 6)]
+    def test_uint64_fids_go_out_raw(self):
+        rows = [FeatureResult(0, (1,), 5), FeatureResult(UINT64 - 1, (2,), 6)]
         packed = PackedRows.pack(rows)
-        assert type(packed.fids) is tuple and type(packed.counts) is bytes
+        assert type(packed.fids) is bytes and type(packed.counts) is bytes
         assert decoded_response({9: BatchKeyResult(9, True, packed)}) == {
             9: BatchKeyResult.success(9, rows)
         }
         out = bytearray()
         wire.encode_value(out, packed)
-        assert out[3] == wire._COLUMN_VARINT
+        assert out[3:5] == wire._RAW_HEADERS["Q"]
         assert decoded_response(packed) == rows
 
-    def test_non_integer_counts_unpack_exactly_and_fail_on_the_wire(self):
-        rows = [FeatureResult(1, (0.5, 2), 3)]
-        packed = PackedRows.pack(rows)
-        assert type(packed.counts) is tuple
-        assert list(packed) == rows  # in process the float survives
-        for value in (packed, {1: BatchKeyResult(1, True, packed)}):
-            with pytest.raises(wire.WireCodecError):
-                decoded_response(value)
+    def test_values_outside_their_columns_are_refused(self):
+        for row in (
+            FeatureResult(-1, (1,), 2),
+            FeatureResult(UINT64, (1,), 2),
+            FeatureResult(1, (1,), INT64),
+            FeatureResult(1, (0.5, 2), 3),
+        ):
+            with pytest.raises((OverflowError, TypeError)):
+                PackedRows.pack([row])
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +160,7 @@ class TestPackedResponsesDecodeAlike:
                  for pid in (4, 5)}
         frame = wire.encode_response(wire.Response(1, True, value=value))
         payload = frame[wire.HEADER_SIZE:]
-        assert wire._INT64_HEADER in payload  # raw columns are what is cut
+        assert wire._RAW_HEADERS["q"] in payload  # raw columns are what is cut
         for cut in range(len(payload)):
             with pytest.raises(wire.WireCodecError):
                 wire.decode_message(payload[:cut])

@@ -9,7 +9,10 @@ Three guarantees, over seeded-random profiles:
    :class:`~repro.errors.SerializationError`; no prefix decodes silently.
 3. **Corruption safety** — random byte flips/insertions either decode to
    some profile or raise a typed :class:`~repro.errors.IPSError` subclass;
-   no ``IndexError``/``MemoryError``/garbage object ever escapes.
+   no ``IndexError``/``MemoryError``/``OverflowError``/garbage object
+   ever escapes, and a varint row whose fid is not uint64 or whose
+   timestamp is not int64 is refused with
+   :class:`~repro.errors.SerializationError`.
 
 Seeding comes from the per-test ``rng`` fixture, so failures reproduce.
 """
@@ -23,6 +26,7 @@ from repro.core.aggregate import get_aggregate
 from repro.core.profile import ProfileData
 from repro.errors import IPSError, SerializationError
 from repro.storage.serialization import (
+    SLICE_V2_MAGIC,
     ProfileCodec,
     deserialize_profile,
     read_varint,
@@ -210,3 +214,39 @@ class TestCorruption:
         with pytest.raises(SerializationError) as excinfo:
             ProfileCodec._read_group_v2(bytes(out), 0)
         assert "implausible" in str(excinfo.value)
+
+    @staticmethod
+    def _one_row_profile(fid: int, timestamp_ms: int) -> bytes:
+        """A whole profile blob holding one encoding-0 (varint) row."""
+        body = bytearray()
+        for value in (SLICE_V2_MAGIC, NOW - SPAN, NOW, 1, 1, 1, 1):
+            write_varint(body, value)  # magic, range, one slot, one type
+        write_varint(body, 0)  # encoding 0: zigzag-varint rows
+        write_varint(body, 1)  # n_features
+        write_varint(body, zigzag_encode(fid))
+        write_varint(body, zigzag_encode(timestamp_ms))
+        write_varint(body, 1)
+        write_varint(body, zigzag_encode(7))
+        out = bytearray()
+        for value in (0x49505331, 1, 5, MILLIS_PER_HOUR, 1, len(body)):
+            write_varint(out, value)  # magic, version, pid, granularity
+        return bytes(out + body)
+
+    @pytest.mark.parametrize(
+        "fid, timestamp_ms",
+        [(-1, NOW), (2**64, NOW), (1, 2**63), (1, -(2**63) - 1)],
+        ids=["negative-fid", "fid-past-uint64", "ts-past-int64",
+             "ts-below-int64"],
+    )
+    def test_varint_row_outside_its_columns_rejected(self, fid, timestamp_ms):
+        """A row no column can hold fails typed, not as ``OverflowError``."""
+        with pytest.raises(SerializationError):
+            deserialize_profile(self._one_row_profile(fid, timestamp_ms))
+
+    def test_varint_rows_at_the_domain_edges_decode(self):
+        for fid, timestamp_ms in ((0, -(2**63)), (2**64 - 1, 2**63 - 1)):
+            profile = deserialize_profile(self._one_row_profile(fid, timestamp_ms))
+            (stat,) = profile.slices[0].features(1, 1)
+            assert (stat.fid, stat.counts, stat.last_timestamp_ms) == (
+                fid, [7], timestamp_ms
+            )

@@ -15,9 +15,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.columnar import ColumnGroup
+from repro.core.columnar import FID_TYPECODE, ColumnGroup
 from repro.core.aggregate import aggregate_sum
-from repro.core.feature import INT64_MAX, INT64_MIN, FeatureStat
+from repro.core.feature import FeatureStat
 from repro.core.profile import ProfileData
 from repro.core.slice import Slice
 from repro.errors import SerializationError
@@ -37,8 +37,7 @@ from repro.storage.serialization import (
 #: Counts beyond int64 are clamped by FeatureStat; include both.
 count_values = st.integers(min_value=-(2**70), max_value=2**70)
 
-#: fids stay unsigned but may exceed int64 — those rows demote their
-#: group to legacy mode.
+#: fids are uint64, the whole range (the fid column is ``array('Q')``).
 fid_values = st.integers(min_value=0, max_value=2**64 - 1)
 
 timestamp_values = st.integers(min_value=0, max_value=2**48)
@@ -90,13 +89,6 @@ def slice_snapshot(profile_slice):
     return (profile_slice.start_ms, profile_slice.end_ms, slots)
 
 
-def _fits_int64(stat):
-    return (
-        INT64_MIN <= stat.fid <= INT64_MAX
-        and INT64_MIN <= stat.last_timestamp_ms <= INT64_MAX
-    )
-
-
 # ----------------------------------------------------------------------
 # v2 round-trip
 # ----------------------------------------------------------------------
@@ -115,14 +107,13 @@ class TestV2RoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(slices())
     def test_decoded_slices_are_array_native(self, profile_slice):
-        """Groups whose rows all fit int64 decode into columnar form."""
+        """Every group decodes into columnar form, uint64 fids included."""
         decoded = ProfileCodec.decode_slice(
             ProfileCodec.encode_slice(profile_slice)
         )
         for _, instance_set in decoded.slots_items():
             for _, group in instance_set.groups_items():
-                if all(_fits_int64(stat) for stat in group.iter_stats()):
-                    assert group.is_columnar
+                assert group.fids.typecode == FID_TYPECODE
 
     @settings(max_examples=60, deadline=None)
     @given(
