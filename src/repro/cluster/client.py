@@ -14,10 +14,9 @@ Upstream applications talk to IPS through one client that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..core.query import FeatureResult, SortType
-from ..core.timerange import TimeRange
+from ..core.query import Query
 from ..errors import (
     REGION_FATAL_ERRORS,
     RETRYABLE_ERRORS,
@@ -32,7 +31,12 @@ from ..clock import perf_ms
 from ..monitoring import BatchQueryMetrics
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..server.batch import BatchKeyResult, BatchReadOutcome, dedup_preserving_order
+from ..server.batch import (
+    BatchKeyResult,
+    BatchReadOutcome,
+    PaperReads,
+    dedup_preserving_order,
+)
 from .resilience import Deadline, ResilienceConfig, ResilientExecutor
 
 #: Shared retry taxonomy (see :mod:`repro.errors`): the client and the
@@ -64,7 +68,7 @@ class ClientStats:
         return (self.read_errors + self.write_errors) / total
 
 
-class IPSClient:
+class IPSClient(PaperReads):
     """Client bound to a local region within a multi-region deployment."""
 
     def __init__(
@@ -180,7 +184,10 @@ class IPSClient:
             for region in self._deployment.regions.values():
                 try:
                     self._call_in_region(
-                        region, profile_id, method, profile_id, *args
+                        region, profile_id, method,
+                        lambda node: getattr(node, method)(
+                            profile_id, *args, caller=self.caller
+                        ),
                     )
                     written += 1
                 except (_REGION_FATAL + _RETRYABLE + (RPCError,)):
@@ -203,75 +210,23 @@ class IPSClient:
     # Reads: local region, failover on outage
     # ------------------------------------------------------------------
 
-    def get_profile_topk(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        aggregate: str | None = None,
-    ) -> list[FeatureResult]:
-        return self._read(
-            profile_id,
-            "get_profile_topk",
-            profile_id,
-            slot,
-            type_id,
-            time_range,
-            sort_type,
-            k,
-            sort_attribute=sort_attribute,
-            sort_weights=sort_weights,
-            aggregate=aggregate,
-        )
+    #: The paper's read names (:class:`PaperReads`) take no host keyword
+    #: here: the client's caller identity is its own.
+    _OPTIONS = ()
 
-    def get_profile_filter(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate,
-    ) -> list[FeatureResult]:
-        return self._read(
-            profile_id,
-            "get_profile_filter",
-            profile_id,
-            slot,
-            type_id,
-            time_range,
-            predicate,
-        )
+    def _read_one(self, profile_id: int, query: Query, options: dict):
+        """The point driver: retry around the ring, hedge, raise the error.
 
-    def get_profile_decay(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-    ) -> list[FeatureResult]:
-        return self._read(
-            profile_id,
-            "get_profile_decay",
-            profile_id,
-            slot,
-            type_id,
-            time_range,
-            decay_function,
-            decay_factor,
-            k=k,
-            sort_attribute=sort_attribute,
-        )
+        The request is the one-id ``multi_get``; its key's failure is
+        raised inside the retry loop, so a retryable one is retried as a
+        failed call is.
+        """
+        method = f"get_profile_{query.kind}"
 
-    def _read(self, profile_id: int, method: str, *args, **kwargs):
+        def call(node):
+            answer = node.multi_get([profile_id], query, caller=self.caller)
+            return answer[profile_id].rows()
+
         self.stats.reads += 1
         last_error: Exception | None = None
         start = perf_ms()
@@ -290,12 +245,8 @@ class IPSClient:
                         self.stats.region_failovers += 1
                     try:
                         result = self._call_in_region(
-                            region,
-                            profile_id,
-                            method,
-                            *args,
-                            deadline=deadline,
-                            **kwargs,
+                            region, profile_id, method, call,
+                            deadline=deadline, hedge=True,
                         )
                         ok = True
                         return result
@@ -325,83 +276,19 @@ class IPSClient:
     # Batched reads: dedup + shard-grouped fan-out + partial failure
     # ------------------------------------------------------------------
 
-    def multi_get_topk(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        aggregate: str | None = None,
+    def _read_many(
+        self, profile_ids: Sequence[int], query: Query, options: dict
     ) -> BatchReadOutcome:
-        """Batched ``get_profile_topk`` over many profiles.
+        return self.multi_get(profile_ids, query)
+
+    def multi_get(
+        self, profile_ids: Sequence[int], query: Query
+    ) -> BatchReadOutcome:
+        """The batch driver: ``query`` over many profiles, never raising.
 
         Results are positionally aligned with ``profile_ids``; each carries
         an ok/error status instead of raising, so one bad shard degrades
         only its keys (the partial-failure contract of the batch path).
-        """
-        return self._multi_get(
-            profile_ids,
-            "multi_get_topk",
-            slot,
-            type_id,
-            time_range,
-            sort_type,
-            k,
-            sort_attribute=sort_attribute,
-            sort_weights=sort_weights,
-            aggregate=aggregate,
-        )
-
-    def multi_get_filter(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate,
-    ) -> BatchReadOutcome:
-        """Batched ``get_profile_filter``; see :meth:`multi_get_topk`."""
-        return self._multi_get(
-            profile_ids,
-            "multi_get_filter",
-            slot,
-            type_id,
-            time_range,
-            predicate,
-        )
-
-    def multi_get_decay(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-    ) -> BatchReadOutcome:
-        """Batched ``get_profile_decay``; see :meth:`multi_get_topk`."""
-        return self._multi_get(
-            profile_ids,
-            "multi_get_decay",
-            slot,
-            type_id,
-            time_range,
-            decay_function,
-            decay_factor,
-            k=k,
-            sort_attribute=sort_attribute,
-        )
-
-    def _multi_get(
-        self, profile_ids: Sequence[int], method: str, *args, **kwargs
-    ) -> BatchReadOutcome:
-        """Shared batched-read driver.
 
         1. **Dedup** — repeated profile ids are resolved once and fanned
            back to every requesting position.
@@ -415,6 +302,7 @@ class IPSClient:
         4. **Partial failure** — keys unresolved after every region carry
            their last error as a per-key status; the batch never raises.
         """
+        method = f"multi_get_{query.kind}"
         requested = list(profile_ids)
         unique = dedup_preserving_order(requested)
         self.stats.batch_reads += 1
@@ -447,14 +335,7 @@ class IPSClient:
                 if index > 0:
                     self.stats.region_failovers += 1
                 pending, calls = self._batch_region(
-                    region,
-                    pending,
-                    resolved,
-                    errors,
-                    method,
-                    *args,
-                    deadline=deadline,
-                    **kwargs,
+                    region, pending, resolved, errors, method, query, deadline
                 )
                 shard_calls += calls
             span.tag(shard_calls=shard_calls)
@@ -505,9 +386,8 @@ class IPSClient:
         resolved: dict[int, BatchKeyResult],
         errors: dict[int, BatchKeyResult],
         method: str,
-        *args,
+        query: Query,
         deadline: Deadline | None = None,
-        **kwargs,
     ) -> tuple[list[int], int]:
         """Serve as many keys as possible from one region.
 
@@ -517,7 +397,6 @@ class IPSClient:
         shared by every shard call: once it expires, unserved keys fail
         with :class:`DeadlineExceededError` instead of spawning more RPCs.
         """
-        kwargs.setdefault("caller", self.caller)
         executor = self.resilience
         exclude = executor.open_nodes() if executor is not None else set()
         remaining = list(profile_ids)
@@ -551,8 +430,8 @@ class IPSClient:
                 try:
                     if executor is not None:
                         executor.admit(node_id)
-                    per_key = getattr(nodes_by_id[node_id], method)(
-                        keys, *args, **kwargs
+                    per_key = nodes_by_id[node_id].multi_get(
+                        keys, query, caller=self.caller
                     )
                 except _RETRYABLE as error:
                     # Transient node failure: exclude it and retry these
@@ -590,7 +469,7 @@ class IPSClient:
                             ),
                         )
                     if result.ok:
-                        resolved[profile_id] = result
+                        resolved[profile_id] = result.listed()
                     else:
                         errors[profile_id] = result
                         next_remaining.append(profile_id)
@@ -625,19 +504,19 @@ class IPSClient:
         self,
         region,
         profile_id: int,
-        method: str,
-        *args,
+        operation: str,
+        call: Callable,
         deadline: Deadline | None = None,
-        **kwargs,
+        hedge: bool = False,
     ):
-        """Call a method on the owning node, retrying around the ring.
+        """``call(node)`` on the owning node, retrying around the ring.
 
         With a resilience layer attached, each attempt also passes the
         per-node circuit breaker, waits out a jittered exponential backoff
-        between retries, honours the request deadline, and may hedge a
-        slow successful read against another replica.
+        between retries, honours the request deadline (``operation`` names
+        it), and, with ``hedge`` (point reads), may hedge a slow
+        successful call against another replica.
         """
-        kwargs.setdefault("caller", self.caller)
         executor = self.resilience
         exclude = executor.open_nodes() if executor is not None else set()
         attempts = self.max_retries + 1
@@ -646,13 +525,13 @@ class IPSClient:
         last_error: Exception | None = None
         for attempt in range(attempts):
             if deadline is not None:
-                deadline.check(method)
+                deadline.check(operation)
             node = region.node_for(profile_id, exclude=exclude or None)
             node_id = node.node_id
             try:
                 if executor is not None:
                     executor.admit(node_id)
-                result = getattr(node, method)(*args, **kwargs)
+                result = call(node)
             except IPSError as error:
                 if executor is not None and not isinstance(
                     error, CircuitOpenError
@@ -673,27 +552,26 @@ class IPSClient:
                 continue
             if executor is not None:
                 executor.record_success(node_id)
-                result = self._maybe_hedge(
-                    region, profile_id, method, node, result, exclude,
-                    *args, **kwargs,
-                )
+                if hedge:
+                    result = self._maybe_hedge(
+                        region, profile_id, node, result, exclude, call
+                    )
             return result
         assert last_error is not None
         raise last_error
 
     def _maybe_hedge(
-        self, region, profile_id: int, method: str, primary, result,
-        exclude: set[str], *args, **kwargs,
+        self, region, profile_id: int, primary, result, exclude: set[str],
+        call: Callable,
     ):
         """Hedge a slow successful read against the next ring replica.
 
-        Fires only for read methods over an RPC-proxied node (the modelled
-        per-call latency is the trigger signal); the faster result wins.
-        Writes never hedge.
+        Fires only over an RPC-proxied node (the modelled per-call latency
+        is the trigger signal); the faster result wins.
         """
         executor = self.resilience
         rpc = getattr(primary, "rpc", None)
-        if executor is None or rpc is None or not method.startswith("get_"):
+        if rpc is None:
             return result
         # Trigger on the *modelled* latency only (network model + injected
         # chaos latency): client_ms also carries measured wall-clock server
@@ -714,7 +592,7 @@ class IPSClient:
         except IPSError:
             return result  # No second replica available; keep the result.
         try:
-            hedge_result = getattr(alternate, method)(*args, **kwargs)
+            hedge_result = call(alternate)
         except IPSError:
             executor.record_hedge(won=False)
             return result

@@ -3,7 +3,9 @@
 :class:`ProfileEngine` composes a :class:`~repro.core.table.ProfileTable`
 with the query engine, compactor, truncation and shrinker, and implements
 the write APIs of §II-B (``add_profile`` / ``add_profiles``) and the read
-APIs (``get_profile_topK`` / ``get_profile_filter`` / ``get_profile_decay``).
+API (``multi_get`` of a :class:`~repro.core.query.Query`, which the
+paper's ``get_profile_topK`` / ``get_profile_filter`` / ``get_profile_decay``
+names forward to).
 
 Maintenance scheduling follows §III-D's production strategy: writes mark a
 profile *maintenance-pending*; the owner (the IPS server node) drains
@@ -19,14 +21,14 @@ from typing import Callable, Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import TableConfig
+from ..errors import InvalidQueryError
 from .aggregate import get_aggregate
 from .compaction import CompactionStats, Compactor
-from .decay import DecayFn, get_decay
+from .decay import get_decay
 from .profile import ProfileData
-from .query import FeatureResult, FilterFn, QueryEngine, QueryStats, SortType
+from .query import FeatureResult, Query, QueryEngine, QueryStats
 from .shrink import Shrinker, ShrinkStats
 from .table import ProfileTable, check_write
-from .timerange import TimeRange
 from .truncate import TruncateStats, truncate_profile
 
 
@@ -100,7 +102,9 @@ class ProfileEngine:
         counts: Sequence[int] | dict[str, int],
     ) -> None:
         """``add_profile``: append one feature observation."""
-        vector = self._check_write(profile_id, timestamp_ms, fid, counts)
+        vector = self._check_write(
+            profile_id, timestamp_ms, slot, type_id, fid, counts
+        )
         profile = self.table.get_or_create(profile_id)
         profile.add(timestamp_ms, slot, type_id, fid, vector, self.table.aggregate)
         self._mark_for_maintenance(profile)
@@ -121,7 +125,7 @@ class ProfileEngine:
                 f"fids and counts must align: {len(fids)} vs {len(counts_list)}"
             )
         vectors = [
-            self._check_write(profile_id, timestamp_ms, fid, counts)
+            self._check_write(profile_id, timestamp_ms, slot, type_id, fid, counts)
             for fid, counts in zip(fids, counts_list)
         ]
         profile = self.table.get_or_create(profile_id)
@@ -136,13 +140,15 @@ class ProfileEngine:
         self,
         profile_id: int,
         timestamp_ms: int,
+        slot: int,
+        type_id: int,
         fid: int,
         counts: Sequence[int] | dict[str, int],
     ) -> Sequence[int]:
         """The write path's one check (:func:`~repro.core.table.check_write`
         and the schema), run before anything records the write; returns
         the schema-aligned count vector."""
-        check_write(profile_id, timestamp_ms, fid)
+        check_write(profile_id, timestamp_ms, slot, type_id, fid)
         return self._normalize_counts(counts)
 
     def _normalize_counts(
@@ -162,23 +168,23 @@ class ProfileEngine:
         return counts
 
     # ------------------------------------------------------------------
-    # Read APIs (§II-B) and their multi-get forms
+    # Reads (§II-B): one multi-get, the paper's names forward to it
     # ------------------------------------------------------------------
-    #
-    # One kernel invocation covers every resident profile of a multi-get
-    # (the Enhanced Batch Query Architecture pass), and a point read is
-    # the one-id multi-get: each ``get_profile_*`` / ``get_profiles_*``
-    # pair shares one private implementation.  The batch forms return
-    # ``{profile_id: results}``; ids with no resident profile map to
-    # ``[]`` exactly like the point reads.
 
-    def _read(self, profile_ids: Sequence[int], stats_map, query, now_ms=None):
-        """Run ``query(profiles, now_ms, stats_list)`` — a ``QueryEngine``
-        batch entry bound to its arguments — over the resident ids.
+    def multi_get(
+        self,
+        profile_ids: Sequence[int],
+        query: Query,
+        stats_map: "dict[int, QueryStats] | None" = None,
+        now_ms: int | None = None,
+    ) -> dict[int, list[FeatureResult]]:
+        """Run ``query`` over ``profile_ids`` as **one** kernel batch.
 
-        ``now_ms`` defaults to the engine clock; a caller that resolved
-        windows itself (the node, for its cache keys) passes the instant
-        it resolved them at, so CURRENT / RELATIVE windows run as keyed.
+        Returns ``{profile_id: rows}``; an id with no resident profile
+        maps to ``[]``.  ``now_ms`` defaults to the engine clock; a caller
+        that resolved windows itself (the node, for its cache keys) passes
+        the instant it resolved them at, so CURRENT / RELATIVE windows run
+        as keyed.
         """
         out: dict[int, list[FeatureResult]] = {}
         ids: list[int] = []
@@ -194,173 +200,67 @@ class ProfileEngine:
             stats_list = (
                 [stats_map.get(pid) for pid in ids] if stats_map else None
             )
-            out.update(
-                zip(ids, query(
-                    profiles,
-                    self.clock.now_ms() if now_ms is None else now_ms,
-                    stats_list,
-                ))
-            )
+            if now_ms is None:
+                now_ms = self.clock.now_ms()
+            rows = self._execute(profiles, query, now_ms, stats_list)
+            out.update(zip(ids, rows))
         return out
 
-    def get_profile_topk(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        descending: bool = True,
-        aggregate: str | None = None,
-        stats: QueryStats | None = None,
-    ) -> list[FeatureResult]:
-        """``get_profile_topK``: top features in a window, by a sort type.
+    def _execute(self, profiles, query: Query, now_ms: int, stats_list):
+        """The query engine's batch entry for ``query.kind``."""
+        q, engine = query, self.query_engine
+        if q.kind == "topk":
+            aggregate = (
+                get_aggregate(q.aggregate) if q.aggregate is not None else None
+            )
+            return engine.top_k_batch(
+                profiles, q.slot, q.type_id, q.time_range, q.sort_type, q.k,
+                now_ms, q.sort_attribute, q.sort_weights, aggregate=aggregate,
+                stats_list=stats_list,
+            )
+        if q.kind == "filter":
+            return engine.filter_batch(
+                profiles, q.slot, q.type_id, q.time_range, q.predicate, now_ms,
+                stats_list,
+            )
+        if q.kind != "decay":
+            raise InvalidQueryError(f"unknown query kind {q.kind!r}")
+        decay = q.decay_function
+        return engine.decay_batch(
+            profiles, q.slot, q.type_id, q.time_range,
+            get_decay(decay) if isinstance(decay, str) else decay,
+            q.decay_factor, now_ms, q.k, q.sort_attribute, stats_list,
+        )
 
-        ``sort_weights`` + ``SortType.WEIGHTED`` give the paper's
-        multi-dimensional top-K; ``aggregate`` names a query-time reduce
-        function (built-in or a registered UDAF) overriding the table's
-        pre-configured one.
-        """
-        return self._topk(
-            [profile_id], {profile_id: stats}, slot, type_id, time_range,
-            sort_type, k, sort_attribute, sort_weights, descending, aggregate,
+    def get_profile_topk(
+        self, profile_id: int, *args, stats: QueryStats | None = None, **kwargs
+    ) -> list[FeatureResult]:
+        """``get_profile_topK``: the id, then :meth:`Query.topk`'s arguments."""
+        return self.multi_get(
+            [profile_id], Query.topk(*args, **kwargs), {profile_id: stats}
+        )[profile_id]
+
+    def get_profile_filter(
+        self, profile_id: int, *args, stats: QueryStats | None = None, **kwargs
+    ) -> list[FeatureResult]:
+        """``get_profile_filter``: the id, then :meth:`Query.filter`'s arguments."""
+        return self.multi_get(
+            [profile_id], Query.filter(*args, **kwargs), {profile_id: stats}
+        )[profile_id]
+
+    def get_profile_decay(
+        self, profile_id: int, *args, stats: QueryStats | None = None, **kwargs
+    ) -> list[FeatureResult]:
+        """``get_profile_decay``: the id, then :meth:`Query.decay`'s arguments."""
+        return self.multi_get(
+            [profile_id], Query.decay(*args, **kwargs), {profile_id: stats}
         )[profile_id]
 
     def get_profiles_topk(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        descending: bool = True,
-        aggregate: str | None = None,
-        stats_map: "dict[int, QueryStats] | None" = None,
-        now_ms: int | None = None,
+        self, profile_ids: Sequence[int], *args, **kwargs
     ) -> dict[int, list[FeatureResult]]:
-        """``get_profiles_topK``: one batched kernel pass over many ids."""
-        return self._topk(
-            profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
-            sort_attribute, sort_weights, descending, aggregate, now_ms,
-        )
-
-    def _topk(
-        self, profile_ids, stats_map, slot, type_id, time_range, sort_type, k,
-        sort_attribute, sort_weights, descending, aggregate, now_ms=None,
-    ):
-        return self._read(
-            profile_ids, stats_map,
-            lambda profiles, now_ms, stats_list: self.query_engine.top_k_batch(
-                profiles, slot, type_id, time_range, sort_type, k, now_ms,
-                sort_attribute, sort_weights, descending,
-                get_aggregate(aggregate) if aggregate is not None else None,
-                stats_list,
-            ),
-            now_ms,
-        )
-
-    def get_profile_filter(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        stats: QueryStats | None = None,
-    ) -> list[FeatureResult]:
-        """``get_profile_filter``: features passing a predicate in a window."""
-        return self._filter(
-            [profile_id], {profile_id: stats}, slot, type_id, time_range,
-            predicate,
-        )[profile_id]
-
-    def get_profiles_filter(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        stats_map: "dict[int, QueryStats] | None" = None,
-        now_ms: int | None = None,
-    ) -> dict[int, list[FeatureResult]]:
-        """``get_profiles_filter``: batched predicate reads."""
-        return self._filter(
-            profile_ids, stats_map, slot, type_id, time_range, predicate,
-            now_ms,
-        )
-
-    def _filter(
-        self, profile_ids, stats_map, slot, type_id, time_range, predicate,
-        now_ms=None,
-    ):
-        return self._read(
-            profile_ids, stats_map,
-            lambda profiles, now_ms, stats_list: self.query_engine.filter_batch(
-                profiles, slot, type_id, time_range, predicate, now_ms,
-                stats_list,
-            ),
-            now_ms,
-        )
-
-    def get_profile_decay(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        stats: QueryStats | None = None,
-    ) -> list[FeatureResult]:
-        """``get_profile_decay``: time-decayed feature counts in a window."""
-        return self._decay(
-            [profile_id], {profile_id: stats}, slot, type_id, time_range,
-            decay_function, decay_factor, k, sort_attribute,
-        )[profile_id]
-
-    def get_profiles_decay(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        stats_map: "dict[int, QueryStats] | None" = None,
-        now_ms: int | None = None,
-    ) -> dict[int, list[FeatureResult]]:
-        """``get_profiles_decay``: batched time-decayed reads."""
-        return self._decay(
-            profile_ids, stats_map, slot, type_id, time_range, decay_function,
-            decay_factor, k, sort_attribute, now_ms,
-        )
-
-    def _decay(
-        self, profile_ids, stats_map, slot, type_id, time_range,
-        decay_function, decay_factor, k, sort_attribute, now_ms=None,
-    ):
-        return self._read(
-            profile_ids, stats_map,
-            lambda profiles, now_ms, stats_list: self.query_engine.decay_batch(
-                profiles, slot, type_id, time_range,
-                get_decay(decay_function)
-                if isinstance(decay_function, str)
-                else decay_function,
-                decay_factor, now_ms, k, sort_attribute, stats_list,
-            ),
-            now_ms,
-        )
+        """Batched ``get_profile_topK``: the ids, then :meth:`Query.topk`'s."""
+        return self.multi_get(profile_ids, Query.topk(*args, **kwargs))
 
     # ------------------------------------------------------------------
     # Hot reconfiguration (§V-b)

@@ -143,6 +143,9 @@ class PackedRows:
             flat = pack_segment(flat)
         return cls(len(rows), widths, fids, timestamps, flat)
 
+    def __len__(self) -> int:
+        return self.n_rows
+
     def __iter__(self):
         return iter(rows_from_columns(
             segment_values(self.fids, FID_TYPECODE),
@@ -165,6 +168,93 @@ class QueryStats:
 
 #: Predicate over a merged stat used by ``get_profile_filter``.
 FilterFn = Callable[[FeatureStat], bool]
+
+#: The three read kinds of §II-B.
+QUERY_KINDS = ("topk", "filter", "decay")
+
+
+class Query(NamedTuple):
+    """One read request, whatever the layer: the paper's three reads as a value.
+
+    ``kind`` picks the read; ``slot``, ``type_id`` and ``time_range`` say
+    what it reads; the fields after them are the kind's parameters (the
+    others stay ``None``) — exactly the fields :func:`query_spec`
+    normalises into a result-cache key.  Build one with :meth:`topk`,
+    :meth:`filter` or :meth:`decay`, whose signatures are the paper's;
+    every layer below the client takes it as it is (``multi_get(ids,
+    query)``), and the wire carries it as one value.  A ``NamedTuple``,
+    as :class:`FeatureResult` is: every read builds one at the client
+    and decodes one on the worker, and a tuple is several times cheaper
+    to construct than a frozen dataclass.  A kind outside
+    :data:`QUERY_KINDS` is refused where it would run
+    (:class:`~repro.errors.InvalidQueryError`) and by the wire.
+    """
+
+    kind: str
+    slot: int
+    type_id: int | None
+    time_range: TimeRange
+    sort_type: SortType | None = None
+    k: int | None = None
+    sort_attribute: str | None = None
+    sort_weights: dict[str, float] | None = None
+    aggregate: str | None = None
+    decay_function: "str | DecayFn | None" = None
+    decay_factor: float | None = None
+    predicate: FilterFn | None = None
+
+    @classmethod
+    def topk(
+        cls,
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        sort_type: SortType = SortType.TOTAL,
+        k: int = 10,
+        sort_attribute: str | None = None,
+        sort_weights: dict[str, float] | None = None,
+        aggregate: str | None = None,
+    ) -> "Query":
+        """``get_profile_topK``: top features in a window, by a sort type.
+
+        ``sort_weights`` + ``SortType.WEIGHTED`` give the paper's
+        multi-dimensional top-K; ``aggregate`` names a query-time reduce
+        function (built-in or a registered UDAF) overriding the table's
+        pre-configured one.
+        """
+        return cls(
+            "topk", slot, type_id, time_range, sort_type, k, sort_attribute,
+            sort_weights, aggregate,
+        )
+
+    @classmethod
+    def filter(
+        cls,
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        predicate: FilterFn,
+    ) -> "Query":
+        """``get_profile_filter``: features passing a predicate in a window."""
+        return cls("filter", slot, type_id, time_range, predicate=predicate)
+
+    @classmethod
+    def decay(
+        cls,
+        slot: int,
+        type_id: int | None,
+        time_range: TimeRange,
+        decay_function: "str | DecayFn" = "exponential",
+        decay_factor: float = 1.0,
+        k: int | None = None,
+        sort_attribute: str | None = None,
+    ) -> "Query":
+        """``get_profile_decay``: time-decayed feature counts in a window."""
+        return cls(
+            "decay", slot, type_id, time_range, k=k,
+            sort_attribute=sort_attribute, decay_function=decay_function,
+            decay_factor=decay_factor,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -237,27 +327,14 @@ def query_fingerprint(
 ) -> tuple | None:
     """Canonical cache key for one read, or ``None`` when uncacheable.
 
-    The :func:`query_spec` of the read (keyword arguments as there)
+    The :func:`query_spec` of ``Query(method, slot, type_id, …, **spec)``
     followed by the resolved window's bounds.
     """
-    key = query_spec(config, method, slot, type_id, **spec)
+    key = query_spec(config, Query(method, slot, type_id, None, **spec))
     return None if key is None else key + (window.start_ms, window.end_ms)
 
 
-def query_spec(
-    config: TableConfig,
-    method: str,
-    slot: int,
-    type_id: int | None,
-    sort_type: SortType | None = None,
-    k: int | None = None,
-    sort_attribute: str | None = None,
-    sort_weights: dict[str, float] | None = None,
-    aggregate: str | None = None,
-    decay_function: "str | DecayFn | None" = None,
-    decay_factor: float | None = None,
-    predicate: FilterFn | None = None,
-) -> tuple | None:
+def query_spec(config: TableConfig, query: Query) -> tuple | None:
     """Window-free part of a read's cache key, or ``None`` when uncacheable.
 
     A node builds it once per request and appends each key's resolved
@@ -286,39 +363,46 @@ def query_spec(
     Invalid queries (unknown attribute, bad k) return ``None`` so the
     caller executes them directly and raises the real validation error.
     """
+    method, k, sort_type = query.kind, query.k, query.sort_type
     try:
-        base = (method, slot, type_id)
+        base = (method, query.slot, query.type_id)
         if method == "topk":
             if sort_type is None or k is None or int(k) < 1:
                 return None
-            agg = (aggregate if aggregate is not None else config.aggregate)
+            agg = (
+                query.aggregate if query.aggregate is not None
+                else config.aggregate
+            )
             sort_part: tuple
             if sort_type is SortType.ATTRIBUTE:
-                if sort_attribute is None:
+                if query.sort_attribute is None:
                     return None
-                sort_part = ("attr", config.attribute_index(sort_attribute))
+                sort_part = ("attr", config.attribute_index(query.sort_attribute))
             elif sort_type is SortType.WEIGHTED:
-                if not sort_weights:
+                if not query.sort_weights:
                     return None
-                sort_part = ("weights", canonical_sort_weights(config, sort_weights))
+                sort_part = (
+                    "weights", canonical_sort_weights(config, query.sort_weights)
+                )
             else:
                 sort_part = (sort_type.value,)
             return base + (int(k), agg.lower(), sort_part)
         if method == "decay":
-            if decay_function is None or decay_factor is None:
+            if query.decay_function is None or query.decay_factor is None:
                 return None
-            name = _decay_name(decay_function)
+            name = _decay_name(query.decay_function)
             if name is None:
                 return None
             attr = (
-                config.attribute_index(sort_attribute) if sort_attribute else None
+                config.attribute_index(query.sort_attribute)
+                if query.sort_attribute else None
             )
             cut = int(k) if k is not None else None
             if cut is not None and cut < 1:
                 return None
-            return base + (name, float(decay_factor), cut, attr)
+            return base + (name, float(query.decay_factor), cut, attr)
         if method == "filter":
-            key = getattr(predicate, "cache_key", None)
+            key = getattr(query.predicate, "cache_key", None)
             if key is None:
                 return None
             hash(key)  # Unhashable opt-in keys degrade to uncacheable.

@@ -14,7 +14,7 @@ from typing import Iterator
 from ..config import TableConfig
 from ..errors import ProfileNotFoundError
 from .aggregate import AggregateFn, get_aggregate
-from .feature import INT64_MAX, INT64_MIN
+from .feature import INT64_MAX
 from .profile import ProfileData
 
 UINT64_MASK = 2**64 - 1
@@ -27,17 +27,25 @@ def check_profile_id(profile_id: int) -> int:
     return profile_id
 
 
-def check_write(profile_id: int, timestamp_ms: int, fid: int) -> None:
-    """Refuse a write whose ids have no column to live in.
+def check_write(
+    profile_id: int, timestamp_ms: int, slot: int, type_id: int, fid: int
+) -> None:
+    """Refuse a write whose ids have no column or record field to live in.
 
     Run by the engine and the node before anything — the WAL, the write
-    table, a replica — sees the write: fids are uint64, timestamps int64.
+    table, a replica — sees the write: fids are uint64, timestamps int64,
+    and timestamps, slots and type ids non-negative, since the WAL record
+    and the replication delta write all three as unsigned varints.
     """
     check_profile_id(profile_id)
     if not 0 <= fid <= UINT64_MASK:
         raise ValueError(f"fid out of uint64 range: {fid}")
-    if not INT64_MIN <= timestamp_ms <= INT64_MAX:
-        raise ValueError(f"timestamp out of int64 range: {timestamp_ms}")
+    if not 0 <= timestamp_ms <= INT64_MAX:
+        raise ValueError(f"timestamp out of range [0, 2**63): {timestamp_ms}")
+    if slot < 0 or type_id < 0:
+        raise ValueError(
+            f"slot and type id must be non-negative: {slot}, {type_id}"
+        )
 
 
 class ProfileTable:

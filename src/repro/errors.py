@@ -195,3 +195,122 @@ def is_retryable(exc: BaseException) -> bool:
 def is_region_fatal(exc: BaseException) -> bool:
     """True when the error fails the whole region for this request."""
     return isinstance(exc, REGION_FATAL_ERRORS)
+
+
+class WireCodecError(RPCError):
+    """A frame or value could not be encoded or decoded."""
+
+
+class RemoteError(RPCError):
+    """A worker-side failure whose type the client could not reconstruct."""
+
+
+class RetryableRemoteError(RPCError, RetryableError):
+    """Like :class:`RemoteError`, but the original type was retryable."""
+
+
+# ----------------------------------------------------------------------
+# Errors as records: (type name, message, structured args)
+# ----------------------------------------------------------------------
+#
+# How an error crosses a boundary that cannot carry the object: a socket
+# response, or one failed key of a multi-get (``BatchKeyResult``).
+
+#: Name → class for every exception type this module defines, plus the
+#: message-constructible builtins a worker realistically raises (bad
+#: arguments, internal invariants): a record carries the name, and
+#: :func:`error_from_wire` rebuilds the most specific type.
+_ERROR_TYPES = {
+    name: obj
+    for name, obj in dict(globals()).items()
+    if isinstance(obj, type) and issubclass(obj, Exception)
+}
+_ERROR_TYPES.update(
+    (cls.__name__, cls)
+    for cls in (ValueError, TypeError, KeyError, RuntimeError,
+                NotImplementedError, AssertionError)
+)
+
+#: Exception types with constructors richer than a bare message: the wire
+#: carries their structured attributes so the exact type — and its fields
+#: (``profile_id``, ``node_id``, …) — survives the process hop.
+_RICH_ERRORS: dict[str, tuple] = {
+    "TableNotFoundError": (
+        lambda e: (e.table,),
+        lambda a: TableNotFoundError(a[0]),
+    ),
+    "ProfileNotFoundError": (
+        lambda e: (e.profile_id,),
+        lambda a: ProfileNotFoundError(a[0]),
+    ),
+    "NodeUnavailableError": (
+        lambda e: (e.node_id,),
+        lambda a: NodeUnavailableError(a[0]),
+    ),
+    "CircuitOpenError": (
+        lambda e: (e.node_id,),
+        lambda a: CircuitOpenError(a[0]),
+    ),
+    "RegionUnavailableError": (
+        lambda e: (e.region,),
+        lambda a: RegionUnavailableError(a[0]),
+    ),
+    "QuotaExceededError": (
+        lambda e: (e.caller, e.quota),
+        lambda a: QuotaExceededError(a[0], a[1]),
+    ),
+    "DeadlineExceededError": (
+        lambda e: (e.operation, e.budget_ms),
+        lambda a: DeadlineExceededError(a[0], a[1]),
+    ),
+    "VersionConflictError": (
+        lambda e: (e.key, e.held, e.current),
+        lambda a: VersionConflictError(a[0], a[1], a[2]),
+    ),
+}
+
+
+def _class_is_retryable(cls: type) -> bool:
+    """Class-level mirror of :func:`is_retryable`."""
+    if issubclass(cls, (DeadlineExceededError,) + REGION_FATAL_ERRORS):
+        return False
+    return issubclass(cls, (RetryableError,) + RETRYABLE_ERRORS)
+
+
+def error_to_wire(exc: BaseException) -> tuple[str, str, tuple]:
+    """Collapse an exception into ``(type_name, message, structured_args)``."""
+    name = type(exc).__name__
+    rich = _RICH_ERRORS.get(name)
+    if rich is not None and isinstance(exc, _ERROR_TYPES.get(name, ())):
+        try:
+            return name, str(exc), rich[0](exc)
+        except AttributeError:
+            pass  # a look-alike class without the expected fields
+    return name, str(exc), ()
+
+
+def error_from_wire(error_type: str, message: str, args: tuple = ()) -> Exception:
+    """Rebuild the most specific client-side exception for a wire error.
+
+    Rich types listed in :data:`_RICH_ERRORS` are rebuilt exactly from
+    their structured args; other known :mod:`repro.errors` types are
+    rebuilt from the bare message; unknown types degrade to a
+    :class:`RemoteError` / :class:`RetryableRemoteError` chosen so the
+    client's retry taxonomy keeps working across the process boundary.
+    """
+    rich = _RICH_ERRORS.get(error_type)
+    if rich is not None and args:
+        try:
+            return rich[1](args)
+        except (TypeError, IndexError, ValueError):
+            pass  # fall through to the generic paths
+    cls = _ERROR_TYPES.get(error_type)
+    if cls is not None:
+        if error_type not in _RICH_ERRORS:
+            try:
+                return cls(message)
+            except TypeError:
+                pass
+        wrapper = RetryableRemoteError if _class_is_retryable(cls) else RemoteError
+        return wrapper(f"{error_type}: {message}")
+    return RemoteError(f"{error_type}: {message}")

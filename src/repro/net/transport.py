@@ -37,23 +37,9 @@ from typing import Any, Callable
 
 from ..clock import perf_ms
 from ..errors import NodeUnavailableError, RPCTimeoutError
+from ..server.batch import NODE_RPC_METHODS, PaperReads
 from ..server.rpc import RPCStats
 from . import wire
-
-#: The six node reads; a worker answers them with packed result rows.
-READ_METHODS = frozenset(
-    {
-        "get_profile_topk",
-        "get_profile_filter",
-        "get_profile_decay",
-        "multi_get_topk",
-        "multi_get_filter",
-        "multi_get_decay",
-    }
-)
-#: Methods a remote node serves over the wire: the proxy's RPC surface
-#: plus the admin/ops endpoints the cluster manager uses.
-RPC_METHODS = READ_METHODS | {"add_profile", "add_profiles"}
 
 ADMIN_METHODS = frozenset(
     {
@@ -232,15 +218,16 @@ class SocketTransport(Transport):
         return response.value
 
 
-class RemoteNode:
+class RemoteNode(PaperReads):
     """Duck-typed node facade over a :class:`Transport`.
 
     Drop-in for :class:`~repro.server.proxy.RPCNodeProxy` wherever the
-    cluster client routes: exposes ``node_id``, dispatches the RPC surface
-    via ``getattr``, and publishes ``.rpc.stats`` so hedging keeps its
-    network-latency estimate.  The client's ``deadline`` kwarg — consumed
-    by the in-process path before it reaches the node — becomes the
-    per-call socket timeout here.
+    cluster client routes: exposes ``node_id``, dispatches the node's RPC
+    surface (:data:`~repro.server.batch.NODE_RPC_METHODS`) and the admin
+    and replication endpoints via ``getattr``, has the paper's read names
+    over ``multi_get`` as the node does, and publishes ``.rpc.stats`` so
+    hedging keeps its network-latency estimate.  A ``deadline`` kwarg
+    becomes the per-call socket timeout here.
     """
 
     def __init__(self, transport: Transport) -> None:
@@ -254,7 +241,7 @@ class RemoteNode:
 
     def __getattr__(self, name: str) -> Any:
         if (
-            name in RPC_METHODS
+            name in NODE_RPC_METHODS
             or name in ADMIN_METHODS
             or name in REPLICATION_METHODS
         ):

@@ -15,12 +15,13 @@ reuses the varint/zigzag primitives of
 RPC surface needs: scalars, containers, and the IPS domain types
 (:class:`~repro.core.timerange.TimeRange`,
 :class:`~repro.core.query.SortType`,
+:class:`~repro.core.query.Query` (its kind's index, then its fields),
 :class:`~repro.core.query.FeatureResult`,
 :class:`~repro.core.query.PackedRows` (encoded only; it decodes as the
 ``list[FeatureResult]`` it holds),
 :class:`~repro.server.batch.BatchKeyResult`).  Anything else — notably
-callables, so ``get_profile_filter`` predicates and custom decay
-functions cannot cross a process boundary — raises :class:`WireCodecError`
+callables, so a filter ``Query``'s predicate and a custom decay
+function cannot cross a process boundary — raises :class:`WireCodecError`
 at encode time with a message saying so.
 
 Read results and key lists travel as **columns**, not tagged rows::
@@ -77,14 +78,22 @@ from typing import Any
 from .. import errors as _errors
 from ..core.columnar import FID_TYPECODE
 from ..core.query import (
+    QUERY_KINDS,
     FeatureResult,
     PackedRows,
+    Query,
     SortType,
     rows_from_columns,
     segment_values,
 )
 from ..core.timerange import TimeRange, TimeRangeKind
-from ..errors import RetryableError, RPCError
+from ..errors import (  # the error taxonomy the wire carries
+    RemoteError,
+    RetryableRemoteError,
+    WireCodecError,
+    error_from_wire,
+    error_to_wire,
+)
 from ..server.batch import BatchKeyResult
 from ..storage.serialization import (
     _BIG_ENDIAN,
@@ -106,20 +115,8 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-class WireCodecError(RPCError):
-    """A frame or value could not be encoded or decoded."""
-
-
 class TruncatedFrameError(WireCodecError, ConnectionError):
     """The peer closed mid-frame: torn to a reader, a lost connection to a caller."""
-
-
-class RemoteError(RPCError):
-    """A worker-side failure whose type the client could not reconstruct."""
-
-
-class RetryableRemoteError(RPCError, RetryableError):
-    """Like :class:`RemoteError`, but the original type was retryable."""
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +210,7 @@ _T_WRITE_DELTA = 15
 _T_INT_COLUMN = 16
 _T_RESULT_ROWS = 17
 _T_BATCH_RESULTS = 18
+_T_QUERY = 19
 
 @dataclass(frozen=True)
 class WriteDelta:
@@ -318,6 +316,11 @@ def encode_value(out: bytearray, value: Any) -> None:
     elif isinstance(value, BatchKeyResult):
         out.append(_T_BATCH_KEY_RESULT)
         _write_batch(out, [value.profile_id], [value])
+    elif isinstance(value, Query):  # before tuple: a Query is one
+        out.append(_T_QUERY)
+        out.append(QUERY_KINDS.index(value.kind))
+        for item in value[1:]:
+            encode_value(out, item)
     elif isinstance(value, WriteDelta):
         out.append(_T_WRITE_DELTA)
         _encode_write_delta(out, value)
@@ -707,6 +710,20 @@ def _decode_value(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
     if tag == _T_BATCH_KEY_RESULT:
         results, pos = _read_batch(data, pos, depth)
         return _lone(results.values(), "batch key result"), pos
+    if tag == _T_QUERY:
+        if pos >= len(data):
+            raise WireCodecError("truncated query")
+        kind_index = data[pos]
+        if kind_index >= len(QUERY_KINDS):
+            raise WireCodecError(f"unknown query kind index {kind_index}")
+        pos += 1
+        values = []
+        for _ in Query._fields[1:]:
+            item, pos = decode_value(data, pos, depth + 1)
+            values.append(item)
+        if not isinstance(values[2], TimeRange):
+            raise WireCodecError("a query's time range is not a TimeRange")
+        return Query(QUERY_KINDS[kind_index], *values), pos
     if tag == _T_WRITE_DELTA:
         return _decode_write_delta(data, pos)
     raise WireCodecError(f"unknown value tag {tag}")
@@ -829,116 +846,3 @@ def _decode_message(payload: bytes) -> Request | Response:
             server_ms=server_ms,
         )
     raise WireCodecError(f"unknown message kind {kind}")
-
-
-# ----------------------------------------------------------------------
-# Cross-process error taxonomy
-# ----------------------------------------------------------------------
-
-#: Name → class for every exception type :mod:`repro.errors` defines; the
-#: wire carries the name, the client reconstructs the most specific type.
-_ERROR_TYPES = {
-    name: obj
-    for name, obj in vars(_errors).items()
-    if isinstance(obj, type) and issubclass(obj, Exception)
-}
-#: This module's own errors, plus the message-constructible builtins a
-#: worker realistically raises (bad arguments, internal invariants) —
-#: all rebuild exactly instead of degrading to :class:`RemoteError`.
-_ERROR_TYPES.update(
-    {
-        "WireCodecError": WireCodecError,
-        "RemoteError": RemoteError,
-        "RetryableRemoteError": RetryableRemoteError,
-        "ValueError": ValueError,
-        "TypeError": TypeError,
-        "KeyError": KeyError,
-        "RuntimeError": RuntimeError,
-        "NotImplementedError": NotImplementedError,
-        "AssertionError": AssertionError,
-    }
-)
-
-#: Exception types with constructors richer than a bare message: the wire
-#: carries their structured attributes so the exact type — and its fields
-#: (``profile_id``, ``node_id``, …) — survives the process hop.
-_RICH_ERRORS: dict[str, tuple] = {
-    "TableNotFoundError": (
-        lambda e: (e.table,),
-        lambda a: _errors.TableNotFoundError(a[0]),
-    ),
-    "ProfileNotFoundError": (
-        lambda e: (e.profile_id,),
-        lambda a: _errors.ProfileNotFoundError(a[0]),
-    ),
-    "NodeUnavailableError": (
-        lambda e: (e.node_id,),
-        lambda a: _errors.NodeUnavailableError(a[0]),
-    ),
-    "CircuitOpenError": (
-        lambda e: (e.node_id,),
-        lambda a: _errors.CircuitOpenError(a[0]),
-    ),
-    "RegionUnavailableError": (
-        lambda e: (e.region,),
-        lambda a: _errors.RegionUnavailableError(a[0]),
-    ),
-    "QuotaExceededError": (
-        lambda e: (e.caller, e.quota),
-        lambda a: _errors.QuotaExceededError(a[0], a[1]),
-    ),
-    "DeadlineExceededError": (
-        lambda e: (e.operation, e.budget_ms),
-        lambda a: _errors.DeadlineExceededError(a[0], a[1]),
-    ),
-    "VersionConflictError": (
-        lambda e: (e.key, e.held, e.current),
-        lambda a: _errors.VersionConflictError(a[0], a[1], a[2]),
-    ),
-}
-
-
-def _class_is_retryable(cls: type) -> bool:
-    """Class-level mirror of :func:`repro.errors.is_retryable`."""
-    if issubclass(cls, (_errors.DeadlineExceededError,) + _errors.REGION_FATAL_ERRORS):
-        return False
-    return issubclass(cls, (RetryableError,) + _errors.RETRYABLE_ERRORS)
-
-
-def error_to_wire(exc: BaseException) -> tuple[str, str, tuple]:
-    """Collapse an exception into ``(type_name, message, structured_args)``."""
-    name = type(exc).__name__
-    rich = _RICH_ERRORS.get(name)
-    if rich is not None and isinstance(exc, _ERROR_TYPES.get(name, ())):
-        try:
-            return name, str(exc), rich[0](exc)
-        except AttributeError:
-            pass  # a look-alike class without the expected fields
-    return name, str(exc), ()
-
-
-def error_from_wire(error_type: str, message: str, args: tuple = ()) -> Exception:
-    """Rebuild the most specific client-side exception for a wire error.
-
-    Rich types listed in :data:`_RICH_ERRORS` are rebuilt exactly from
-    their structured args; other known :mod:`repro.errors` types are
-    rebuilt from the bare message; unknown types degrade to a
-    :class:`RemoteError` / :class:`RetryableRemoteError` chosen so the
-    client's retry taxonomy keeps working across the process boundary.
-    """
-    rich = _RICH_ERRORS.get(error_type)
-    if rich is not None and args:
-        try:
-            return rich[1](args)
-        except (TypeError, IndexError, ValueError):
-            pass  # fall through to the generic paths
-    cls = _ERROR_TYPES.get(error_type)
-    if cls is not None:
-        if error_type not in _RICH_ERRORS:
-            try:
-                return cls(message)
-            except TypeError:
-                pass
-        wrapper = RetryableRemoteError if _class_is_retryable(cls) else RemoteError
-        return wrapper(f"{error_type}: {message}")
-    return RemoteError(f"{error_type}: {message}")

@@ -60,6 +60,7 @@ from pathlib import Path
 from ..clock import perf_ms
 from ..config import TableConfig
 from ..errors import NodeUnavailableError, RPCTimeoutError
+from ..server.batch import NODE_RPC_METHODS
 from ..server.node import IPSNode
 from ..server.recovery import NodeDurability
 from ..storage.filestore import FileKVStore
@@ -70,9 +71,7 @@ from .replication import WorkerReplication
 from .transport import (
     ADMIN_METHODS,
     PEER_CALL_TIMEOUT_MS,
-    READ_METHODS,
     REPLICATION_METHODS,
-    RPC_METHODS,
     FrameServer,
     SocketTransport,
     respond,
@@ -307,12 +306,9 @@ class WorkerServer:
         return respond(payload, self._invoke)
 
     def _invoke(self, method: str, args: tuple, kwargs: dict):
-        if method in READ_METHODS and method not in vars(self.node):
-            # Cached answers go to the wire packed, never unpacked here.
-            # A read replaced on the node instance (a wrapper, a test
-            # double) is still called by name, as every other RPC is.
-            return self.node._wire_read(method, args, kwargs)
-        if method in RPC_METHODS:
+        if method in NODE_RPC_METHODS:
+            # A multi_get answers with the node's cached packed rows,
+            # which the wire sends as they are.
             result = getattr(self.node, method)(*args, **kwargs)
             if (
                 self.replication.enabled

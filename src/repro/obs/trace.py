@@ -6,7 +6,7 @@ records that decomposition per request as a span tree::
 
     client.multi_get_topk                  <- cluster client
       rpc.call {node=local-node-2}         <- one hop per shard
-        node.multi_get_topk {hits=5}       <- node read path
+        node.multi_get {kind=topk, hits=5} <- node read path
           cache.get_many                   <- GCache probe
             storage.load {profile=17}      <- on miss only
           engine.execute {keys=3}          <- result-cache misses only

@@ -19,27 +19,17 @@ truncate / shrink) runs off the serving path via :meth:`run_maintenance`.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import TableConfig
-from ..core.decay import DecayFn
 from ..core.engine import ProfileEngine
 from ..core.profile import ProfileData
-from ..core.query import (
-    EMPTY_ROWS,
-    FeatureResult,
-    FilterFn,
-    PackedRows,
-    QueryStats,
-    SortType,
-    query_spec,
-)
-from ..core.timerange import TimeRange, TimeRangeKind
+from ..core.query import EMPTY_ROWS, PackedRows, Query, QueryStats, query_spec
+from ..core.timerange import TimeRangeKind
 from ..cache import GCache
 from ..errors import IPSError
 from ..obs.trace import NULL_TRACER
@@ -49,7 +39,7 @@ from ..storage.persistence import (
     FineGrainedPersistence,
     PersistenceManager,
 )
-from .batch import BatchKeyResult, dedup_preserving_order
+from .batch import BatchKeyResult, PaperReads, dedup_preserving_order
 from .isolation import PendingWrite, WriteTable
 from .quota import QuotaManager
 from .result_cache import QueryResultCache
@@ -68,31 +58,7 @@ class NodeStats:
     batch_keys: int = 0
 
 
-class _Query(NamedTuple):
-    """One read request as :meth:`IPSNode._read` serves it.
-
-    ``args`` are the kind's keyword arguments, spelled as both
-    :func:`~repro.core.query.query_spec` and the engine's
-    ``get_profiles_<kind>`` batch entry take them.
-    """
-
-    kind: str  # "topk" / "filter" / "decay"
-    slot: int
-    type_id: int | None
-    time_range: TimeRange
-    args: dict
-
-
-def _unpacked(results: dict[int, BatchKeyResult]) -> dict[int, BatchKeyResult]:
-    """A multi-get's packed values as ``FeatureResult`` lists."""
-    return {
-        profile_id: BatchKeyResult(profile_id, True, list(result.value))
-        if result.ok else result
-        for profile_id, result in results.items()
-    }
-
-
-class IPSNode:
+class IPSNode(PaperReads):
     """One IPS instance serving a shard of profiles for one table."""
 
     def __init__(
@@ -238,7 +204,7 @@ class IPSNode:
         """
         with self.tracer.span("node.add_profile", profile=profile_id):
             vector = self.engine._check_write(
-                profile_id, timestamp_ms, fid, counts
+                profile_id, timestamp_ms, slot, type_id, fid, counts
             )
             self.quota.admit(caller)
             self.stats.writes += 1
@@ -273,7 +239,8 @@ class IPSNode:
         ):
             writes = [
                 (profile_id, timestamp_ms, slot, type_id, fid,
-                 self.engine._check_write(profile_id, timestamp_ms, fid, counts))
+                 self.engine._check_write(
+                     profile_id, timestamp_ms, slot, type_id, fid, counts))
                 for fid, counts in zip(fids, counts_list)
             ]
             self.quota.admit(caller)
@@ -381,18 +348,23 @@ class IPSNode:
         return self._isolation_enabled
 
     # ------------------------------------------------------------------
-    # Read APIs: six short entries over one read path
+    # Reads: one multi-get (the paper's names are PaperReads forwards)
     # ------------------------------------------------------------------
 
-    def _read(
+    def multi_get(
         self,
         profile_ids: Sequence[int],
-        query: _Query,
-        caller: str,
+        query: Query,
+        caller: str = "default",
         stats: QueryStats | None = None,
         deadline=None,
-    ) -> tuple[dict[int, PackedRows | Exception], int]:
-        """The one read path; returns ``({id: packed rows or error}, hits)``.
+    ) -> dict[int, BatchKeyResult]:
+        """The node's one read: ``query`` for every id, ``{id: BatchKeyResult}``.
+
+        An ok key's value is its packed rows as the result cache holds
+        them (:class:`~repro.core.query.PackedRows`), which the wire sends
+        as they are; a failed key carries its error's type name and
+        message.  A point read is the one-id call.
 
         One quota admit, one dedup, one GCache pass (a load error fails
         its key only; a non-resident id reads empty).  ``now_ms`` is read
@@ -407,243 +379,86 @@ class IPSNode:
         ``stats`` collector bypasses the cache; a ``deadline`` is checked
         once, before the misses run.
         """
-        self.quota.admit(caller)
-        unique = dedup_preserving_order(profile_ids)
-        self.stats.reads += len(unique)
-        profiles, errors = self._resident_profiles(unique)
-        now_ms = self.clock.now_ms()
-        result_cache = self.result_cache
-        time_range = query.time_range
-        spec = None if stats is not None else query_spec(
-            self.engine.config, query.kind, query.slot, query.type_id,
-            **query.args,
-        )
-        # Only a RELATIVE window depends on the profile.
-        fixed = None if time_range.kind is TimeRangeKind.RELATIVE else (
-            time_range.resolve(now_ms, None)
-        )
-        out: dict[int, PackedRows | Exception] = {}
-        shared: dict[tuple[int, int], tuple] = {}  # One key per window.
-        misses: list[tuple[int, tuple | None, tuple[int, int] | None]] = []
-        hits = 0
-        for profile_id in unique:
-            profile = profiles.get(profile_id)
-            if profile is None:
-                out[profile_id] = errors.get(profile_id, EMPTY_ROWS)
-                continue
-            fingerprint = epoch = None
-            if spec is not None:
-                window = fixed or time_range.resolve(
-                    now_ms, profile.newest_timestamp_ms()
-                )
-                # No window (RELATIVE over an empty profile): the engine
-                # resolves it to [] itself, uncached.
-                if window is not None:
-                    bounds = (window.start_ms, window.end_ms)
-                    fingerprint = shared.get(bounds)
-                    if fingerprint is None:
-                        fingerprint = shared[bounds] = spec + bounds
-                    cached, epoch = result_cache.probe(profile_id, fingerprint)
-                    if cached is not None:
-                        out[profile_id] = cached
-                        hits += 1
-                        continue
-            elif stats is None:
-                result_cache.stats.uncacheable += 1
-            out[profile_id] = EMPTY_ROWS  # Holds the key's place in request order.
-            misses.append((profile_id, fingerprint, epoch))
-        if misses:
-            if deadline is not None:
-                deadline.check("node.read")
-            ids = [profile_id for profile_id, _, _ in misses]
-            try:
-                with self.tracer.span("engine.execute", keys=len(ids)):
-                    batch = getattr(self.engine, f"get_profiles_{query.kind}")
-                    values = batch(
-                        ids, query.slot, query.type_id, time_range,
-                        now_ms=now_ms,
-                        stats_map=None if stats is None else {ids[0]: stats},
-                        **query.args,
-                    )
-            except IPSError as exc:
-                out.update(dict.fromkeys(ids, exc))
-            else:
-                for profile_id, fingerprint, epoch in misses:
-                    packed = out[profile_id] = PackedRows.pack(values[profile_id])
-                    if fingerprint is not None:
-                        result_cache.put(profile_id, fingerprint, packed, epoch)
-        return out, hits
-
-    def _get(
-        self, profile_id: int, query: _Query, caller: str, stats, deadline
-    ) -> PackedRows:
-        """A point read: the one-id :meth:`_read`; its error is raised."""
-        with self.tracer.span(
-            f"node.get_profile_{query.kind}", profile=profile_id
-        ) as span:
-            out, hits = self._read(
-                [profile_id], query, caller, stats, deadline
+        with self.tracer.span("node.multi_get", keys=len(profile_ids)) as span:
+            self.quota.admit(caller)
+            unique = dedup_preserving_order(profile_ids)
+            self.stats.reads += len(unique)
+            profiles, errors = self._resident_profiles(unique)
+            now_ms = self.clock.now_ms()
+            result_cache = self.result_cache
+            time_range = query.time_range
+            spec = None if stats is not None else query_spec(
+                self.engine.config, query
             )
-            if hits:
+            # Only a RELATIVE window depends on the profile.
+            fixed = None if time_range.kind is TimeRangeKind.RELATIVE else (
+                time_range.resolve(now_ms, None)
+            )
+            out: dict[int, BatchKeyResult] = {}
+            shared: dict[tuple[int, int], tuple] = {}  # One key per window.
+            misses: list[tuple[int, tuple | None, tuple[int, int] | None]] = []
+            hits = 0
+            for profile_id in unique:
+                profile = profiles.get(profile_id)
+                if profile is None:
+                    error = errors.get(profile_id)
+                    out[profile_id] = (
+                        BatchKeyResult(profile_id, True, EMPTY_ROWS)
+                        if error is None
+                        else BatchKeyResult.failure(profile_id, error)
+                    )
+                    continue
+                fingerprint = epoch = None
+                if spec is not None:
+                    window = fixed or time_range.resolve(
+                        now_ms, profile.newest_timestamp_ms()
+                    )
+                    # No window (RELATIVE over an empty profile): the
+                    # engine resolves it to [] itself, uncached.
+                    if window is not None:
+                        bounds = (window.start_ms, window.end_ms)
+                        fingerprint = shared.get(bounds)
+                        if fingerprint is None:
+                            fingerprint = shared[bounds] = spec + bounds
+                        cached, epoch = result_cache.probe(profile_id, fingerprint)
+                        if cached is not None:
+                            out[profile_id] = BatchKeyResult(
+                                profile_id, True, cached
+                            )
+                            hits += 1
+                            continue
+                elif stats is None:
+                    result_cache.stats.uncacheable += 1
+                out[profile_id] = None  # Holds the key's place in request order.
+                misses.append((profile_id, fingerprint, epoch))
+            if misses:
+                if deadline is not None:
+                    deadline.check("node.read")
+                ids = [profile_id for profile_id, _, _ in misses]
+                try:
+                    with self.tracer.span("engine.execute", keys=len(ids)):
+                        values = self.engine.multi_get(
+                            ids, query,
+                            stats_map=None if stats is None else {ids[0]: stats},
+                            now_ms=now_ms,
+                        )
+                except IPSError as exc:
+                    for profile_id in ids:
+                        out[profile_id] = BatchKeyResult.failure(profile_id, exc)
+                else:
+                    for profile_id, fingerprint, epoch in misses:
+                        packed = PackedRows.pack(values[profile_id])
+                        out[profile_id] = BatchKeyResult(profile_id, True, packed)
+                        if fingerprint is not None:
+                            result_cache.put(profile_id, fingerprint, packed, epoch)
+            span.tag(kind=query.kind, unique=len(out), hits=hits)
+            if hits and hits == len(out):
                 # Slow-log forensics: a "slow" cached read points at
                 # whatever held the request *around* the probe.
                 span.tag(served="result_cache")
-            value = out[profile_id]
-            if isinstance(value, Exception):
-                raise value
-            return value
-
-    def _get_many(
-        self, profile_ids: Sequence[int], query: _Query, caller: str
-    ) -> dict[int, BatchKeyResult]:
-        """A multi-get: :meth:`_read` with each key's outcome wrapped."""
-        with self.tracer.span(
-            f"node.multi_get_{query.kind}", keys=len(profile_ids)
-        ) as span:
-            out, hits = self._read(profile_ids, query, caller)
-            span.tag(unique=len(out), hits=hits)
             self.stats.batch_reads += 1
             self.stats.batch_keys += len(out)
-            return {
-                profile_id: BatchKeyResult.failure(profile_id, value)
-                if isinstance(value, Exception)
-                else BatchKeyResult(profile_id, True, value)
-                for profile_id, value in out.items()
-            }
-
-    def _wire_read(self, method: str, args: tuple, kwargs: dict):
-        """One read RPC answered in wire form: the worker's read entry.
-
-        ``method`` is one of the six read names, called as its public
-        entry is; each key's value stays the cached
-        :class:`~repro.core.query.PackedRows`, which the wire sends as it
-        is.
-        """
-        names, defaults = _READ_PARAMS[method]
-        if len(args) > len(names):
-            raise TypeError(f"{method}() got {len(args)} positional arguments")
-        params = {**defaults, **dict(zip(names, args)), **kwargs}
-        ids, caller = params.pop(names[0]), params.pop("caller")
-        for in_process_only in ("stats", "deadline"):
-            params.pop(in_process_only, None)
-        query = _Query(
-            method.rpartition("_")[2], params.pop("slot"),
-            params.pop("type_id"), params.pop("time_range"), params,
-        )
-        if method.startswith("multi_get_"):
-            return self._get_many(ids, query, caller)
-        return self._get(ids, query, caller, None, None)
-
-    def get_profile_topk(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        aggregate: str | None = None,
-        caller: str = "default",
-        stats: QueryStats | None = None,
-        deadline=None,
-    ) -> list[FeatureResult]:
-        query = _Query("topk", slot, type_id, time_range, dict(
-            sort_type=sort_type, k=k, sort_attribute=sort_attribute,
-            sort_weights=sort_weights, aggregate=aggregate,
-        ))
-        return list(self._get(profile_id, query, caller, stats, deadline))
-
-    def get_profile_filter(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        caller: str = "default",
-        stats: QueryStats | None = None,
-        deadline=None,
-    ) -> list[FeatureResult]:
-        query = _Query(
-            "filter", slot, type_id, time_range, dict(predicate=predicate)
-        )
-        return list(self._get(profile_id, query, caller, stats, deadline))
-
-    def get_profile_decay(
-        self,
-        profile_id: int,
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        caller: str = "default",
-        stats: QueryStats | None = None,
-        deadline=None,
-    ) -> list[FeatureResult]:
-        query = _Query("decay", slot, type_id, time_range, dict(
-            decay_function=decay_function, decay_factor=decay_factor, k=k,
-            sort_attribute=sort_attribute,
-        ))
-        return list(self._get(profile_id, query, caller, stats, deadline))
-
-    def multi_get_topk(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        aggregate: str | None = None,
-        caller: str = "default",
-    ) -> dict[int, BatchKeyResult]:
-        """Batched ``get_profile_topk`` over deduplicated profile ids."""
-        query = _Query("topk", slot, type_id, time_range, dict(
-            sort_type=sort_type, k=k, sort_attribute=sort_attribute,
-            sort_weights=sort_weights, aggregate=aggregate,
-        ))
-        return _unpacked(self._get_many(profile_ids, query, caller))
-
-    def multi_get_filter(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        predicate: FilterFn,
-        caller: str = "default",
-    ) -> dict[int, BatchKeyResult]:
-        """Batched ``get_profile_filter`` over deduplicated profile ids."""
-        query = _Query(
-            "filter", slot, type_id, time_range, dict(predicate=predicate)
-        )
-        return _unpacked(self._get_many(profile_ids, query, caller))
-
-    def multi_get_decay(
-        self,
-        profile_ids: Sequence[int],
-        slot: int,
-        type_id: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        caller: str = "default",
-    ) -> dict[int, BatchKeyResult]:
-        """Batched ``get_profile_decay`` over deduplicated profile ids."""
-        query = _Query("decay", slot, type_id, time_range, dict(
-            decay_function=decay_function, decay_factor=decay_factor, k=k,
-            sort_attribute=sort_attribute,
-        ))
-        return _unpacked(self._get_many(profile_ids, query, caller))
+            return out
 
     # ------------------------------------------------------------------
     # Hot reconfiguration (§V-b)
@@ -804,17 +619,3 @@ class IPSNode:
             f"IPSNode(id={self.node_id!r}, table={self.engine.config.name!r}, "
             f"resident={self.cache.resident_count()})"
         )
-
-
-#: Each read's parameters after ``self``, with their defaults, from its
-#: public signature: what :meth:`IPSNode._wire_read` parses.
-_READ_PARAMS = {
-    name: (tuple(signature.parameters)[1:], {
-        parameter.name: parameter.default
-        for parameter in signature.parameters.values()
-        if parameter.default is not parameter.empty
-    })
-    for name in ("get_profile_topk", "get_profile_filter", "get_profile_decay",
-                 "multi_get_topk", "multi_get_filter", "multi_get_decay")
-    for signature in [inspect.signature(getattr(IPSNode, name))]
-}

@@ -14,8 +14,12 @@ Each hop can be observed two ways:
 * a :class:`~repro.obs.registry.MetricsRegistry` accumulates
   ``rpc_client_ms`` / ``rpc_server_ms`` histograms labelled by node.
 
-The proxy exposes the same read/write surface as the node, which makes it
-drop-in for the cluster client (duck-typed via ``getattr`` dispatch).
+The proxy forwards the node's RPC surface
+(:data:`~repro.server.batch.NODE_RPC_METHODS`: ``multi_get``,
+``add_profile``, ``add_profiles``) and, like the node, has the paper's
+read names over its ``multi_get`` (:class:`~repro.server.batch.PaperReads`),
+which makes it drop-in for the cluster client (duck-typed via
+``getattr`` dispatch).
 """
 
 from __future__ import annotations
@@ -25,26 +29,13 @@ from typing import Any
 from ..clock import Clock
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
+from .batch import NODE_RPC_METHODS, PaperReads
 from .node import IPSNode
 from .rpc import LatencyModel, RPCServer
 
 
-class RPCNodeProxy:
+class RPCNodeProxy(PaperReads):
     """Routes node calls through the simulated RPC transport."""
-
-    #: Methods forwarded through the RPC layer.
-    _RPC_METHODS = frozenset(
-        {
-            "add_profile",
-            "add_profiles",
-            "get_profile_topk",
-            "get_profile_filter",
-            "get_profile_decay",
-            "multi_get_topk",
-            "multi_get_filter",
-            "multi_get_decay",
-        }
-    )
 
     def __init__(
         self,
@@ -77,7 +68,7 @@ class RPCNodeProxy:
         self.rpc.set_available(available)
 
     def __getattr__(self, name: str) -> Any:
-        if name in self._RPC_METHODS:
+        if name in NODE_RPC_METHODS:
             def call(*args: Any, **kwargs: Any) -> Any:
                 with self.tracer.span(
                     "rpc.call", node=self.node.node_id, method=name

@@ -208,9 +208,9 @@ class RPCServer:
         if isinstance(result, (bytes, bytearray)):
             return len(result)
         if isinstance(result, BatchKeyResult):
-            # A per-key result envelope wrapping a row list.
+            # A per-key result envelope wrapping its rows (a list, or packed).
             value = result.value
-            return 16 + 48 * len(value) if isinstance(value, (list, tuple)) else 64
+            return 64 if value is None else 16 + 48 * len(value)
         if isinstance(result, (list, tuple)):
             return 16 + 48 * len(result)
         if isinstance(result, dict):

@@ -3,8 +3,9 @@
 One IPS cluster is shared by multiple applications in a multi-tenancy
 manner (§IV): different products create their own *tables* (each with its
 own attribute schema, aggregate and maintenance configs) on shared
-serving capacity, and every API call names the table first — exactly the
-paper's signatures::
+serving capacity, and every API call names the table first — the
+paper's signatures, each a forward to the table node's ``multi_get`` of
+a :class:`~repro.core.query.Query`::
 
     add_profile(table, profile_id, timestamp, slot, type, fid, feature_counts)
     get_profile_topK(table, profile_id, slot, type, time_range, sort_type, k)
@@ -24,9 +25,7 @@ from typing import Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import TableConfig
-from ..core.decay import DecayFn
-from ..core.query import FeatureResult, FilterFn, SortType
-from ..core.timerange import TimeRange
+from ..core.query import Query
 from ..errors import ConfigError, TableNotFoundError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
@@ -147,125 +146,46 @@ class IPSService:
             )
 
     # ------------------------------------------------------------------
-    # Read APIs (paper §II-B signatures)
+    # Reads: one multi-get; the paper's names forward to the table's node
     # ------------------------------------------------------------------
 
-    def get_profile_topk(
+    def multi_get(
         self,
         table: str,
-        profile_id: int,
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
+        profile_ids: Sequence[int],
+        query: Query,
         caller: str = "default",
-    ) -> list[FeatureResult]:
+    ) -> dict[int, BatchKeyResult]:
+        """``query`` over many profiles of one table (one quota admit)."""
+        with self._span("multi_get", table):
+            results = self._node(table).multi_get(profile_ids, query, caller)
+        return {pid: result.listed() for pid, result in results.items()}
+
+    # Each takes the node method's arguments after the table name.
+
+    def get_profile_topk(self, table: str, *args, **kwargs):
         with self._span("get_profile_topk", table):
-            return self._node(table).get_profile_topk(
-                profile_id, slot, type, time_range, sort_type, k,
-                sort_attribute=sort_attribute, sort_weights=sort_weights,
-                caller=caller,
-            )
+            return self._node(table).get_profile_topk(*args, **kwargs)
 
-    def get_profile_filter(
-        self,
-        table: str,
-        profile_id: int,
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        filter_type: FilterFn,
-        caller: str = "default",
-    ) -> list[FeatureResult]:
+    def get_profile_filter(self, table: str, *args, **kwargs):
         with self._span("get_profile_filter", table):
-            return self._node(table).get_profile_filter(
-                profile_id, slot, type, time_range, filter_type, caller=caller
-            )
+            return self._node(table).get_profile_filter(*args, **kwargs)
 
-    def get_profile_decay(
-        self,
-        table: str,
-        profile_id: int,
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        caller: str = "default",
-    ) -> list[FeatureResult]:
+    def get_profile_decay(self, table: str, *args, **kwargs):
         with self._span("get_profile_decay", table):
-            return self._node(table).get_profile_decay(
-                profile_id, slot, type, time_range, decay_function,
-                decay_factor, k=k, sort_attribute=sort_attribute,
-                caller=caller,
-            )
+            return self._node(table).get_profile_decay(*args, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Batched read APIs (multi-get)
-    # ------------------------------------------------------------------
-
-    def multi_get_topk(
-        self,
-        table: str,
-        profile_ids: Sequence[int],
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        sort_type: SortType = SortType.TOTAL,
-        k: int = 10,
-        sort_attribute: str | None = None,
-        sort_weights: dict[str, float] | None = None,
-        caller: str = "default",
-    ) -> dict[int, "BatchKeyResult"]:
-        """Batched top-K over many profiles of one table (one quota admit)."""
+    def multi_get_topk(self, table: str, *args, **kwargs):
         with self._span("multi_get_topk", table):
-            return self._node(table).multi_get_topk(
-                profile_ids, slot, type, time_range, sort_type, k,
-                sort_attribute=sort_attribute, sort_weights=sort_weights,
-                caller=caller,
-            )
+            return self._node(table).multi_get_topk(*args, **kwargs)
 
-    def multi_get_filter(
-        self,
-        table: str,
-        profile_ids: Sequence[int],
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        filter_type: FilterFn,
-        caller: str = "default",
-    ) -> dict[int, "BatchKeyResult"]:
-        """Batched filter over many profiles of one table."""
+    def multi_get_filter(self, table: str, *args, **kwargs):
         with self._span("multi_get_filter", table):
-            return self._node(table).multi_get_filter(
-                profile_ids, slot, type, time_range, filter_type, caller=caller
-            )
+            return self._node(table).multi_get_filter(*args, **kwargs)
 
-    def multi_get_decay(
-        self,
-        table: str,
-        profile_ids: Sequence[int],
-        slot: int,
-        type: int | None,
-        time_range: TimeRange,
-        decay_function: str | DecayFn = "exponential",
-        decay_factor: float = 1.0,
-        k: int | None = None,
-        sort_attribute: str | None = None,
-        caller: str = "default",
-    ) -> dict[int, "BatchKeyResult"]:
-        """Batched decay read over many profiles of one table."""
+    def multi_get_decay(self, table: str, *args, **kwargs):
         with self._span("multi_get_decay", table):
-            return self._node(table).multi_get_decay(
-                profile_ids, slot, type, time_range, decay_function,
-                decay_factor, k=k, sort_attribute=sort_attribute,
-                caller=caller,
-            )
+            return self._node(table).multi_get_decay(*args, **kwargs)
 
     # ------------------------------------------------------------------
     # Background duties across tables

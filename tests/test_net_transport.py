@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core.query import SortType
+from repro.core.query import Query, SortType
 from repro.core.timerange import TimeRange
 from repro.errors import NodeUnavailableError, QuotaExceededError
 from repro.net import transport as transport_module
@@ -340,12 +340,12 @@ class TestThreadPerConnection:
         each request runs on the thread that owns its connection."""
         ran_on = []
 
-        def slow_topk(*args, **kwargs):
+        def slow_read(*args, **kwargs):
             ran_on.append(threading.current_thread().name)
             time.sleep(0.2)
-            return []
+            return {}
 
-        monkeypatch.setattr(server.node, "get_profile_topk", slow_topk)
+        monkeypatch.setattr(server.node, "multi_get", slow_read)
         transports = [
             SocketTransport("t0", server.host, server.port) for _ in range(9)
         ]
@@ -355,7 +355,7 @@ class TestThreadPerConnection:
             callers = [
                 threading.Thread(
                     target=transport.call,
-                    args=("get_profile_topk", 1, 0, 1, WINDOW),
+                    args=("multi_get", [1], Query.topk(0, 1, WINDOW)),
                 )
                 for transport in transports[:8]
             ]

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SystemClock
-from repro.core.query import FeatureResult
+from repro.core.query import QUERY_KINDS, FeatureResult, Query, SortType
 from repro.core.timerange import TimeRange
 from repro.net import wire
 from repro.net.cluster import ProcessCluster
@@ -370,6 +370,64 @@ class TestHostileFrames:
         write_varint(out, 2)
         out += _column([9, 9]) + _column([1, 1]) + _column([0, 0])
         write_varint(out, 0)
+        assert_rejected_small(_message(bytes(out)))
+
+    QUERY = Query.decay(3, 1, TimeRange.absolute(10, 20), "linear", 2.5, 4)
+
+    @staticmethod
+    def _query_value(query) -> bytearray:
+        out = bytearray()
+        wire.encode_value(out, query)
+        return out
+
+    def test_every_proper_prefix_of_a_query_request(self):
+        payload = wire.encode_request(
+            wire.Request(1, "multi_get", ([1, 2], self.QUERY), {"caller": "c"})
+        )[wire.HEADER_SIZE:]
+        tracemalloc.start()
+        try:
+            for cut in range(len(payload)):
+                assert_rejected_small(_crc_checked(payload[:cut]))
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("tag,count", [
+        ("kind", len(QUERY_KINDS)), ("sort", len(SortType)), ("range", 3),
+    ])
+    @pytest.mark.parametrize("index", [0, 1, 200])
+    def test_out_of_range_index_in_a_query(self, tag, count, index):
+        query = self.QUERY if tag != "sort" else Query.topk(
+            3, 1, TimeRange.absolute(10, 20), SortType.TIMESTAMP
+        )
+        out = self._query_value(query)
+        at = 1  # the kind: right after the query tag
+        if tag != "kind":
+            value_tag = wire._T_SORTTYPE if tag == "sort" else wire._T_TIMERANGE
+            at = out.index(bytes([value_tag])) + 1
+        out[at] = count + index
+        assert_rejected_small(_message(bytes(out)))
+
+    def test_a_query_whose_window_is_not_a_time_range(self):
+        out = self._query_value(self.QUERY)
+        start = out.index(bytes([wire._T_TIMERANGE]))
+        end = start + 2 + 3 * 2  # kind byte, then three small ints
+        out[start:end] = bytes([wire._T_NONE])
+        assert_rejected_small(_message(bytes(out)))
+
+    @pytest.mark.parametrize("tag", [
+        wire._T_LIST, wire._T_DICT, wire._T_STR, wire._T_BYTES,
+    ])
+    @pytest.mark.parametrize("declared", [9, 1 << 20, 1 << 62])
+    def test_declared_length_far_past_a_short_body(self, tag, declared):
+        out = bytearray([tag])
+        write_varint(out, declared)
+        out += bytes(4)  # four _T_NONE items, or four bytes of text
+        assert_rejected_small(_message(bytes(out)))
+
+    @pytest.mark.parametrize("tag", [wire._T_INT, wire._T_STR, wire._T_LIST])
+    @pytest.mark.parametrize("run", [11, 64])
+    def test_varint_run_longer_than_ten_bytes(self, tag, run):
+        out = bytearray([tag]) + b"\xff" * run + b"\x01"
         assert_rejected_small(_message(bytes(out)))
 
     #: 20 000 one-item lists: a 40 KB value far deeper than Python recurses.

@@ -31,6 +31,7 @@ from repro.config import TableConfig
 from repro.core.query import (
     FeatureResult,
     PackedRows,
+    Query,
     SortType,
     query_fingerprint,
 )
@@ -179,16 +180,12 @@ class TestPackedResponsesDecodeAlike:
         keys = list(range(1, len(writes) + 1)) + [1, 99]  # dup + unknown
         window = TimeRange.absolute(0, NOW_MS + 1)
         for _ in range(2):  # a miss, then a hit
-            served = node._wire_read("multi_get_topk", (keys, 0, 1, window),
-                                     {"k": 3})
+            served = node.multi_get(keys, Query.topk(0, 1, window, k=3))
             public = node.multi_get_topk(keys, 0, 1, window, k=3)
             assert decoded_response(served) == decoded_response(public)
             assert decoded_response(served) == public
-            point = node._wire_read("get_profile_topk", (), {
-                "profile_id": 1, "slot": 0, "type_id": 1, "time_range": window,
-                "k": 3, "caller": "c",
-            })
-            assert decoded_response(point) == node.get_profile_topk(
+            point = node.multi_get([1], Query.topk(0, 1, window, k=3), "c")
+            assert decoded_response(point)[1].value == node.get_profile_topk(
                 1, 0, 1, window, k=3
             )
         assert public[99] == BatchKeyResult.success(99, [])

@@ -34,7 +34,7 @@ import pytest
 from repro.clock import MILLIS_PER_DAY, MILLIS_PER_HOUR, SimulatedClock
 from repro.cluster.resilience import Deadline
 from repro.config import TableConfig, TruncateConfig
-from repro.core.query import SortType, cacheable_filter, query_fingerprint
+from repro.core.query import Query, SortType, cacheable_filter, query_fingerprint
 from repro.core.timerange import TimeRange
 from repro.errors import DeadlineExceededError, IPSError
 from repro.ingest import IngestionJob, InstanceRecord, Topic, default_extraction
@@ -218,8 +218,9 @@ def _query_battery():
     """(name, kind, args, kwargs) covering the read APIs.
 
     ``kind`` names the method — ``get_profile_<kind>`` on a node or its
-    engine, ``multi_get_<kind>`` / ``get_profiles_<kind>`` for the batch
-    forms — and ``args`` / ``kwargs`` follow the profile id(s).
+    engine, ``multi_get_<kind>`` on a node for the batch form, and the
+    :class:`Query` constructor of that name for the engine's
+    ``multi_get`` — and ``args`` / ``kwargs`` follow the profile id(s).
     """
     current_2d = TimeRange.current(2 * MILLIS_PER_DAY)
     current_7d = TimeRange.current(7 * MILLIS_PER_DAY)
@@ -290,8 +291,8 @@ def _assert_multi_gets_identical(node: IPSNode, step: str) -> None:
     for name, kind, args, kwargs in _query_battery():
         multi_get = getattr(node, f"multi_get_{kind}")
         first = multi_get(MULTI_GET_IDS, *args, **kwargs)
-        expected = getattr(node.engine, f"get_profiles_{kind}")(
-            MULTI_GET_IDS, *args, **kwargs
+        expected = node.engine.multi_get(
+            MULTI_GET_IDS, getattr(Query, kind)(*args, **kwargs)
         )
         second = multi_get(MULTI_GET_IDS, *args, **kwargs)
         assert list(first) == list(second) == list(expected)
@@ -443,19 +444,19 @@ def _seeded_node(profile_ids=(1,)) -> IPSNode:
 def _counting(node: IPSNode, fail: bool = False) -> list:
     """Route the node's top-K executions through a counter.
 
-    Every node read runs its misses through the engine's batch entry; the
-    counter records each profile id that batch executed.
+    Every node read runs its misses through the engine's ``multi_get``;
+    the counter records each profile id that batch executed.
     """
     calls = []
-    real_topk = node.engine.get_profiles_topk
+    real_multi_get = node.engine.multi_get
 
-    def topk(*args, **kwargs):
+    def multi_get(*args, **kwargs):
         calls.extend(args[0])
         if fail:
             raise IPSError("storage fault mid-read")
-        return real_topk(*args, **kwargs)
+        return real_multi_get(*args, **kwargs)
 
-    node.engine.get_profiles_topk = topk
+    node.engine.multi_get = multi_get
     return calls
 
 
@@ -568,16 +569,17 @@ def test_write_landing_mid_batch_is_not_installed():
     ids = [1, 2, 3]
     node = _seeded_node(ids)
     real_topk = node.engine.get_profiles_topk
+    real_multi_get = node.engine.multi_get
 
     def racing(*args, **kwargs):
-        values = real_topk(*args, **kwargs)
+        values = real_multi_get(*args, **kwargs)
         node.add_profile(2, NOW_MS, 1, 0, 99, {"like": 500})
         node.merge_write_table()
         return values
 
-    node.engine.get_profiles_topk = racing
+    node.engine.multi_get = racing
     stale = node.multi_get_topk(ids, 1, 0, WINDOW, SortType.TOTAL, 5)
-    node.engine.get_profiles_topk = real_topk
+    node.engine.multi_get = real_multi_get
     stats = node.result_cache.stats
     assert stats.install_races == 1
     assert stats.installs == len(ids) - 1
@@ -596,15 +598,15 @@ def test_eviction_mid_batch_is_not_installed():
     """A swap-out between residency and execution answers ``[]`` for the
     evicted key; that answer must not outlive the read."""
     node = _seeded_node((1, 2))
-    real_topk = node.engine.get_profiles_topk
+    real_multi_get = node.engine.multi_get
 
     def evicting(*args, **kwargs):
         assert node.cache._evict(2)
-        return real_topk(*args, **kwargs)
+        return real_multi_get(*args, **kwargs)
 
-    node.engine.get_profiles_topk = evicting
+    node.engine.multi_get = evicting
     node.multi_get_topk([1, 2], 1, 0, WINDOW, SortType.TOTAL, 5)
-    node.engine.get_profiles_topk = real_topk
+    node.engine.multi_get = real_multi_get
     assert node.result_cache.stats.install_races == 1
 
     again = node.multi_get_topk([1, 2], 1, 0, WINDOW, SortType.TOTAL, 5)
@@ -631,14 +633,15 @@ def test_clock_moving_mid_batch_keys_the_window_that_ran():
     node.merge_write_table()
     clock = node.clock
     real_topk = node.engine.get_profiles_topk
+    real_multi_get = node.engine.multi_get
 
     def late(*args, **kwargs):
         clock.advance(MILLIS_PER_HOUR)
-        return real_topk(*args, **kwargs)
+        return real_multi_get(*args, **kwargs)
 
-    node.engine.get_profiles_topk = late
+    node.engine.multi_get = late
     served = node.multi_get_topk([1, 2], 1, 0, current, SortType.TOTAL, 5)
-    node.engine.get_profiles_topk = real_topk
+    node.engine.multi_get = real_multi_get
 
     ran = current.resolve(NOW_MS, None)
     later = current.resolve(clock.now_ms(), None)

@@ -74,7 +74,7 @@ class TestTracedMultiGet:
         )
 
         # Every hop carries a node-dispatch span with a cache probe inside.
-        node_spans = root.find("node.multi_get_topk")
+        node_spans = root.find("node.multi_get")
         assert len(node_spans) == len(rpc_spans)
         assert sum(span.tags["keys"] for span in node_spans) == POPULATION
         cache_spans = root.find("cache.get_many")
@@ -153,6 +153,6 @@ class TestTracedMultiGet:
         client.get_profile_topk(1, 1, 1, WINDOW, SortType.TOTAL, k=5)
         root = tracer.take_roots()[0]
         assert root.name == "client.get_profile_topk"
-        assert root.find("node.get_profile_topk")
+        assert root.find("node.multi_get")
         assert root.find("cache.get")
         assert root.find("engine.execute")
